@@ -19,6 +19,25 @@ import (
 	"repro/internal/faultio"
 )
 
+// hangOnResults hangs a worker connection at the header of its first
+// results frame, until the harness releases its hangs. Unlike a hang
+// on the nth read, it always strikes while a lease is held: the worker
+// may first be told to wait while the coordinator has no jobs queued.
+type hangOnResults struct {
+	*faultio.Conn
+	writes int
+	armed  bool
+}
+
+func (c *hangOnResults) Write(p []byte) (int, error) {
+	c.writes++
+	if !c.armed && len(p) == frameHeaderLen && p[0] == msgResults {
+		c.armed = true
+		c.HangN(faultio.ConnWrite, c.writes)
+	}
+	return c.Conn.Write(p)
+}
+
 func app(t *testing.T, name string) apps.App {
 	t.Helper()
 	a, err := netapps.ByName(name)
@@ -239,18 +258,22 @@ func TestDistributedFrontMatchesSingleProcess(t *testing.T) {
 			jobDelay: time.Millisecond,
 		},
 		{
-			name:    "DRR-K3/lease-expires-and-reassigns",
-			app:     "DRR",
-			opts:    explore.Options{TracePackets: 200, DominantK: 3, BoundPrune: true},
-			copts:   Options{ShardSize: 16, LeaseTTL: 200 * time.Millisecond},
+			name: "DRR-K3/lease-expires-and-reassigns",
+			app:  "DRR",
+			opts: explore.Options{TracePackets: 200, DominantK: 3, BoundPrune: true},
+			// Hedging off: an adaptive hedge (twice the p95 shard
+			// latency) can re-lease the hung shard before its TTL
+			// expires it, and this case tests expiry.
+			// TestHedgeExpiryNoDoubleRequeue covers hedging.
+			copts:   Options{ShardSize: 16, LeaseTTL: 200 * time.Millisecond, HedgeAfter: -1},
 			workers: 2,
 			scripts: map[int]faultScript{
 				0: func(c *faultio.Conn, attempt int) net.Conn {
 					if attempt == 1 {
-						// Hang reading the first lease response: the
-						// lease is granted coordinator-side but the
-						// worker never works it — a partitioned peer.
-						return c.HangN(faultio.ConnRead, 2)
+						// Hang sending the first shard's results: the
+						// lease is granted but never reported — a
+						// partitioned peer.
+						return &hangOnResults{Conn: c}
 					}
 					return c
 				},

@@ -144,8 +144,8 @@ type geomL2 struct {
 	contrib []uint32
 }
 
-// effectiveGeometry normalizes a cache geometry exactly as newCache
-// does: zero set counts and associativities clamp to one.
+// effectiveGeometry normalizes a cache geometry for every simulator:
+// zero set counts and associativities clamp to one.
 func effectiveGeometry(g CacheGeometry) (sets, assoc uint32) {
 	sets = g.Sets()
 	if sets == 0 {
@@ -158,8 +158,8 @@ func effectiveGeometry(g CacheGeometry) (sets, assoc uint32) {
 	return sets, assoc
 }
 
-// effectiveLine normalizes the address-mapping line size (zero clamps
-// to one byte, as NewLineSim does).
+// effectiveLine normalizes the address-mapping line size for every
+// simulator: zero clamps to one byte.
 func effectiveLine(cfg Config) uint32 {
 	lb := cfg.L1.LineBytes
 	if lb == 0 {

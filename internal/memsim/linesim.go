@@ -2,17 +2,15 @@ package memsim
 
 import "math/bits"
 
-// LineSim is the bare two-level hit/miss simulator the access-stream
-// replay path drives. It shares the cache implementation (and therefore
-// the exact set-mapping, LRU and fill policy) with Hierarchy, but strips
-// the per-access bookkeeping a live simulation needs — word counting,
-// cycle accumulation, abort polling — down to the only state that is
-// platform-dependent: which level served each line probe, plus the
-// pipelined-word count implied by the configuration's line size.
-// Everything else a cost vector needs (word counts, ALU cycles, peak
-// footprint) is platform-invariant and is reconstructed arithmetically
-// by the replayer; CyclesFor is the closed form of the cycle accounting
-// Hierarchy performs incrementally.
+// LineSim is the bare two-level hit/miss simulator: the probe kernel
+// both the live Hierarchy and the access-stream replay path drive. It
+// holds only the state that is platform-dependent: which level served
+// each line probe, plus (for replay batches) the pipelined-word count
+// implied by the configuration's line size. Word counting and abort
+// polling stay in Hierarchy. Everything else a cost vector needs (word
+// counts, ALU cycles, peak footprint) is platform-invariant, and
+// CyclesFor turns the counts into cycles for live and replayed runs
+// alike.
 type LineSim struct {
 	L1Hits    uint64
 	L2Hits    uint64
@@ -38,10 +36,7 @@ const noLine = ^uint32(0)
 
 // NewLineSim builds the hit/miss simulator for cfg's cache geometries.
 func NewLineSim(cfg Config) *LineSim {
-	lb := cfg.L1.LineBytes
-	if lb == 0 {
-		lb = 1
-	}
+	lb := effectiveLine(cfg)
 	return &LineSim{
 		l1:        newCache(cfg.L1),
 		l2:        newCache(cfg.L2),
@@ -60,19 +55,11 @@ func NewLineSim(cfg Config) *LineSim {
 // the replay hot path recycle simulators from a pool instead of
 // allocating tag arrays per replay.
 func (s *LineSim) Reset(cfg Config) bool {
-	lb := cfg.L1.LineBytes
-	if lb == 0 {
-		lb = 1
-	}
-	if lb != s.lineBytes || !s.l1.sameGeometry(cfg.L1) || !s.l2.sameGeometry(cfg.L2) {
+	if effectiveLine(cfg) != s.lineBytes || !s.l1.sameGeometry(cfg.L1) || !s.l2.sameGeometry(cfg.L2) {
 		return false
 	}
-	for i := range s.l1.tags {
-		s.l1.tags[i] = invalidTag
-	}
-	for i := range s.l2.tags {
-		s.l2.tags[i] = invalidTag
-	}
+	clearTags(s.l1.tags)
+	clearTags(s.l2.tags)
 	s.L1Hits, s.L2Hits, s.DRAMFills = 0, 0, 0
 	s.lastFirst, s.lastLine = noLine, noLine
 	s.pipelined = 0
@@ -88,21 +75,17 @@ func (s *LineSim) LineSpan(addr, size uint32) (uint32, uint32) {
 	return addr / s.lineBytes, (addr + size - 1) / s.lineBytes
 }
 
-// ProbeLine walks the hierarchy for one cache line, with exactly the
-// write-allocate inclusive-fill policy of Hierarchy.probeLine.
+// ProbeLine walks the hierarchy for one cache line: the canonical
+// write-allocate, inclusive-fill policy every faster walk reproduces.
 func (s *LineSim) ProbeLine(line uint32) {
-	if s.l1.access(line) {
+	switch {
+	case s.l1.touch(line):
 		s.L1Hits++
-		return
-	}
-	if s.l2.access(line) {
+	case s.l2.touch(line):
 		s.L2Hits++
-		s.l1.fill(line)
-		return
+	default:
+		s.DRAMFills++
 	}
-	s.DRAMFills++
-	s.l2.fill(line)
-	s.l1.fill(line)
 }
 
 // ProbeAccesses simulates a batch of accesses (addrs[i] with sizes[i])
@@ -114,10 +97,11 @@ func (s *LineSim) ProbeLine(line uint32) {
 // (the line is resident and already MRU), and an access whose line is at
 // the MRU position of its set needs no reordering. The specialized walk
 // requires power-of-two geometry (line size and set counts, the
-// practical case); anything else takes the generic ProbeLine path. The
+// practical case); anything else takes the generic probeSpan path. The
 // replay-equivalence property tests pin both paths to the live
-// hierarchy bit-for-bit. Pipelined-word counts accumulate per the
-// configuration's line size (Pipelined).
+// hierarchy bit-for-bit, and the reference-model tests pin the live
+// hierarchy to a textbook LRU model. Pipelined-word counts accumulate
+// per the configuration's line size (Pipelined).
 func (s *LineSim) ProbeAccesses(addrs, sizes []uint32) {
 	if len(addrs) != len(sizes) {
 		panic("memsim: ProbeAccesses length mismatch")
@@ -252,19 +236,18 @@ func (s *LineSim) probeAccessesL1x2(addrs, sizes []uint32) {
 }
 
 // probeL2Fill resolves an L1 miss against the second level (probe, LRU
-// update, inclusive fill), with exactly the policy of Hierarchy.probeLine
-// below the first level. The caller performs the L1 fill.
+// update, inclusive fill), with exactly the policy of ProbeLine below
+// the first level. The caller performs the L1 fill.
 func (s *LineSim) probeL2Fill(line uint32) {
-	if s.l2.access(line) {
+	if s.l2.touch(line) {
 		s.L2Hits++
-		return
+	} else {
+		s.DRAMFills++
 	}
-	s.DRAMFills++
-	s.l2.fill(line)
 }
 
 // probeAccessesGeneric is the ProbeAccesses fallback for non-power-of-
-// two geometries, built on the canonical ProbeLine walk.
+// two geometries, one probeSpan per access.
 func (s *LineSim) probeAccessesGeneric(addrs, sizes []uint32) {
 	for i, addr := range addrs {
 		size := sizes[i]
@@ -275,20 +258,53 @@ func (s *LineSim) probeAccessesGeneric(addrs, sizes []uint32) {
 		if words, lines := uint64((size+3)/4), uint64(last-first+1); words > lines {
 			s.pipelined += words - lines
 		}
-		if last < first {
-			continue // addr+size wraps the 32-bit space: the hierarchy probes no lines
-		}
-		if first >= s.lastFirst && last <= s.lastLine {
-			s.L1Hits += uint64(last - first + 1) // inside the skip window
-			continue
-		}
-		if last-first < s.l1.nsets {
-			s.lastFirst, s.lastLine = first, last
-		} else {
-			s.lastFirst, s.lastLine = noLine, noLine
-		}
-		for line := first; line <= last; line++ {
+		s.probeSpan(first, last)
+	}
+}
+
+// probeSpan simulates one access touching lines first..last: the
+// single-access kernel of the live Hierarchy, with the skip window of
+// ProbeAccesses and a directly indexed walk for 2-way L1s. It does not
+// count pipelined words; callers do. A span with last < first (the
+// access wraps the 32-bit space) probes no lines.
+func (s *LineSim) probeSpan(first, last uint32) {
+	if last < first {
+		return
+	}
+	if first >= s.lastFirst && last <= s.lastLine {
+		s.L1Hits += uint64(last - first + 1) // inside the skip window
+		return
+	}
+	l1 := s.l1
+	if last-first < l1.nsets {
+		s.lastFirst, s.lastLine = first, last
+	} else {
+		s.lastFirst, s.lastLine = noLine, noLine
+	}
+	if l1.assoc != 2 {
+		for line := first; ; line++ {
 			s.ProbeLine(line)
+			if line == last {
+				return
+			}
+		}
+	}
+	tags := l1.tags
+	for line := first; ; line++ {
+		base := l1.setIndex(line) << 1
+		if tags[base] == line {
+			s.L1Hits++ // MRU way: no reorder needed
+		} else if tags[base+1] == line {
+			tags[base+1] = tags[base]
+			tags[base] = line
+			s.L1Hits++
+		} else {
+			s.probeL2Fill(line)
+			tags[base+1] = tags[base]
+			tags[base] = line
+		}
+		if line == last {
+			return
 		}
 	}
 }
@@ -301,9 +317,8 @@ func (s *LineSim) Probes() uint64 { return s.L1Hits + s.L2Hits + s.DRAMFills }
 func (s *LineSim) Pipelined() uint64 { return s.pipelined }
 
 // CyclesFor returns the execution cycles implied by the event counts plus
-// the pipelined extra words under this configuration: the closed form of
-// the accounting Hierarchy does incrementally, used by the replayer to
-// reconstruct exact cycle totals from a LineSim's probe outcomes.
+// the pipelined extra words under this configuration: the one cycle
+// formula of both the live Hierarchy and the replayer.
 func (cfg Config) CyclesFor(c Counts, pipelinedWords uint64) uint64 {
 	return c.L1Hits*cfg.L1HitCycles +
 		c.L2Hits*cfg.L2HitCycles +

@@ -15,6 +15,11 @@
 // is tracked per line; a multi-word access probes each distinct line it
 // touches once and the remaining words of the access pay a pipelined
 // single cycle.
+//
+// Live and replayed simulation share one probe kernel (LineSim) and one
+// cycle formula: a Hierarchy counts hits, misses, words and pipelined
+// words, and computes cycles from those counts in closed form
+// (Config.CyclesFor) rather than accumulating them per probe.
 package memsim
 
 import "fmt"
@@ -121,10 +126,13 @@ type BoundarySink interface {
 // with New; it is not safe for concurrent use (one simulation = one
 // goroutine, matching the single-threaded NetBench applications).
 type Hierarchy struct {
-	cfg    Config
-	l1, l2 *cache
-	counts Counts
-	cycles uint64
+	cfg Config
+	// sim holds the cache state and the hit/miss counters; counts holds
+	// the word and op counters, pipelined the extra words of multi-word
+	// accesses beyond the first of each line.
+	sim       *LineSim
+	counts    Counts
+	pipelined uint64
 
 	// sink, when set, receives every access before it is accounted;
 	// sinkOps accumulates op cycles not yet handed to it. bsink caches
@@ -204,11 +212,7 @@ func (h *Hierarchy) SetAbortCheck(every uint64, fn func() bool) {
 
 // New builds a hierarchy from cfg.
 func New(cfg Config) *Hierarchy {
-	return &Hierarchy{
-		cfg: cfg,
-		l1:  newCache(cfg.L1),
-		l2:  newCache(cfg.L2),
-	}
+	return &Hierarchy{cfg: cfg, sim: NewLineSim(cfg)}
 }
 
 // Read simulates loading size bytes starting at virtual address addr.
@@ -236,7 +240,6 @@ func (h *Hierarchy) Op(n uint64) {
 		h.sinkOps += n
 	}
 	h.counts.OpCycles += n
-	h.cycles += n
 }
 
 func (h *Hierarchy) access(addr, size uint32, write bool) {
@@ -249,60 +252,55 @@ func (h *Hierarchy) access(addr, size uint32, write bool) {
 	} else {
 		h.counts.ReadWords += words
 	}
-
-	lineBytes := h.cfg.L1.LineBytes
-	firstLine := addr / lineBytes
-	lastLine := (addr + size - 1) / lineBytes
-	lines := uint64(lastLine - firstLine + 1)
-
-	for line := firstLine; line <= lastLine; line++ {
-		h.probeLine(line)
+	first, last := h.sim.LineSpan(addr, size)
+	lines := uint64(last - first + 1)
+	if h.abortFn == nil {
+		h.sim.probeSpan(first, last)
+	} else if h.sinceCheck+lines < h.abortEvery {
+		h.sinceCheck += lines // no poll falls due inside this access
+		h.sim.probeSpan(first, last)
+	} else {
+		h.probePolled(first, last)
 	}
-	// Words beyond the first of each probed line are pipelined.
+	// Words beyond the first of each probed line are pipelined; added
+	// after the walk so an abort inside it reports the cycles up to its
+	// probe.
 	if words > lines {
-		h.cycles += (words - lines) * h.cfg.PipelinedWord
+		h.pipelined += words - lines
 	}
 }
 
-// probeLine walks the hierarchy for one cache line (write-allocate,
-// inclusive fill on miss).
-func (h *Hierarchy) probeLine(line uint32) {
-	if h.abortFn != nil {
+// probePolled walks an access's lines one at a time, polling the abort
+// check before each probe it is due on. It invalidates the skip window
+// first, since the walk bypasses the window bookkeeping.
+func (h *Hierarchy) probePolled(first, last uint32) {
+	h.sim.lastFirst, h.sim.lastLine = noLine, noLine
+	for line := first; line <= last; line++ {
 		h.sinceCheck++
 		if h.sinceCheck >= h.abortEvery {
 			h.sinceCheck = 0
 			if h.abortFn() {
-				panic(&Aborted{Counts: h.counts, Cycles: h.cycles})
+				panic(&Aborted{Counts: h.Counts(), Cycles: h.Cycles()})
 			}
 		}
+		h.sim.ProbeLine(line)
 	}
-	if h.l1.access(line) {
-		h.counts.L1Hits++
-		h.cycles += h.cfg.L1HitCycles
-		return
-	}
-	if h.l2.access(line) {
-		h.counts.L2Hits++
-		h.cycles += h.cfg.L2HitCycles
-		h.l1.fill(line)
-		return
-	}
-	h.counts.DRAMFills++
-	h.cycles += h.cfg.DRAMCycles
-	h.l2.fill(line)
-	h.l1.fill(line)
 }
 
 // Counts returns the accumulated event counters.
-func (h *Hierarchy) Counts() Counts { return h.counts }
+func (h *Hierarchy) Counts() Counts {
+	c := h.counts
+	c.L1Hits, c.L2Hits, c.DRAMFills = h.sim.L1Hits, h.sim.L2Hits, h.sim.DRAMFills
+	return c
+}
 
 // Cycles returns the total simulated cycles so far.
-func (h *Hierarchy) Cycles() uint64 { return h.cycles }
+func (h *Hierarchy) Cycles() uint64 { return h.cfg.CyclesFor(h.Counts(), h.pipelined) }
 
 // Seconds converts the accumulated cycles to seconds at the configured
 // clock.
 func (h *Hierarchy) Seconds() float64 {
-	return float64(h.cycles) / h.cfg.ClockHz
+	return float64(h.Cycles()) / h.cfg.ClockHz
 }
 
 // Config returns the configuration the hierarchy was built with.
@@ -327,38 +325,20 @@ type cache struct {
 const invalidTag = ^uint32(0)
 
 func newCache(g CacheGeometry) *cache {
-	sets := g.Sets()
-	if sets == 0 {
-		sets = 1
-	}
-	assoc := g.Assoc
-	if assoc == 0 {
-		assoc = 1
-	}
-	c := &cache{
-		tags:  make([]uint32, sets*assoc),
+	sets, assoc := effectiveGeometry(g)
+	return &cache{
+		tags:  newTagStore(sets * assoc),
 		assoc: assoc,
 		nsets: sets,
 		mask:  sets - 1,
 		pow2:  sets&(sets-1) == 0,
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	return c
 }
 
 // sameGeometry reports whether the cache was built from a geometry
 // equivalent to g (same effective set count and associativity).
 func (c *cache) sameGeometry(g CacheGeometry) bool {
-	sets := g.Sets()
-	if sets == 0 {
-		sets = 1
-	}
-	assoc := g.Assoc
-	if assoc == 0 {
-		assoc = 1
-	}
+	sets, assoc := effectiveGeometry(g)
 	return c.nsets == sets && c.assoc == assoc
 }
 
@@ -370,12 +350,13 @@ func (c *cache) setIndex(line uint32) uint32 {
 	return line % c.nsets
 }
 
-// access returns true on hit, updating LRU order. On miss it does NOT
-// install the line; the caller decides fill policy. The MRU position is
-// checked first: repeated probes of the hot line (adjacent words of a
-// record, pointer-then-payload pairs) are the common case and need no
-// reordering.
-func (c *cache) access(line uint32) bool {
+// touch probes line and leaves it MRU in its set either way: a hit
+// (true) moves it to the front, a miss installs it there, evicting the
+// LRU way of a full set — write-allocate, so every level a probe misses
+// is filled. The MRU position is checked first: repeated probes of the
+// hot line (adjacent words of a record, pointer-then-payload pairs) are
+// the common case and need no reordering.
+func (c *cache) touch(line uint32) bool {
 	base := c.setIndex(line) * c.assoc
 	tags := c.tags[base : base+c.assoc]
 	if tags[0] == line {
@@ -383,19 +364,12 @@ func (c *cache) access(line uint32) bool {
 	}
 	for i := uint32(1); i < c.assoc; i++ {
 		if tags[i] == line {
-			// Move to front (MRU).
 			copy(tags[1:i+1], tags[:i])
 			tags[0] = line
 			return true
 		}
 	}
-	return false
-}
-
-// fill installs line as MRU, evicting the LRU way if the set is full.
-func (c *cache) fill(line uint32) {
-	base := c.setIndex(line) * c.assoc
-	tags := c.tags[base : base+c.assoc]
 	copy(tags[1:], tags[:c.assoc-1])
 	tags[0] = line
+	return false
 }
