@@ -120,7 +120,7 @@ func parseFlags(args []string) (cliConfig, error) {
 	fs.StringVar(&c.cachePath, "cache", "", "simulation cache file: loaded before the run, saved after")
 	fs.StringVar(&c.replayCache, "replay-cache", "", "like -cache, but also captures and persists access streams and the reuse profiles of platform evaluations, so later runs evaluate new platform configurations by replay — or by profile arithmetic with zero probe passes — instead of re-execution")
 	fs.BoolVar(&c.compose, "compose", false, "compositional capture: record one access sub-stream per container role (per-role heap arenas) and evaluate DDT combinations by interleaving cached sub-streams instead of re-executing — the 10^K cross-product costs ~10*K executions")
-	fs.BoolVar(&c.noprune, "noprune", false, "with -compose, disable bound-guided pruning: by default, combinations whose admissible per-lane lower bound (sum of isolated lane reuse-profile bounds) is already dominated by the running Pareto front are discarded with zero replays — fronts stay bit-identical either way")
+	fs.BoolVar(&c.noprune, "noprune", false, "with -compose, disable bound-guided pruning: by default, combinations whose admissible per-lane lower bound (sum of isolated lane reuse-profile bounds) is already dominated by the running Pareto front are discarded with zero replays, and composed replays stop once their completion bound is dominated — fronts stay bit-identical either way")
 	fs.Float64Var(&c.sampleRate, "sample-rate", 0, "screen the combination space with SHARDS-sampled replays at this spatial rate (e.g. 0.015625 = 1/64) before re-running the surviving near-front combinations exactly — the reported front is identical in membership to an exact run; implies -compose (0 disables; rates round down to a power of two)")
 	fs.StringVar(&c.platforms, "platforms", "", "comma-separated platform points (or 'all') to evaluate the best-energy recommendation on: points sharing a cache line size are costed by one all-geometry replay pass (a cached reuse profile makes the sweep pure arithmetic); names from the default sweep set")
 	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "with -cache or -replay-cache, persist a resumable campaign checkpoint every N settled jobs (0 disables periodic checkpoints; an interrupt always writes a final one)")

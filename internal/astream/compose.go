@@ -299,12 +299,15 @@ type UnpackedLane struct {
 	SegMax    []uint64
 	SegEnd    []int64
 
-	// Sampled-view memo (viewFor): the lane's hash-kept line
-	// subsequence plus exact per-segment probe aggregates, one per
-	// (line shift, sample shift) pair. Built lazily on first sampled
-	// replay and shared by every combination the lane participates in.
-	viewMu sync.Mutex
+	// Derived-table memos, built lazily on first use and shared by
+	// every combination the lane participates in. views (viewFor): the
+	// lane's hash-kept line subsequence plus exact per-segment probe
+	// aggregates, one per (line shift, sample shift) pair. isos
+	// (isoSuffixFor): the isolated suffix tables of the guarded
+	// replay's completion bound, one per L1 geometry.
+	memoMu sync.Mutex
 	views  map[uint32]*sampledView
+	isos   map[memsim.CacheGeometry]*isoSuffix
 }
 
 // Segments returns the number of decoded segments.
@@ -363,7 +366,14 @@ func (s *SubStream) Unpack() (*UnpackedLane, error) {
 // Configurations sharing an L1 line size collapse into one all-geometry
 // probe pass (memsim.GeomSim), as in ReplayMulti. guard (single-
 // configuration only) is polled about once per batchEvents probed
-// accesses.
+// accesses with the completion bound: exact final word and op counts,
+// the probe outcomes so far, and each lane's unprobed suffix priced by
+// its isolated outcomes (isolated L1 misses as L2 hits, first line
+// touches as DRAM fills, every other probe as an L1 hit; see
+// memsim/bound.go). The per-lane tables are built by one isolated pass
+// per lane and L1 geometry on first use and memoized on the lane. On a
+// platform outside memsim.BoundEligible the guard sees the bare
+// partial cost instead.
 func ReplayComposedUnpacked(sched *Schedule, lanes []*UnpackedLane, cfgs []memsim.Config, guard GuardFunc) ([]Cost, error) {
 	costs, _, err := replayComposedUnpacked(sched, lanes, cfgs, guard, false, 0)
 	return costs, err
@@ -439,36 +449,27 @@ func replayComposedUnpacked(sched *Schedule, lanes []*UnpackedLane, cfgs []memsi
 		peak       uint64
 		sinceGuard int
 		toks       = sched.Tokens
-		// Completion lower bound ingredients (guarded replays only): a
-		// composed replay consumes every segment of every lane exactly
-		// once, so the final platform-invariant totals are known before
-		// the walk starts. At each poll the guard then sees not the bare
-		// partial cost but partial probe outcomes + exact remaining
-		// invariants + every unprobed access taken as an L1 hit — the
-		// cheapest completion any schedule suffix could produce — which
-		// stops hopeless near-front replays long before their partials
-		// alone would cross the front.
+		// Completion bound ingredients (guarded replays on a
+		// memsim.BoundEligible platform): a composed replay consumes
+		// every segment of every lane exactly once, so the final
+		// invariant totals — words, op cycles, line probes, pipelined
+		// words — are the lanes' sums, known before the walk starts, and
+		// each lane's isolated suffix table prices its unprobed accesses.
+		isos      []*isoSuffix
 		totInv    memsim.Counts
 		totProbes uint64
-		probed    uint64
-		finalPeak uint64
+		totPipe   uint64
 	)
-	if guard != nil {
-		for _, u := range lanes {
-			totProbes += uint64(len(u.Addr))
-			for s := range u.SegOps {
-				totInv.ReadWords += uint64(u.SegReadW[s])
-				totInv.WriteWords += uint64(u.SegWriteW[s])
-				totInv.OpCycles += u.SegOps[s]
-			}
-		}
-		// The footprint peak is platform-invariant and exactly
-		// reconstructible before any probe — without it the snapshot's
-		// running peak understates the final one for most of the walk
-		// and a front member can never dominate the footprint axis.
-		var err error
-		if finalPeak, err = ComposedPeak(sched, lanes); err != nil {
-			return nil, nil, err
+	if guard != nil && memsim.BoundEligible(cfgs[0]) {
+		isos = make([]*isoSuffix, len(lanes))
+		for li, u := range lanes {
+			t := u.isoSuffixFor(cfgs[0])
+			isos[li] = t
+			totInv.ReadWords += t.inv.ReadWords
+			totInv.WriteWords += t.inv.WriteWords
+			totInv.OpCycles += t.inv.OpCycles
+			totProbes += t.probes
+			totPipe += t.pipelined
 		}
 	}
 	for i := 0; i < len(toks); {
@@ -508,23 +509,36 @@ func replayComposedUnpacked(sched *Schedule, lanes []*UnpackedLane, cfgs []memsi
 			totalLive, peak = advanceLive(u.SegMax[s], u.SegEnd[s], totalLive, peak)
 		}
 		if guard != nil {
-			probed += uint64(hi - lo)
 			if sinceGuard += int(hi - lo); sinceGuard >= batchEvents {
 				sinceGuard = 0
 				// A guarded replay has exactly one configuration, which a
 				// non-profiled plan always serves with a dedicated LineSim.
-				// The snapshot is the completion lower bound: exact final
-				// invariants, probe outcomes so far, and all remaining
-				// probes as L1 hits. Every component still only grows from
-				// poll to poll (a probed access can only cost at least the
-				// L1 hit assumed for it), so the guard's dominance
-				// arguments hold unchanged.
 				ls := plan.sims[0]
-				cnt := totInv
-				cnt.L1Hits = ls.L1Hits + (totProbes - probed)
-				cnt.L2Hits = ls.L2Hits
-				cnt.DRAMFills = ls.DRAMFills
-				snap := Cost{Counts: cnt, Cycles: cfgs[0].CyclesFor(cnt, ls.Pipelined()), Peak: finalPeak}
+				var snap Cost
+				if isos == nil {
+					// Latencies out of order: an unprobed access has no
+					// cheapest outcome to price it at, so the snapshot is
+					// the bare partial cost, as in flat Replay.
+					snap = costOf(cfgs[0], ls, inv, peak)
+				} else {
+					// The completion bound: exact final invariants, the
+					// probe outcomes so far, and every lane's suffix from
+					// its next checkpoint priced by its isolated outcomes —
+					// misses at L2 hits, first touches at DRAM fills. The
+					// remaining probes (isolated hits, and the gap between
+					// a cursor and its checkpoint) are priced as L1 hits.
+					var misses, cold uint64
+					for li, t := range isos {
+						m, c := t.suffixAt(cursor[li])
+						misses += m
+						cold += c
+					}
+					cnt := totInv
+					cnt.L1Hits = ls.L1Hits + (totProbes - ls.Probes() - misses)
+					cnt.L2Hits = ls.L2Hits + misses - cold
+					cnt.DRAMFills = ls.DRAMFills + cold
+					snap = Cost{Counts: cnt, Cycles: cfgs[0].CyclesFor(cnt, totPipe), Peak: peak}
+				}
 				if guard(snap) {
 					snap.Aborted = true
 					return []Cost{snap}, nil, nil

@@ -91,15 +91,21 @@ func replayLaneProfiled(u *UnpackedLane, cfgs []memsim.Config, sampleShift uint3
 }
 
 // distinctLines counts the distinct cache lines the lane touches at the
-// given (power-of-two) line size, walking spans exactly as the probe
-// kernels do — including the zero-size skip and the 32-bit wrap case the
-// hierarchy probes no lines for.
+// given (power-of-two) line size.
 func distinctLines(u *UnpackedLane, lineBytes uint32) uint64 {
-	shift := uint32(bits.TrailingZeros32(lineBytes))
 	seen := newLineSet()
+	seen.addSpans(u.Addr, u.Size, uint32(bits.TrailingZeros32(lineBytes)))
+	return uint64(seen.n)
+}
+
+// addSpans inserts every line the accesses touch at line size 1<<shift,
+// walking spans exactly as the probe kernels do — including the
+// zero-size skip and the 32-bit wrap case the hierarchy probes no lines
+// for.
+func (s *lineSet) addSpans(addrs, sizes []uint32, shift uint32) {
 	prev := ^uint32(0)
-	for i, addr := range u.Addr {
-		size := u.Size[i]
+	for i, addr := range addrs {
+		size := sizes[i]
 		if size == 0 {
 			continue
 		}
@@ -112,14 +118,13 @@ func distinctLines(u *UnpackedLane, lineBytes uint32) uint64 {
 			continue // spatial locality: same single line as last access
 		}
 		for line := first; ; line++ {
-			seen.add(line)
+			s.add(line)
 			if line == last {
 				break
 			}
 		}
 		prev = last
 	}
-	return uint64(seen.n)
 }
 
 // lineSet is a linear-probing hash set of cache-line numbers, stored as

@@ -22,20 +22,24 @@ type Cost struct {
 	Peak   uint64 // footprint high-water mark, bytes
 	// Aborted marks a guarded replay the guard stopped; Counts, Cycles
 	// and Peak then hold the guard's lower-bound snapshot at the stop
-	// (never more than the exact full-replay cost on any component).
+	// (see GuardFunc: never more than the exact full-replay cost on any
+	// objective).
 	Aborted bool
 }
 
-// GuardFunc is polled during a guarded replay with a running lower
-// bound on the replay's final cost; returning true stops the replay
-// (the Cost comes back Aborted). Flat replays poll the bare partial
-// cost; the unpacked composed replay polls the tighter completion
-// bound (exact final invariants plus remaining accesses taken as L1
-// hits). Either way every component only grows from poll to poll and
-// never exceeds the exact final cost, so the same dominance arguments
-// that make live early abort sound apply unchanged. The poll cadence
-// is one check per decoded batch — the same order of magnitude as the
-// live simulation's probe-count cadence.
+// GuardFunc is polled during a guarded replay with a lower bound on
+// the replay's final cost; returning true stops the replay (the Cost
+// comes back Aborted). Flat replays poll the bare partial cost. The
+// unpacked composed replay polls the tighter completion bound on a
+// memsim.BoundEligible platform (see ReplayComposedUnpacked), and the
+// bare partial cost elsewhere. Either way no objective a snapshot
+// implies — cycles, energy, words, footprint — exceeds the exact final
+// one, so a front member dominating a snapshot dominates the final
+// vector, as in live early abort. The snapshot's
+// Peak is the running footprint peak; a guard that needs the exact
+// final peak computes it with ComposedPeak. The poll cadence is one
+// check per batch of about batchEvents accesses — the same order of
+// magnitude as the live simulation's probe-count cadence.
 type GuardFunc func(Cost) bool
 
 // costOf merges the platform-invariant counters with one LineSim's probe

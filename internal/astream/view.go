@@ -40,8 +40,8 @@ func viewKey(lineShift, sampleShift uint32) uint32 { return lineShift<<8 | sampl
 // concurrent use.
 func (u *UnpackedLane) viewFor(lineShift, sampleShift uint32) *sampledView {
 	key := viewKey(lineShift, sampleShift)
-	u.viewMu.Lock()
-	defer u.viewMu.Unlock()
+	u.memoMu.Lock()
+	defer u.memoMu.Unlock()
 	if v, ok := u.views[key]; ok {
 		return v
 	}

@@ -3,7 +3,9 @@ package explore_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -56,18 +58,8 @@ func TestLaneBoundAdmissible(t *testing.T) {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
 			t.Parallel()
-			cfg := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 			roles := apps.RoleNames(a)
-
-			var sched *astream.Schedule
-			byKind := make(map[ddt.Kind][]*astream.SubStream)
-			for _, k := range ddt.AllKinds() {
-				s, subs := captureComposedRun(t, a, cfg, uniformAssignment(a, k))
-				byKind[k] = subs
-				if sched == nil {
-					sched = s
-				}
-			}
+			sched, byKind := composedFixture(t, a)
 
 			// Isolated profiles per lane, memoized: one profiled pass per
 			// lane covers every platform family at once.
@@ -144,6 +136,140 @@ func TestLaneBoundAdmissible(t *testing.T) {
 	}
 }
 
+// composedFixture captures one all-kind-k run per library kind on a's
+// first trace: the kind-invariant schedule, plus each kind's lane
+// sub-streams (index = lane, 0 ambient).
+func composedFixture(t *testing.T, a apps.App) (*astream.Schedule, map[ddt.Kind][]*astream.SubStream) {
+	t.Helper()
+	cfg := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
+	var sched *astream.Schedule
+	byKind := make(map[ddt.Kind][]*astream.SubStream)
+	for _, k := range ddt.AllKinds() {
+		s, subs := captureComposedRun(t, a, cfg, uniformAssignment(a, k))
+		byKind[k] = subs
+		if sched == nil {
+			sched = s
+		}
+	}
+	return sched, byKind
+}
+
+// randomComboLanes draws trials random DDT combinations over the
+// fixture and returns each one's decoded lanes, ambient lane first.
+func randomComboLanes(t *testing.T, byKind map[ddt.Kind][]*astream.SubStream, roles int, seed int64, trials int) [][]*astream.UnpackedLane {
+	t.Helper()
+	unpacked := make(map[*astream.SubStream]*astream.UnpackedLane)
+	unpack := func(sub *astream.SubStream) *astream.UnpackedLane {
+		if u, ok := unpacked[sub]; ok {
+			return u
+		}
+		u, err := sub.Unpack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		unpacked[sub] = u
+		return u
+	}
+	rng := rand.New(rand.NewSource(seed))
+	combos := make([][]*astream.UnpackedLane, trials)
+	for i := range combos {
+		lanes := []*astream.UnpackedLane{unpack(byKind[ddt.AR][0])} // ambient lane is kind-invariant
+		for r := 1; r <= roles; r++ {
+			lanes = append(lanes, unpack(byKind[ddt.Kind(rng.Intn(ddt.NumKinds))][r]))
+		}
+		combos[i] = lanes
+	}
+	return combos
+}
+
+// guardSnapshots replays the combination unguarded and again through a
+// guard that records every snapshot and never fires, and checks the
+// recording run finished with the exact cost.
+func guardSnapshots(t *testing.T, sched *astream.Schedule, lanes []*astream.UnpackedLane, pc memsim.Config) (exact astream.Cost, snaps []astream.Cost) {
+	t.Helper()
+	costs, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{pc}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{pc}, func(c astream.Cost) bool {
+		snaps = append(snaps, c)
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if guarded[0] != costs[0] {
+		t.Fatalf("a never-firing guard changed the replay: %+v, unguarded %+v", guarded[0], costs[0])
+	}
+	return costs[0], snaps
+}
+
+// TestCompletionBoundAdmissible pins the completion bound a guarded
+// composed replay polls: on every application with >= 2 roles, every
+// default sweep platform and random DDT combinations, each snapshot is
+// an admissible lower bound of the exact composed cost. Cycles, energy,
+// DRAM fills and footprint never exceed the exact values, L1 hits never
+// fall below them (the bound prices every probe it cannot pin down as
+// an L1 hit), and the invariant word and op counts are exact. One more
+// platform inverts the latency order (L1 slower than L2 and DRAM):
+// there an unprobed access has no cheapest outcome, the guard sees the
+// bare partial cost, and still no snapshot may exceed the exact cost.
+func TestCompletionBoundAdmissible(t *testing.T) {
+	pts := sweep.DefaultPlatforms()
+	inverted := memsim.DefaultConfig()
+	inverted.L1.SizeBytes, inverted.L2.SizeBytes = 1<<10, 4<<10 // small caches: composed interference turns isolated hits into misses
+	inverted.L1HitCycles, inverted.L2HitCycles, inverted.DRAMCycles = 40, 4, 2
+	if memsim.BoundEligible(inverted) {
+		t.Fatal("the inverted-latency platform must fall outside memsim.BoundEligible")
+	}
+	pts = append(pts, sweep.PlatformPoint{Name: "inverted-latency", Config: inverted})
+	for _, a := range composeApps() {
+		a := a
+		t.Run(a.Name(), func(t *testing.T) {
+			t.Parallel()
+			roles := len(apps.RoleNames(a))
+			sched, byKind := composedFixture(t, a)
+			polls := 0
+			for ci, lanes := range randomComboLanes(t, byKind, roles, int64(131+roles), 3) {
+				for _, pp := range pts {
+					pc := pp.Config
+					eligible := memsim.BoundEligible(pc)
+					model := energy.CACTILike(pc)
+					exact, snaps := guardSnapshots(t, sched, lanes, pc)
+					exactVec := costVector(pc, model, exact.Counts, exact.Cycles, exact.Peak)
+					polls += len(snaps)
+					for si, c := range snaps {
+						vec := costVector(pc, model, c.Counts, c.Cycles, c.Peak)
+						what := func() string {
+							return fmt.Sprintf("%s combination %d on %s, snapshot %d of %d", a.Name(), ci, pp.Name, si+1, len(snaps))
+						}
+						switch {
+						case c.Cycles > exact.Cycles:
+							t.Fatalf("%s: cycles %d > exact %d", what(), c.Cycles, exact.Cycles)
+						case vec.Energy > exactVec.Energy:
+							t.Fatalf("%s: energy %v > exact %v", what(), vec.Energy, exactVec.Energy)
+						case c.Counts.DRAMFills > exact.Counts.DRAMFills:
+							t.Fatalf("%s: DRAM fills %d > exact %d", what(), c.Counts.DRAMFills, exact.Counts.DRAMFills)
+						case c.Peak > exact.Peak:
+							t.Fatalf("%s: peak %d > exact %d", what(), c.Peak, exact.Peak)
+						case !eligible:
+							// A bare partial cost: its L1 hits and invariants are partial too.
+						case c.Counts.L1Hits < exact.Counts.L1Hits:
+							t.Fatalf("%s: L1 hits %d < exact %d", what(), c.Counts.L1Hits, exact.Counts.L1Hits)
+						case c.Counts.ReadWords != exact.Counts.ReadWords || c.Counts.WriteWords != exact.Counts.WriteWords ||
+							c.Counts.OpCycles != exact.Counts.OpCycles:
+							t.Fatalf("%s: invariants %+v, exact %+v", what(), c.Counts, exact.Counts)
+						}
+					}
+				}
+			}
+			if polls == 0 {
+				t.Fatalf("%s: no replay reached a guard poll", a.Name())
+			}
+		})
+	}
+}
+
 // liveFront computes the cross-configuration Pareto front over the
 // finished results, as step 3 charts it.
 func liveFront(results []explore.Result) []pareto.Point {
@@ -202,6 +328,15 @@ func matPruned(results []explore.Result) int {
 // so Progress still reaches each step's total.
 func TestBoundPrunedFrontMatchesExhaustive(t *testing.T) {
 	ctx := context.Background()
+	// The composed replays of the pruned arm run polled by the exact
+	// search's margin-free guard (EarlyAbort off): at least one app must
+	// see a replay cut mid-walk, or the path goes untested.
+	var aborted atomic.Int64
+	t.Cleanup(func() {
+		if aborted.Load() == 0 {
+			t.Error("no composed replay was cut mid-walk on any app")
+		}
+	})
 	for _, a := range boundApps(t) {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
@@ -214,7 +349,7 @@ func TestBoundPrunedFrontMatchesExhaustive(t *testing.T) {
 			}
 
 			progress := make(map[int]int) // per-step total -> max done seen
-			pruned := explore.Options{TracePackets: 300, BoundPrune: true,
+			pruned := explore.Options{TracePackets: 300, BoundPrune: true, EarlyAbort: false,
 				Progress: func(done, total int) {
 					if done > progress[total] {
 						progress[total] = done
@@ -268,8 +403,9 @@ func TestBoundPrunedFrontMatchesExhaustive(t *testing.T) {
 					t.Fatalf("progress stalled at %d of %d", done, total)
 				}
 			}
-			t.Logf("%s: %d of %d step-1 combinations pruned (%d in bulk), %d lane profiles",
-				a.Name(), prS1.Pruned, prS1.Simulations, bulk, st.LaneProfiles)
+			aborted.Add(int64(st.Aborted))
+			t.Logf("%s: %d of %d step-1 combinations pruned (%d in bulk), %d lane profiles, %d composed, %d cut mid-replay",
+				a.Name(), prS1.Pruned, prS1.Simulations, bulk, st.LaneProfiles, st.Composed, st.Aborted)
 		})
 	}
 }
@@ -374,8 +510,12 @@ func TestBoundPrunePersistedProfiles(t *testing.T) {
 // TestBranchBoundK5FrontIdentity pins the tentpole claim at the scale
 // that motivates it: on FlowMon's full 5-role, 10^5-combination space
 // the branch-and-bound step 1 returns survivors bit-identical to the
-// exhaustive composed scan. The trace is downscaled so the exhaustive
-// arm stays tractable in the test suite.
+// exhaustive composed scan, and Step 2 over those survivors matches the
+// exhaustive engine's per-configuration fronts. The trace is downscaled
+// so the exhaustive arm stays tractable in the test suite, yet long
+// enough that composed replays reach the guard's poll cadence: the
+// pruned arm runs without EarlyAbort and must still cut replays
+// mid-walk.
 func TestBranchBoundK5FrontIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the 10^5-combination exhaustive arm is not short")
@@ -387,12 +527,12 @@ func TestBranchBoundK5FrontIdentity(t *testing.T) {
 	ref := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 	ctx := context.Background()
 
-	prEng := explore.NewEngine(a, explore.Options{TracePackets: 50, DominantK: 5, BoundPrune: true})
+	prEng := explore.NewEngine(a, explore.Options{TracePackets: 100, DominantK: 5, BoundPrune: true, EarlyAbort: false})
 	prS1, err := prEng.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exEng := explore.NewEngine(a, explore.Options{TracePackets: 50, DominantK: 5, Compose: true})
+	exEng := explore.NewEngine(a, explore.Options{TracePackets: 100, DominantK: 5, Compose: true})
 	exS1, err := exEng.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -411,6 +551,27 @@ func TestBranchBoundK5FrontIdentity(t *testing.T) {
 		t.Fatalf("branch and bound bulk-cut only %d of %d combinations — the tree is not being cut",
 			bulk, prS1.Simulations)
 	}
-	t.Logf("K=5: %d materialized, %d bulk-cut, %d survivors of %d combinations",
-		len(prS1.Results), bulk, len(prS1.Survivors), prS1.Simulations)
+	// Step 2 over the survivors: every per-configuration front matches
+	// the exhaustive engine's, mid-replay cuts included.
+	configs := explore.Configs(a)
+	prS2, err := prEng.Step2(ctx, prS1, configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exS2, err := exEng.Step2(ctx, exS1, configs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range prS2.Configs {
+		samePoints(t, "K=5 front for "+cfg.String(),
+			liveFront(prS2.ResultsFor(cfg)), liveFront(exS2.ResultsFor(cfg)))
+	}
+	st := prEng.Stats()
+	// Composed replays are polled by the margin-free guard and cut
+	// mid-walk once their completion bound is dominated.
+	if st.Aborted == 0 {
+		t.Error("no composed replay was cut mid-walk")
+	}
+	t.Logf("K=5: %d materialized, %d bulk-cut, %d survivors of %d combinations; %d composed, %d cut mid-replay over both steps",
+		len(prS1.Results), bulk, len(prS1.Survivors), prS1.Simulations, st.Composed, st.Aborted)
 }

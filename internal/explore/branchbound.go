@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/apps"
@@ -99,6 +101,24 @@ type footCurves struct {
 	baseSuf [][]int64
 	// level[l][k][i]: the high-water curve of level l's kind-k lane.
 	level [][][]int64
+	// baseMax[d][c] and levelMax[l][k][c]: the maxima of the same
+	// curves over token chunk c (footChunk tokens each).
+	baseMax  [][]int64
+	levelMax [][][]int64
+}
+
+// footChunk is the token width of a footprint-curve chunk: the unit of
+// the curves' chunk maxima, of footFloor's scan and of its polls.
+const footChunk = 256
+
+// chunkMaxima returns the maximum of each footChunk-token chunk of c.
+func chunkMaxima(c []int64) []int64 {
+	out := make([]int64, (len(c)+footChunk-1)/footChunk)
+	for j := range out {
+		chunk := c[j*footChunk : min((j+1)*footChunk, len(c))]
+		out[j] = slices.Max(chunk)
+	}
+	return out
 }
 
 // bbSearcher holds the per-reference-configuration bound tables of one
@@ -114,8 +134,9 @@ type bbSearcher struct {
 	curves  *footCurves          // footprint tightening; nil degrades gracefully
 	guard   *frontGuard
 	// onPop, when set, observes every heap pop before it is acted on —
-	// the hook the expansion-order property test records through.
-	onPop func(depth int, vec metrics.Vector, prio float64)
+	// the hook the expansion-order and footprint-floor tests record
+	// through.
+	onPop func(n *bbNode)
 }
 
 // boundVec evaluates accumulated ingredients to the bound cost vector,
@@ -315,27 +336,72 @@ func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant [
 		}
 		baseSuf[d] = cur
 	}
-	return &footCurves{baseSuf: baseSuf, level: level}
+	fc := &footCurves{
+		baseSuf:  baseSuf,
+		level:    level,
+		baseMax:  make([][]int64, len(baseSuf)),
+		levelMax: make([][][]int64, len(level)),
+	}
+	for d, c := range baseSuf {
+		fc.baseMax[d] = chunkMaxima(c)
+	}
+	for l, kinds := range level {
+		fc.levelMax[l] = make([][]int64, len(kinds))
+		for kk, c := range kinds {
+			fc.levelMax[l][kk] = chunkMaxima(c)
+		}
+	}
+	return fc
 }
 
 // footFloor evaluates the schedule-aware footprint floor of a prefix:
-// one pass over the token grid summing the node's assigned-lane curves
-// on top of the pre-summed base-plus-min-suffix curve of its depth.
-// For a leaf the sum covers every lane exactly, so the result IS the
-// exact composed peak pruneJob would compute.
-func (s *bbSearcher) footFloor(n *bbNode) float64 {
+// the peak over the token grid of the node's assigned-lane curves summed
+// on top of the pre-summed base-plus-min-suffix curve of its depth. For
+// a leaf the sum covers every lane exactly, so the result IS the exact
+// composed peak pruneJob would compute.
+//
+// The scan is itself a small branch-and-bound. The sum of the curves'
+// chunk maxima caps each chunk's peak, so chunks are scanned in
+// descending order of that cap, and the scan ends once the next cap is
+// no higher than the running peak: no chunk left can raise it, and the
+// result is exact. When stop is non-nil it is polled with the running
+// peak after every chunk, and the scan returns that running peak as
+// soon as stop answers true: the peak only grows along the scan, so
+// any test monotone in footprint that holds at a partial peak holds at
+// the full floor too.
+func (s *bbSearcher) footFloor(n *bbNode, stop func(float64) bool) float64 {
+	fc := s.curves
 	rows := make([][]int64, n.depth)
-	for l := 0; l < n.depth; l++ {
+	caps := slices.Clone(fc.baseMax[n.depth])
+	for l := range rows {
 		kind := (n.base / s.widths[l+1]) % ddt.NumKinds
-		rows[l] = s.curves.level[l][kind]
-	}
-	var peak int64
-	for i, v := range s.curves.baseSuf[n.depth] {
-		for _, r := range rows {
-			v += r[i]
+		rows[l] = fc.level[l][kind]
+		for c, m := range fc.levelMax[l][kind] {
+			caps[c] += m
 		}
-		if v > peak {
-			peak = v
+	}
+	order := make([]int, len(caps))
+	for c := range order {
+		order[c] = c
+	}
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(caps[b], caps[a]) })
+	base := fc.baseSuf[n.depth]
+	var peak int64
+	for _, c := range order {
+		if caps[c] <= peak {
+			break
+		}
+		lo := c * footChunk
+		for i, v := range base[lo:min(lo+footChunk, len(base))] {
+			for _, r := range rows {
+				v += r[lo+i]
+			}
+			if v > peak {
+				peak = v
+			}
+		}
+		if stop != nil && stop(float64(peak)) {
+			break
 		}
 	}
 	return float64(peak)
@@ -344,7 +410,8 @@ func (s *bbSearcher) footFloor(n *bbNode) float64 {
 // cuts reports whether the live front already dominates every leaf of
 // the prefix's subtree. The staged test mirrors pruneJob: the cheap
 // folded-peak bound first; then, only when footprint is the single
-// blocking axis, the schedule-aware floor.
+// blocking axis, the schedule-aware floor, whose scan stops as soon as
+// its running peak is dominated.
 func (s *bbSearcher) cuts(n *bbNode) bool {
 	if s.guard.dominates(n.vec) {
 		return true
@@ -357,11 +424,12 @@ func (s *bbSearcher) cuts(n *bbNode) bool {
 	if !s.guard.dominates(relaxed) {
 		return false
 	}
-	tight := n.vec
-	if f := s.footFloor(n); f > tight.Footprint {
-		tight.Footprint = f
+	dominatedAt := func(foot float64) bool {
+		tight := n.vec
+		tight.Footprint = max(tight.Footprint, foot)
+		return s.guard.dominates(tight)
 	}
-	return s.guard.dominates(tight)
+	return dominatedAt(s.footFloor(n, dominatedAt))
 }
 
 // priority scalarizes a bound vector for heap ordering: the sum of the
@@ -419,7 +487,7 @@ func (s *bbSearcher) search(ctx context.Context, skip map[int]bool, emitLeaf fun
 		n := heap.Pop(&h).(*bbNode)
 		s.engine.bbExpanded.Add(1)
 		if s.onPop != nil {
-			s.onPop(n.depth, n.vec, n.prio)
+			s.onPop(n)
 		}
 		if s.cuts(n) {
 			width := s.widths[n.depth]

@@ -2,6 +2,8 @@ package explore
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/apps/netapps"
@@ -13,13 +15,13 @@ import (
 // bbFixture runs one bound-pruned Step1 on DRR's 3-role grid to populate
 // the lane caches, then rebuilds a searcher over the same bound tables so
 // tests can drive the best-first loop directly through the onPop hook.
-func bbFixture(t *testing.T) (*Engine, *bbSearcher, *frontGuard, *Step1Result) {
+func bbFixture(t *testing.T, packets int) (*Engine, *bbSearcher, *frontGuard, *Step1Result) {
 	t.Helper()
 	a, err := netapps.ByName("DRR")
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(a, Options{TracePackets: 120, DominantK: 3, BoundPrune: true})
+	eng := NewEngine(a, Options{TracePackets: packets, DominantK: 3, BoundPrune: true})
 	ref := Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 	s1, err := eng.Step1(context.Background(), ref)
 	if err != nil {
@@ -40,7 +42,7 @@ func bbFixture(t *testing.T) (*Engine, *bbSearcher, *frontGuard, *Step1Result) {
 // front loaded, where cutting must preserve both the order and the exact
 // width accounting.
 func TestBranchBoundMonotoneExpansion(t *testing.T) {
-	_, searcher, guard, s1 := bbFixture(t)
+	_, searcher, guard, s1 := bbFixture(t, 120)
 	space := 1
 	for range searcher.roles {
 		space *= ddt.NumKinds
@@ -49,7 +51,8 @@ func TestBranchBoundMonotoneExpansion(t *testing.T) {
 	runSearch := func() (pops int, leaves, cuts int) {
 		prev := -1.0
 		rootSeen := false
-		searcher.onPop = func(depth int, vec metrics.Vector, prio float64) {
+		searcher.onPop = func(n *bbNode) {
+			depth, vec, prio := n.depth, n.vec, n.prio
 			if !rootSeen {
 				if depth != 0 {
 					t.Fatalf("first pop at depth %d, want the root", depth)
@@ -109,7 +112,7 @@ func TestBranchBoundMonotoneExpansion(t *testing.T) {
 // cut subtree are subtracted from the tombstone width because they
 // already carry a Result of their own.
 func TestBranchBoundSeedsExcludedFromCuts(t *testing.T) {
-	_, searcher, guard, _ := bbFixture(t)
+	_, searcher, guard, _ := bbFixture(t, 120)
 	space := 1
 	for range searcher.roles {
 		space *= ddt.NumKinds
@@ -130,4 +133,94 @@ func TestBranchBoundSeedsExcludedFromCuts(t *testing.T) {
 	if want := space - ddt.NumKinds; cuts != want {
 		t.Fatalf("root tombstone width %d, want %d (space minus the %d seeds)", cuts, want, ddt.NumKinds)
 	}
+}
+
+// TestFootFloorMatchesFullScan pins footFloor's chunked scan against a
+// plain scan of every token: on every popped node the floor is exactly
+// the full scan's peak, and cuts decides exactly as the staged test
+// with that full-scan floor would. It runs on the real survivor front
+// and on synthetic fronts that make footprint the single blocking axis
+// at levels between the root's folded peak and its full floor — and on
+// some nodes the early exit does stop the scan short of the floor.
+func TestFootFloorMatchesFullScan(t *testing.T) {
+	// 400 packets: a schedule of many footChunk-token chunks.
+	_, searcher, guard, s1 := bbFixture(t, 400)
+	if searcher.curves == nil {
+		t.Fatal("fixture has no footprint curves")
+	}
+	if tokens := len(searcher.curves.baseSuf[0]); tokens <= 4*footChunk {
+		t.Fatalf("fixture schedule has %d tokens; the test needs several %d-token chunks", tokens, footChunk)
+	}
+	fullScan := func(n *bbNode) float64 {
+		var peak int64
+		for i, v := range searcher.curves.baseSuf[n.depth] {
+			for l := 0; l < n.depth; l++ {
+				v += searcher.curves.level[l][(n.base/searcher.widths[l+1])%ddt.NumKinds][i]
+			}
+			peak = max(peak, v)
+		}
+		return float64(peak)
+	}
+	fullScanCuts := func(n *bbNode) bool {
+		if searcher.guard.dominates(n.vec) {
+			return true
+		}
+		relaxed := n.vec
+		relaxed.Footprint = math.Inf(1)
+		if !searcher.guard.dominates(relaxed) {
+			return false
+		}
+		tight := n.vec
+		tight.Footprint = max(tight.Footprint, fullScan(n))
+		return searcher.guard.dominates(tight)
+	}
+	pops, early := 0, 0
+	runSearch := func(what string) {
+		searcher.onPop = func(n *bbNode) {
+			pops++
+			full := fullScan(n)
+			if got := searcher.footFloor(n, nil); got != full {
+				t.Fatalf("%s: node (depth %d, base %d): floor %v, full scan %v", what, n.depth, n.base, got, full)
+			}
+			if got, want := searcher.cuts(n), fullScanCuts(n); got != want {
+				t.Fatalf("%s: node (depth %d, base %d): cuts %v, full scan %v", what, n.depth, n.base, got, want)
+			}
+			part := searcher.footFloor(n, func(foot float64) bool {
+				tight := n.vec
+				tight.Footprint = max(tight.Footprint, foot)
+				return searcher.guard.dominates(tight)
+			})
+			if part > full {
+				t.Fatalf("%s: partial floor %v above the full floor %v", what, part, full)
+			}
+			if part < full {
+				early++
+			}
+		}
+		searcher.search(context.Background(), map[int]bool{},
+			func(bbLeaf) bool { return true },
+			func(int) bool { return true })
+	}
+
+	for i, sv := range s1.Survivors {
+		guard.add(sv.Point(i))
+	}
+	runSearch("survivor front")
+
+	root := searcher.node(0, 0, searcher.baseAcc)
+	lo, hi := root.vec.Footprint, fullScan(root)
+	if hi <= lo {
+		t.Fatalf("root floor %v does not tighten its folded peak %v", hi, lo)
+	}
+	for k := 1; k < 8; k++ {
+		g := newFrontGuard(0)
+		foot := lo + (hi-lo)*float64(k)/8
+		g.add(pareto.Point{Label: "footprint-blocked", Vec: metrics.Vector{Footprint: foot}})
+		searcher.guard = g
+		runSearch(fmt.Sprintf("footprint level %v", foot))
+	}
+	if early == 0 {
+		t.Fatalf("no scan of %d pops stopped early", pops)
+	}
+	t.Logf("%d pops, %d scans stopped early", pops, early)
 }

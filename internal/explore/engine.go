@@ -498,7 +498,8 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 	compose := e.opts.Compose && e.cache != nil
 	// The guard serves two roles: early abort polls it mid-simulation
 	// (EarlyAbort only), the bound-guided search consults it before any
-	// replay (BoundPrune only). aguard is the abort-side view.
+	// replay and during composed replays (BoundPrune). aguard is the
+	// abort-side view of the live and flat-replay paths.
 	aguard := guard
 	if !e.opts.EarlyAbort {
 		aguard = nil
@@ -520,7 +521,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 			e.cache.store(key, o.Result, e.exploreCtx) // a tombstone, like aborted results
 			return o
 		}
-		if compose && e.composeJob(&o, jb, aguard) {
+		if compose && e.composeJob(&o, jb, guard) {
 			e.cache.store(key, o.Result, e.exploreCtx)
 			return o
 		}
@@ -647,6 +648,13 @@ func (e *Engine) composedLanes(cfg Config, assign apps.Assignment) (sched *astre
 // execution and (lanes being pre-decoded) no decoding. It reports false
 // when the schedule or any role's lane is not cached, sending the caller
 // to the live path.
+//
+// A guarded job's replay is polled with its completion bound (see
+// astream.GuardFunc) and cut as soon as the front dominates it: under
+// EarlyAbort by the margin test every early abort uses, under exact
+// branch-and-bound by the margin-free test pruneJob uses — the snapshot
+// is an admissible lower bound, so a strictly dominating member proves
+// the exact vector dominated. A cut replay becomes a tombstone.
 func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 	sched, lanes, sum, ok := e.composedLanes(jb.Cfg, jb.Assign)
 	if !ok {
@@ -654,10 +662,37 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 	}
 	cfg := e.opts.platformConfig()
 	model := e.model
-	var g astream.GuardFunc
+	var (
+		g         astream.GuardFunc
+		exactPeak uint64
+		peakKnown bool
+	)
 	if guard != nil {
+		dom := guard.dominates
+		if e.opts.EarlyAbort {
+			dom = guard.dominatedBeyond
+		}
+		// Staged like jobBound: the snapshot's footprint is only the
+		// running peak, so test with footprint ignored first, and walk
+		// the schedule for the exact final peak — once per replay — only
+		// when that relaxed vector is dominated. Dominance is monotone in
+		// footprint, so the decisions equal testing the exact peak at
+		// every poll.
 		g = func(c astream.Cost) bool {
-			return guard.dominatedBeyond(replayVector(cfg, model, c))
+			v := replayVector(cfg, model, c)
+			v.Footprint = math.Inf(1)
+			if !dom(v) {
+				return false
+			}
+			if !peakKnown {
+				p, err := astream.ComposedPeak(sched, lanes)
+				if err != nil {
+					return false
+				}
+				exactPeak, peakKnown = p, true
+			}
+			v.Footprint = float64(exactPeak)
+			return dom(v)
 		}
 	}
 	costs, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{cfg}, g)
@@ -665,6 +700,9 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 		return false
 	}
 	cost := costs[0]
+	if cost.Aborted {
+		cost.Peak = exactPeak // a cut implies the staged test computed it
+	}
 	o.Result = Result{
 		App:     e.app.Name(),
 		Config:  jb.Cfg,

@@ -147,7 +147,11 @@ type Options struct {
 	// (memsim.BoundFromProfile over astream.ReplayLaneProfiled passes,
 	// ~10·K cheap passes total) and skips the composed replay entirely
 	// when the live Pareto front already dominates the bound — the
-	// combination provably cannot enter the front. Survivor fronts are
+	// combination provably cannot enter the front. A combination the
+	// bound cannot prune is composed with its replay polled against the
+	// same front: the completion bound (astream.ReplayComposedUnpacked)
+	// is tested with the same margin-free dominance, and a dominated
+	// replay stops mid-walk as an Aborted tombstone. Survivor fronts are
 	// bit-identical to the exhaustive path (the bound never exceeds the
 	// exact cost on any objective, and dominance is transitive); pruned
 	// entries carry the bound vector with Result.Aborted and
@@ -195,9 +199,12 @@ type Options struct {
 	// Aborted set. Zero (or >= 1) disables screening.
 	SampleRate float64
 	// EarlyAbort stops a running simulation once its cost vector is
-	// dominated by the incremental front beyond AbortMargin. Survivor
-	// fronts are provably unchanged (costs only grow, so a dominated
-	// partial vector proves a dominated final vector); the aborted
+	// dominated by the incremental front beyond AbortMargin. Live runs
+	// and flat replays test their partial cost, composed replays their
+	// completion bound (with EarlyAbort set, also under BoundPrune).
+	// Survivor fronts are provably unchanged (each tested vector is a
+	// lower bound of the final one, so its being dominated proves the
+	// final vector dominated); the aborted
 	// entries keep partial vectors and Result.Aborted set, so full-space
 	// charts thin out — step fronts stay exact.
 	EarlyAbort bool

@@ -20,14 +20,23 @@ package memsim
 //     line can only push the reused line DEEPER in its set's recency
 //     stack, never shallower. A probe's composed L1 stack distance is
 //     therefore >= its isolated distance, so the lane's isolated L1 hit
-//     count is an UPPER bound on its composed L1 hits.
+//     count is an UPPER bound on its composed L1 hits. The argument
+//     holds access by access: a probe that misses L1 in isolation
+//     misses L1 in every composed interleave.
 //   - DRAM fills: the first composed touch of every distinct line is
 //     cold at every level, whatever the interleave, so the per-lane
 //     distinct-line counts (ColdLines) sum to a LOWER bound on composed
-//     DRAM fills.
+//     DRAM fills. Per access again: a probe that is its lane's first
+//     touch of a line is a DRAM fill.
 //   - Footprint: while one lane's segment runs every other lane's live
 //     bytes are constant, so the composed peak is at least each lane's
 //     own high-water mark, and at least the summed end-of-run live.
+//
+// The per-access forms also price any SUFFIX of a lane's accesses: a
+// guarded composed replay (astream.ReplayComposedUnpacked) bounds its
+// unprobed remainder by charging each lane's isolated misses as L2 hits
+// and its first touches as DRAM fills, and every other probe as an L1
+// hit — sound under the same latency order BoundEligible requires.
 //
 // Deliberately absent: the lanes' isolated L2 hit/miss split. The
 // composed L2 reference stream is NOT the interleave of the isolated L2
