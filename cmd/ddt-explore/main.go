@@ -375,7 +375,7 @@ func run(ctx context.Context, c cliConfig) error {
 		report.Percent(r.EnergySaving), report.Percent(r.TimeSaving))
 
 	st := eng.Stats()
-	fmt.Printf("\nexploration wall time: %.1fs (budget %d; engine simulated %d, replayed %d, composed %d, profile-served %d, cache hits %d, early aborts %d, bound-pruned %d via %d lane profiles)\n",
+	fmt.Printf("\nexploration wall time: %.1fs (budget %d; engine simulated %d, replayed %d, composed %d, profile-served %d, cache hits %d, early aborts %d, bound-pruned %d via %d lane bounds)\n",
 		elapsed.Seconds(), r.Reduced, st.Simulated, st.Replayed, st.Composed, st.Profiled, st.CacheHits, st.Aborted, st.Pruned, st.LaneProfiles)
 	if st.Expanded > 0 {
 		fmt.Printf("branch-and-bound: expanded %d tree nodes, cut %d dominated subtrees in bulk\n",
@@ -762,8 +762,8 @@ func loadCache(path string) *explore.Cache {
 		fmt.Fprintf(os.Stderr, "ddt-explore: cache %s ends mid-write (interrupted save?); loaded everything before the tear\n", path)
 	}
 	stats := cache.Stats()
-	fmt.Fprintf(os.Stderr, "loaded %d cached simulations (%d access streams, %d role lanes, %d reuse profiles, %d lane profiles) from %s\n",
-		stats.Entries, stats.Streams, stats.Lanes, stats.ReuseProfiles, stats.LaneProfiles, path)
+	fmt.Fprintf(os.Stderr, "loaded %d cached simulations (%d access streams, %d role lanes, %d schedules, %d reuse profiles) from %s\n",
+		stats.Entries, stats.Streams, stats.Lanes, stats.Schedules, stats.ReuseProfiles, path)
 	return cache
 }
 
@@ -796,8 +796,8 @@ func saveCache(path string, cache *explore.Cache, withStreams bool) error {
 	}
 	stats := cache.Stats()
 	if withStreams {
-		fmt.Printf("simulation cache saved to %s (%d entries, %d access streams, %d role lanes, %d reuse profiles, %d lane profiles, %dKB of streams+profiles)\n",
-			path, stats.Entries, stats.Streams, stats.Lanes, stats.ReuseProfiles, stats.LaneProfiles, stats.StreamBytes>>10)
+		fmt.Printf("simulation cache saved to %s (%d entries, %d access streams, %d role lanes, %d schedules, %d reuse profiles, %dKB of streams+profiles)\n",
+			path, stats.Entries, stats.Streams, stats.Lanes, stats.Schedules, stats.ReuseProfiles, stats.StreamBytes>>10)
 	} else {
 		fmt.Printf("simulation cache saved to %s (%d entries)\n", path, stats.Entries)
 	}

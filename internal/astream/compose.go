@@ -157,8 +157,8 @@ var errSegMismatch = errors.New("astream: schedule and sub-stream segments disag
 // (live, peak) pair: the high-water candidate is the live total at
 // segment start plus the segment's in-segment max delta, and the net
 // delta then moves the total. Every walk that reconstructs footprint —
-// composed replay, the zero-probe ComposedPeak, the isolated lane
-// profile — goes through this one function, so their peak arithmetic
+// composed replay, the zero-probe ComposedPeak, the isolated suffix
+// table — goes through this one function, so their peak arithmetic
 // can never diverge.
 func advanceLive(maxDelta uint64, endDelta int64, live, peak uint64) (uint64, uint64) {
 	if c := live + maxDelta; c > peak {
@@ -303,11 +303,13 @@ type UnpackedLane struct {
 	// every combination the lane participates in. views (viewFor): the
 	// lane's hash-kept line subsequence plus exact per-segment probe
 	// aggregates, one per (line shift, sample shift) pair. isos
-	// (isoSuffixFor): the isolated suffix tables of the guarded
-	// replay's completion bound, one per L1 geometry.
+	// (isoSuffixFor): the isolated suffix tables of the lane bound and
+	// the guarded replay's completion bound, one per L1 geometry, whose
+	// first-touch columns colds holds once per line shift.
 	memoMu sync.Mutex
 	views  map[uint32]*sampledView
 	isos   map[memsim.CacheGeometry]*isoSuffix
+	colds  map[uint32][]uint64
 }
 
 // Segments returns the number of decoded segments.

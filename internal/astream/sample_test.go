@@ -146,8 +146,7 @@ func TestSampledReplayAllAppsWithinCI(t *testing.T) {
 // bit-for-bit; at R < 1 the invariant counters and ComposedPeak stay
 // exact while the estimates land within the reported interval; guarded
 // replay refuses sampling outright (a sampled partial cost is not a
-// sound abort bound); and the sampled lane profile keeps its exact
-// bound ingredients (ColdLines, EndLive).
+// sound abort bound).
 func TestSampledComposedReplay(t *testing.T) {
 	const seed, n = 17, 700
 	sched, subs := captureTwoRole(t, ddt.DLLAR, seed, n)
@@ -210,26 +209,5 @@ func TestSampledComposedReplay(t *testing.T) {
 	guard := func(astream.Cost) bool { return false }
 	if _, _, err := astream.ReplayComposedUnpackedSampledGuardProbe(sched, lanes, cfgs[:1], guard); err == nil {
 		t.Error("guarded sampled composed replay did not error")
-	}
-
-	// Sampled lane profiles keep the exact bound ingredients.
-	exactLane := astream.ReplayLaneProfiled(lanes[1], cfgs)
-	sampledLane := astream.ReplayLaneProfiledSampled(lanes[1], cfgs, 4)
-	if len(exactLane) != len(sampledLane) {
-		t.Fatalf("lane profile families: %d exact vs %d sampled", len(exactLane), len(sampledLane))
-	}
-	for i := range exactLane {
-		e, s := exactLane[i], sampledLane[i]
-		if s.SampleShift != 4 || !s.Sampled() {
-			t.Errorf("family %d: sampled lane profile descriptor %d", i, s.SampleShift)
-		}
-		if e.ColdLines != s.ColdLines || e.EndLive != s.EndLive || e.Peak != s.Peak ||
-			e.Probes != s.Probes || e.OpCycles != s.OpCycles {
-			t.Errorf("family %d: sampled lane profile lost exact bound ingredients:\nexact   %+v\nsampled %+v", i, e, s)
-		}
-	}
-	zeroLane := astream.ReplayLaneProfiledSampled(lanes[1], cfgs, 0)
-	if !reflect.DeepEqual(exactLane, zeroLane) {
-		t.Error("shift-0 lane profiles diverge from exact")
 	}
 }

@@ -6,9 +6,15 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/apps/netapps"
 	"repro/internal/astream"
+	"repro/internal/ddt"
 	"repro/internal/energy"
 	"repro/internal/memsim"
+	"repro/internal/platform"
+	"repro/internal/sweep"
+	"repro/internal/trace"
 )
 
 // syntheticComposition builds a schedule and its lanes from a seed: lane
@@ -177,4 +183,120 @@ func TestGuardedReplayConcurrentLanes(t *testing.T) {
 			t.Fatalf("goroutine %d saw %d snapshots differing from the sequential %d", w, len(snaps), len(want))
 		}
 	}
+}
+
+// referenceLaneBound recomputes a lane's bound ingredients at cfg
+// without the suffix tables: L1 hits, probes and pipelined words from a
+// fresh memsim.Hierarchy fed the lane alone, distinct lines from a
+// plain map, and peak, end-live and invariant counts from a direct
+// segment walk.
+func referenceLaneBound(u *astream.UnpackedLane, cfg memsim.Config) memsim.LaneBound {
+	h := memsim.New(cfg)
+	lb := memsim.EffectiveLineBytes(cfg)
+	seen := make(map[uint32]bool)
+	for i, addr := range u.Addr {
+		size := u.Size[i]
+		h.Read(addr, size)
+		if size == 0 || addr+size-1 < addr {
+			continue // probes no lines
+		}
+		for line := addr / lb; line <= (addr+size-1)/lb; line++ {
+			seen[line] = true
+		}
+	}
+	c := h.Counts()
+	b := memsim.LaneBound{
+		Probes:    c.LineProbes(),
+		MaxL1Hits: c.L1Hits,
+		ColdFills: uint64(len(seen)),
+		Pipelined: (h.Cycles() - cfg.CyclesFor(c, 0)) / cfg.PipelinedWord,
+	}
+	var live int64
+	for s := range u.SegOps {
+		b.ReadWords += uint64(u.SegReadW[s])
+		b.WriteWords += uint64(u.SegWriteW[s])
+		b.OpCycles += u.SegOps[s]
+		b.Peak = max(b.Peak, uint64(live)+u.SegMax[s])
+		live += u.SegEnd[s]
+	}
+	b.EndLive = uint64(live)
+	return b
+}
+
+// TestLaneBoundMatchesReference pins astream.LaneBound, read off the
+// isolated suffix tables, to referenceLaneBound on every lane an
+// all-kind capture of each multi-role application yields, at every
+// bound-eligible default platform.
+func TestLaneBoundMatchesReference(t *testing.T) {
+	var cfgs []memsim.Config
+	for _, pp := range sweep.DefaultPlatforms() {
+		if memsim.BoundEligible(pp.Config) {
+			cfgs = append(cfgs, pp.Config)
+		}
+	}
+	for _, a := range append(netapps.All(), netapps.Extensions()...) {
+		roles := apps.RoleNames(a)
+		if len(roles) < 2 {
+			continue
+		}
+		t.Run(a.Name(), func(t *testing.T) {
+			t.Parallel()
+			tr, err := trace.Builtin(a.TraceNames()[0], 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range ddt.AllKinds() {
+				p := platform.New(memsim.DefaultConfig())
+				p.UseArenas(roles)
+				cr := p.CaptureComposed()
+				assign := make(apps.Assignment, len(roles))
+				for _, r := range roles {
+					assign[r] = k
+				}
+				if _, err := a.Run(tr, p, assign, a.DefaultKnobs(), nil); err != nil {
+					t.Fatal(err)
+				}
+				p.EndCapture()
+				_, subs := cr.Finish(false)
+				for _, sub := range subs {
+					u, err := sub.Unpack()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, cfg := range cfgs {
+						if got, want := astream.LaneBound(u, cfg), referenceLaneBound(u, cfg); got != want {
+							t.Fatalf("kind %v, lane %d (%s), L1 %+v:\ngot  %+v\nwant %+v", k, sub.Lane, sub.Role, cfg.L1, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzLaneBoundMatchesReference pins astream.LaneBound to
+// referenceLaneBound on every lane of synthetic compositions, across
+// platforms from a tiny hierarchy to 64-byte lines. Each lane is
+// queried on every platform in a fuzzed order, so tables sharing a
+// line size's first-touch column are built in either order.
+func FuzzLaneBoundMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint16(900), uint8(4), uint8(0))
+	f.Add(int64(2), uint8(3), uint16(1400), uint8(10), uint8(1))
+	f.Add(int64(3), uint8(0), uint16(5), uint8(0), uint8(2))
+	f.Add(int64(4), uint8(3), uint16(700), uint8(14), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, lanesSel uint8, tokens uint16, windowSel, order uint8) {
+		nLanes := 1 + int(lanesSel%4)
+		nTokens := 1 + int(tokens%1500)
+		window := uint32(64) << (windowSel % 16)
+		_, lanes := syntheticComposition(seed, nLanes, nTokens, window)
+		platforms := fuzzPlatforms()
+		for _, u := range lanes {
+			for i := range platforms {
+				cfg := platforms[(i+int(order))%len(platforms)]
+				if got, want := astream.LaneBound(u, cfg), referenceLaneBound(u, cfg); got != want {
+					t.Fatalf("lane %d, L1 %+v:\ngot  %+v\nwant %+v", u.Lane, cfg.L1, got, want)
+				}
+			}
+		}
+	})
 }

@@ -61,27 +61,19 @@ func TestLaneBoundAdmissible(t *testing.T) {
 			roles := apps.RoleNames(a)
 			sched, byKind := composedFixture(t, a)
 
-			// Isolated profiles per lane, memoized: one profiled pass per
-			// lane covers every platform family at once.
-			profsFor := make(map[*astream.SubStream]map[uint32]*memsim.ReuseProfile)
-			laneProfile := func(sub *astream.SubStream, lineBytes uint32) *memsim.ReuseProfile {
-				m, ok := profsFor[sub]
+			// Decoded lanes, memoized: each memoizes its isolated suffix
+			// tables, so every lane pays one isolated pass per geometry.
+			unpacked := make(map[*astream.SubStream]*astream.UnpackedLane)
+			laneBound := func(sub *astream.SubStream, pc memsim.Config) memsim.LaneBound {
+				u, ok := unpacked[sub]
 				if !ok {
-					u, err := sub.Unpack()
-					if err != nil {
+					var err error
+					if u, err = sub.Unpack(); err != nil {
 						t.Fatal(err)
 					}
-					m = make(map[uint32]*memsim.ReuseProfile)
-					for _, p := range astream.ReplayLaneProfiled(u, cfgs) {
-						m[p.LineBytes] = p
-					}
-					profsFor[sub] = m
+					unpacked[sub] = u
 				}
-				p := m[lineBytes]
-				if p == nil {
-					t.Fatalf("lane %d (%s): no profile for line size %d", sub.Lane, sub.Role, lineBytes)
-				}
-				return p
+				return astream.LaneBound(u, pc)
 			}
 
 			rng := rand.New(rand.NewSource(int64(97 + len(roles))))
@@ -103,11 +95,7 @@ func TestLaneBoundAdmissible(t *testing.T) {
 					exactVec := costVector(pc, model, exact[pi].Counts, exact[pi].Cycles, exact[pi].Peak)
 					var sum memsim.LaneBound
 					for li, sub := range lanes {
-						p := laneProfile(sub, memsim.EffectiveLineBytes(pc))
-						lb, ok := memsim.BoundFromProfile(p, pc)
-						if !ok {
-							t.Fatalf("lane %d on %s: profile does not cover its own platform", li, pts[pi].Name)
-						}
+						lb := laneBound(sub, pc)
 						laneVec := boundVectorOf(pc, model, lb)
 						for _, m := range metrics.AllMetrics() {
 							if laneVec.Get(m) > exactVec.Get(m) {
@@ -452,15 +440,16 @@ func TestBoundPrunedDRRGrid(t *testing.T) {
 	if st.Pruned != prS1.Pruned {
 		t.Fatalf("engine pruned %d, step reports %d", st.Pruned, prS1.Pruned)
 	}
-	t.Logf("DRR 3-role grid: %d of 1000 pruned (%d in bulk), %d composed, %d executed, %d lane profiles",
+	t.Logf("DRR 3-role grid: %d of 1000 pruned (%d in bulk), %d composed, %d executed, %d lane bounds",
 		st.Pruned, bulk, st.Composed, st.Simulated, st.LaneProfiles)
 }
 
-// TestBoundPrunePersistedProfiles pins warm pruning: lane profiles
-// survive SaveWithStreams/Load, so extending a 2-role exploration to a
-// third dominant role prunes with only the NEW role's lanes profiled —
-// the loaded profiles serve the rest without decoding anything.
-func TestBoundPrunePersistedProfiles(t *testing.T) {
+// TestBoundPruneWarmExtension pins warm pruning across processes:
+// extending a saved 2-role exploration to a third dominant role on the
+// loaded cache returns the same survivors as an exhaustive 3-role scan,
+// and prunes. The saved file carries lanes and schedules only; every
+// lane bound is rederived from the loaded lanes.
+func TestBoundPruneWarmExtension(t *testing.T) {
 	a, err := netapps.ByName("DRR")
 	if err != nil {
 		t.Fatal(err)
@@ -472,11 +461,6 @@ func TestBoundPrunePersistedProfiles(t *testing.T) {
 	if _, err := prep.Step1(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
-	prepProfiles := prep.Stats().LaneProfiles
-	if prepProfiles == 0 {
-		t.Fatal("prep exploration computed no lane profiles")
-	}
-
 	var buf bytes.Buffer
 	if err := prep.Cache().SaveWithStreams(&buf); err != nil {
 		t.Fatal(err)
@@ -485,8 +469,8 @@ func TestBoundPrunePersistedProfiles(t *testing.T) {
 	if err := loaded.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got := loaded.Stats().LaneProfiles; got != prepProfiles {
-		t.Fatalf("round trip kept %d of %d lane profiles", got, prepProfiles)
+	if st := loaded.Stats(); st.Lanes == 0 || st.Schedules == 0 {
+		t.Fatalf("round trip lost the compositional stores: %+v", st)
 	}
 
 	warm := explore.NewEngine(a, explore.Options{TracePackets: 200, DominantK: 3, BoundPrune: true, Cache: loaded})
@@ -494,17 +478,21 @@ func TestBoundPrunePersistedProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	exact := explore.NewEngine(a, explore.Options{TracePackets: 200, DominantK: 3, Compose: true})
+	exS1, err := exact.Step1(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "warm 3-role extension survivors", s1.Survivors, exS1.Survivors)
 	st := warm.Stats()
 	if st.Pruned == 0 {
 		t.Fatal("warm extension pruned nothing")
 	}
-	// Only the third role's lanes are new; the loaded profiles must
-	// serve both prep roles and the ambient lane without re-profiling.
-	if st.LaneProfiles >= prepProfiles {
-		t.Fatalf("warm run re-profiled %d lanes (prep computed %d)", st.LaneProfiles, prepProfiles)
+	if st.LaneProfiles == 0 {
+		t.Fatal("warm extension derived no lane bounds")
 	}
-	t.Logf("warm 3-role extension: %d of %d pruned with %d new lane profiles (prep had %d)",
-		st.Pruned, len(s1.Results), st.LaneProfiles, prepProfiles)
+	t.Logf("warm 3-role extension: %d pruned, %d materialized, %d lane bounds, %d executed",
+		st.Pruned, len(s1.Results), st.LaneProfiles, st.Simulated)
 }
 
 // TestBranchBoundK5FrontIdentity pins the tentpole claim at the scale

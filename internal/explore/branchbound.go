@@ -161,23 +161,20 @@ func (e *Engine) boundVec(total memsim.LaneBound) metrics.Vector {
 // seeding phase every lane exists, so this is a cold-cache edge, not a
 // steady state.
 func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard) (*bbSearcher, bool) {
-	app, packets := e.app.Name(), e.opts.packets()
-	sk := schedKey(app, ref, packets)
-	sched, ambient, _, ok := e.cache.lookupSchedule(sk)
+	ck := e.keysFor(ref)
+	sched, ambient, _, ok := e.cache.lookupSchedule(ck.sched)
 	if !ok {
 		return nil, false
 	}
-	cfg := e.opts.platformConfig()
-	lineBytes := memsim.EffectiveLineBytes(cfg)
-	baseAcc, ok := e.laneBoundFor(laneProfileKey(sk, lineBytes), cfg, func() (*astream.UnpackedLane, bool) {
-		return e.cache.unpackedLane(sk, ambient, true)
+	baseAcc, ok := e.laneBoundFor(ck.sched, func() (*astream.UnpackedLane, bool) {
+		return e.cache.unpackedLane(ck.sched, ambient, true)
 	})
 	if !ok {
 		return nil, false
 	}
 	laneFor := func(role string, kind ddt.Kind) (memsim.LaneBound, bool) {
-		lk := laneKey(app, ref, packets, role, kind)
-		return e.laneBoundFor(laneProfileKey(lk, lineBytes), cfg, func() (*astream.UnpackedLane, bool) {
+		lk := ck.lane(role, kind)
+		return e.laneBoundFor(lk, func() (*astream.UnpackedLane, bool) {
 			sub, ok := e.cache.lookupLane(lk)
 			if !ok {
 				return nil, false
@@ -243,8 +240,8 @@ func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard)
 // with the schedule — the searcher then falls back to the folded
 // per-lane peak, losing tightness but never soundness.
 func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant []string) *footCurves {
-	app, packets := e.app.Name(), e.opts.packets()
-	sk := schedKey(app, ref, packets)
+	ck := e.keysFor(ref)
+	sk := ck.sched
 	_, ambient, _, ok := e.cache.lookupSchedule(sk)
 	if !ok {
 		return nil
@@ -288,7 +285,7 @@ func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant [
 		level[i] = make([][]int64, ddt.NumKinds)
 	}
 	laneCurve := func(li int, role string, kind ddt.Kind) []int64 {
-		lk := laneKey(app, ref, packets, role, kind)
+		lk := ck.lane(role, kind)
 		sub, ok := e.cache.lookupLane(lk)
 		if !ok {
 			return nil
@@ -536,7 +533,7 @@ func comboIndex(assign apps.Assignment, dominant []string) int {
 // and every (role, kind) lane the bound tables need — the same ~10·K
 // captures the flat scan pays, just scheduled up front — while their
 // exact results open the Pareto front. Phase 2 assembles the per-role
-// bound tables (memoized lane profiles; on a warm cache this costs map
+// bound tables (memoized lane bounds; on a warm cache this costs map
 // lookups). Phase 3 is the best-first search: a single searcher
 // goroutine owns the priority queue and streams surviving leaves to the
 // worker pool, while subtree cuts flow to the collector as bulk widths;

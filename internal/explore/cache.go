@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/astream"
-	"repro/internal/ddt"
 	"repro/internal/memsim"
 	"repro/internal/profiler"
 )
@@ -41,13 +40,11 @@ import (
 //     all present is served by composed replay; ~10·K lanes stand in
 //     for the 10^K whole-run streams a flat capture would need. Each
 //     lane's decoded struct-of-arrays form is memoized at runtime so
-//     composition decodes a lane once, not once per combination.
-//   - Lane profiles (Options.BoundPrune): the isolated reuse profile of
-//     each lane, the ingredients of the admissible combination lower
-//     bound. Persisted with SaveWithStreams so a warm re-exploration
-//     prunes dominated combinations before decoding anything; being
-//     rederivable from their lanes they are the first tier evicted
-//     under budget pressure (see evictLocked).
+//     composition decodes a lane once, not once per combination. The
+//     decoded form also memoizes the lane's isolated suffix tables,
+//     from which the bound-guided search derives its lane bounds, and
+//     each schedule entry memoizes the exact composed footprint peak of
+//     the combinations asked about (see composedPeak).
 //
 // Aborted results are stored as dominance tombstones: the partial vector
 // plus the proof (by construction) that an identical exploration already
@@ -85,24 +82,12 @@ type Cache struct {
 	rprofiles  map[string]*memsim.ReuseProfile
 	rprofOrder []string
 
-	// Lane profiles (also guarded by sm, counted against the stream
-	// budget): the ISOLATED reuse profile of one (role, kind) lane — or
-	// a configuration's ambient lane — per line size, feeding the
-	// admissible combination lower bound (memsim.BoundFromProfile). They
-	// are derived data, cheaply recomputable from their cached lane, so
-	// under budget pressure they are evicted FIRST — before any stream
-	// or lane, and ahead of nothing user-visible (asserted by
-	// TestCacheEvictionOrder).
-	lprofiles  map[string]*memsim.ReuseProfile
-	lprofOrder []string
-
 	// Sampled reuse profiles (also guarded by sm, counted against the
 	// stream budget): the rate-tagged estimates a screening replay
 	// leaves behind, keyed like reuse profiles plus the sample shift
 	// (screenKey) so they can never answer an exact lookup. Cheap
 	// screening artifacts, rebuildable by one sampled replay: evicted
-	// FIRST, ahead even of lane profiles, and never persisted by
-	// SaveWithStreams.
+	// FIRST, and never persisted by SaveWithStreams.
 	sprofiles  map[string]*memsim.ReuseProfile
 	sprofOrder []string
 
@@ -152,10 +137,23 @@ type streamEntry struct {
 // run that is DDT-invariant: the ambient lane's sub-stream and the
 // behavioural summary (the refinement never changes functionality, so
 // one summary serves every combination of the same configuration).
+// peaks is runtime-only (unexported, so never persisted): see
+// composedPeak.
 type schedEntry struct {
 	Sched   *astream.Schedule
 	Ambient *astream.SubStream
 	Summary apps.Summary
+	peaks   *peakMemo
+}
+
+// peakMemo holds the exact composed footprint peaks of one schedule's
+// combinations, keyed by the combination's kinds in schedule-role
+// order (peakKey). It holds numbers only — never a lane — so evicting
+// lanes frees them whatever the memo has seen, and the memo goes
+// wherever its schedule entry goes.
+type peakMemo struct {
+	mu sync.Mutex
+	m  map[string]uint64
 }
 
 // sizeBytes reports the entry's retained bytes for the stream budget.
@@ -178,7 +176,6 @@ func NewCache() *Cache {
 		scheds:       make(map[string]schedEntry),
 		unpacked:     make(map[string]*astream.UnpackedLane),
 		rprofiles:    make(map[string]*memsim.ReuseProfile),
-		lprofiles:    make(map[string]*memsim.ReuseProfile),
 		sprofiles:    make(map[string]*memsim.ReuseProfile),
 		streamBudget: DefaultStreamBudget,
 	}
@@ -205,7 +202,6 @@ type CacheStats struct {
 	LaneHits, LaneMisses       uint64
 	ReuseProfiles              int // retained per-(identity, line size) reuse profiles
 	ProfileHits, ProfileMisses uint64
-	LaneProfiles               int // retained per-lane isolated reuse profiles (bound pruning)
 	SampledProfiles            int // retained rate-tagged sampled reuse profiles (screening)
 }
 
@@ -217,8 +213,7 @@ func (c *Cache) Stats() CacheStats {
 	c.sm.RLock()
 	ns, nb := len(c.streams), c.streamBytes
 	nl, nsch := len(c.lanes), len(c.scheds)
-	np, nlp := len(c.rprofiles), len(c.lprofiles)
-	nsp := len(c.sprofiles)
+	np, nsp := len(c.rprofiles), len(c.sprofiles)
 	c.sm.RUnlock()
 	return CacheStats{
 		Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n,
@@ -228,7 +223,6 @@ func (c *Cache) Stats() CacheStats {
 		LaneHits: c.laneHits.Load(), LaneMisses: c.laneMisses.Load(),
 		ReuseProfiles: np,
 		ProfileHits:   c.rprofHits.Load(), ProfileMisses: c.rprofMisses.Load(),
-		LaneProfiles:    nlp,
 		SampledProfiles: nsp,
 	}
 }
@@ -436,40 +430,6 @@ func (c *Cache) storeReuseProfile(key string, p *memsim.ReuseProfile) {
 	c.evictLocked()
 }
 
-// lookupLaneProfile returns the isolated lane profile for a
-// (lane identity, line size) key. Like reuse profiles, lane profiles
-// are shared, not copied: immutable once stored.
-func (c *Cache) lookupLaneProfile(key string) *memsim.ReuseProfile {
-	c.sm.RLock()
-	p := c.lprofiles[key]
-	c.sm.RUnlock()
-	return p
-}
-
-// storeLaneProfile retains one isolated lane profile under the stream
-// budget, merging with any earlier profile for the key (a pass for a
-// narrower geometry family never shrinks accumulated coverage, exactly
-// as storeReuseProfile).
-func (c *Cache) storeLaneProfile(key string, p *memsim.ReuseProfile) {
-	if p == nil {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	if c.streamBudget <= 0 {
-		return
-	}
-	if old, ok := c.lprofiles[key]; ok {
-		c.streamBytes -= int64(old.SizeBytes())
-		p = p.Merge(old)
-	} else {
-		c.lprofOrder = append(c.lprofOrder, key)
-	}
-	c.lprofiles[key] = p
-	c.streamBytes += int64(p.SizeBytes())
-	c.evictLocked()
-}
-
 // lookupSampledProfile returns the rate-tagged sampled reuse profile
 // for a screenKey-wrapped (identity, line size) key. Shared, not
 // copied: immutable once stored.
@@ -510,6 +470,61 @@ func (c *Cache) storeSampledProfile(key string, p *memsim.ReuseProfile) {
 	c.evictLocked()
 }
 
+// composedPeak returns the exact composed footprint peak of the
+// combination whose role kinds, in schedule-role order, are key
+// (peakKey), memoized on the schedule entry under sk. walk computes it
+// on the first request (astream.ComposedPeak over the combination's
+// lanes); a failed walk is not memoized. Footprint is platform-
+// invariant, so every engine sharing the cache reads one walk per
+// combination. The memo is allocated on first use; its entries are a
+// few words each and are not charged against the stream budget.
+func (c *Cache) composedPeak(sk string, key []byte, walk func() (uint64, bool)) (uint64, bool) {
+	c.sm.RLock()
+	e, ok := c.scheds[sk]
+	c.sm.RUnlock()
+	if !ok {
+		return walk()
+	}
+	pm := e.peaks
+	if pm == nil {
+		c.sm.Lock()
+		if e, ok = c.scheds[sk]; ok && e.peaks == nil {
+			e.peaks = &peakMemo{}
+			c.scheds[sk] = e
+		}
+		pm = e.peaks
+		c.sm.Unlock()
+		if pm == nil {
+			return walk()
+		}
+	}
+	pm.mu.Lock()
+	p, ok := pm.m[string(key)]
+	pm.mu.Unlock()
+	if ok {
+		return p, true
+	}
+	if p, ok = walk(); !ok {
+		return 0, false
+	}
+	pm.mu.Lock()
+	if pm.m == nil {
+		pm.m = make(map[string]uint64)
+	}
+	pm.m[string(key)] = p
+	pm.mu.Unlock()
+	return p, true
+}
+
+// peakKey appends the kinds assign gives roles, in order, to buf: the
+// peak memo's key for one combination of a schedule with those roles.
+func peakKey(buf []byte, roles []string, assign apps.Assignment) []byte {
+	for _, role := range roles {
+		buf = append(buf, byte(apps.KindFor(assign, role)))
+	}
+	return buf
+}
+
 // lookupSchedule returns the DDT-invariant schedule entry (operation
 // schedule, ambient lane, summary) for a configuration key.
 func (c *Cache) lookupSchedule(key string) (*astream.Schedule, *astream.SubStream, apps.Summary, bool) {
@@ -542,6 +557,7 @@ func (c *Cache) storeSchedule(key string, e schedEntry) {
 		return
 	}
 	e.Summary = cloneSummary(e.Summary)
+	e.peaks = nil // an entry merged from another cache starts its own memo
 	c.scheds[key] = e
 	c.streamBytes += e.sizeBytes()
 	c.evictLocked()
@@ -573,13 +589,10 @@ func (c *Cache) has(key string) bool {
 //  1. sampled reuse profiles — screening estimates, the cheapest
 //     artifacts in the cache (one sampled replay rebuilds one) and the
 //     only approximate ones;
-//  2. lane profiles — derived data, cheaply recomputed from their
-//     cached lane; losing one costs a single isolated probe pass and
-//     nothing user-visible;
-//  3. whole streams — each is one simulation point (a lane serves
+//  2. whole streams — each is one simulation point (a lane serves
 //     10^(K-1) combinations);
-//  4. lane sub-streams;
-//  5. reuse profiles — a profile is a few KB that answers a whole
+//  3. lane sub-streams;
+//  4. reuse profiles — a profile is a few KB that answers a whole
 //     geometry cross product with zero probes, so it outlives the
 //     streams it summarizes.
 //
@@ -593,14 +606,6 @@ func (c *Cache) evictLocked() {
 		if p, ok := c.sprofiles[key]; ok {
 			c.streamBytes -= int64(p.SizeBytes())
 			delete(c.sprofiles, key)
-		}
-	}
-	for c.streamBytes > c.streamBudget && len(c.lprofOrder) > 0 {
-		key := c.lprofOrder[0]
-		c.lprofOrder = c.lprofOrder[1:]
-		if p, ok := c.lprofiles[key]; ok {
-			c.streamBytes -= int64(p.SizeBytes())
-			delete(c.lprofiles, key)
 		}
 	}
 	for c.streamBytes > c.streamBudget && len(c.streamOrder) > 0 {
@@ -640,9 +645,6 @@ func (c *Cache) evictLocked() {
 	if len(c.rprofOrder) == 0 {
 		c.rprofOrder = nil
 	}
-	if len(c.lprofOrder) == 0 {
-		c.lprofOrder = nil
-	}
 	if len(c.sprofOrder) == 0 {
 		c.sprofOrder = nil
 	}
@@ -671,14 +673,15 @@ func (c *Cache) storeProfile(key string, p *profiler.Set) {
 // cache file, kept for legacy decoding. Streams, lane sub-streams,
 // schedules and reuse profiles are optional (SaveWithStreams);
 // dominance profiles are runtime-only. Files written before a field
-// existed decode it as empty.
+// existed decode it as empty; the isolated lane profiles older files
+// carry (LProfiles) are skipped, since gob ignores fields the struct no
+// longer has.
 type cacheFile struct {
 	Entries   map[string]cacheEntry
 	Streams   map[string]streamEntry
 	Lanes     map[string]*astream.SubStream
 	Scheds    map[string]schedEntry
 	RProfiles map[string]*memsim.ReuseProfile
-	LProfiles map[string]*memsim.ReuseProfile
 }
 
 // Save serializes the cached results to w (gob), without the access
@@ -732,25 +735,6 @@ func reuseProfileKey(skey string, lineBytes uint32) string {
 // different rate.
 func screenKey(key string, sampleShift uint32) string {
 	return fmt.Sprintf("%s|s%d", key, sampleShift)
-}
-
-// laneProfileKey identifies one isolated lane profile: the lane's cache
-// key (laneKey for role lanes, schedKey for the ambient lane) plus the
-// line size of the geometry family the profile covers.
-func laneProfileKey(base string, lineBytes uint32) string {
-	return fmt.Sprintf("%s|lprof|%d", base, lineBytes)
-}
-
-// laneKey identifies one (role, kind) lane sub-stream: the DDT-invariant
-// run identity plus the single role and the kind implementing it. Lane
-// capture always runs arena-mode, so no address-model marker is needed.
-func laneKey(app string, cfg Config, packets int, role string, kind ddt.Kind) string {
-	return fmt.Sprintf("%s|%s|%d|lane|%s=%s", app, cfg, packets, role, kind)
-}
-
-// schedKey identifies a configuration's DDT-invariant schedule entry.
-func schedKey(app string, cfg Config, packets int) string {
-	return fmt.Sprintf("%s|%s|%d|sched", app, cfg, packets)
 }
 
 // cloneSummary deep-copies a behavioural summary.

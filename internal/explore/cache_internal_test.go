@@ -183,14 +183,11 @@ func mkSampledProfile(t *testing.T) *memsim.ReuseProfile {
 
 // TestCacheEvictionOrder pins the documented eviction tiers end to end:
 // under a shrinking budget, sampled profiles go first (approximate
-// screening artifacts, one sampled replay each), then lane profiles
-// (derived data, rederivable from their lane), then whole streams,
+// screening artifacts, one sampled replay each), then whole streams,
 // then lane sub-streams, then reuse profiles — and schedules never.
 func TestCacheEvictionOrder(t *testing.T) {
 	c := NewCache()
 	sp := mkSampledProfile(t)
-	lp := mkReuseProfile(t)
-	lp.ColdLines, lp.EndLive = 2, 64
 	rp := mkReuseProfile(t)
 	rec := astream.NewRecorder()
 	for i := 0; i < 4096; i++ {
@@ -204,40 +201,34 @@ func TestCacheEvictionOrder(t *testing.T) {
 	lane := &astream.SubStream{Stream: *laneRec.Finish(false), Role: "r", Lane: 1}
 	c.storeLane("lane", lane)
 	c.storeReuseProfile("rprof", rp)
-	c.storeLaneProfile("lprof", lp)
 	c.storeSampledProfile(screenKey("sprof", 2), sp)
 
-	snapshot := func() (sprofs, lprofs, streams, lanes, rprofs int) {
+	snapshot := func() (sprofs, streams, lanes, rprofs int) {
 		s := c.Stats()
-		return s.SampledProfiles, s.LaneProfiles, s.Streams, s.Lanes, s.ReuseProfiles
+		return s.SampledProfiles, s.Streams, s.Lanes, s.ReuseProfiles
 	}
-	if sp, lp, st, ln, rp := snapshot(); sp != 1 || lp != 1 || st != 1 || ln != 1 || rp != 1 {
-		t.Fatalf("setup wrong: %d/%d/%d/%d/%d", sp, lp, st, ln, rp)
+	if sp, st, ln, rp := snapshot(); sp != 1 || st != 1 || ln != 1 || rp != 1 {
+		t.Fatalf("setup wrong: %d/%d/%d/%d", sp, st, ln, rp)
 	}
 
 	// Tier 1: squeeze out only the sampled profile.
 	c.SetStreamBudget(c.Stats().StreamBytes - 1)
-	if sp, lp, st, ln, rp := snapshot(); sp != 0 || lp != 1 || st != 1 || ln != 1 || rp != 1 {
-		t.Fatalf("sampled profile not evicted first: %d/%d/%d/%d/%d", sp, lp, st, ln, rp)
+	if sp, st, ln, rp := snapshot(); sp != 0 || st != 1 || ln != 1 || rp != 1 {
+		t.Fatalf("sampled profile not evicted first: %d/%d/%d/%d", sp, st, ln, rp)
 	}
-	// Tier 2: the lane profile goes before anything user-visible.
+	// Tier 2: the whole stream goes before the lane.
 	c.SetStreamBudget(c.Stats().StreamBytes - 1)
-	if _, lp, st, ln, rp := snapshot(); lp != 0 || st != 1 || ln != 1 || rp != 1 {
-		t.Fatalf("lane profile not evicted second: %d/%d/%d/%d", lp, st, ln, rp)
+	if _, st, ln, rp := snapshot(); st != 0 || ln != 1 || rp != 1 {
+		t.Fatalf("stream not evicted second: %d/%d/%d", st, ln, rp)
 	}
-	// Tier 3: the whole stream goes before the lane.
+	// Tier 3: the lane sub-stream goes before the reuse profile.
 	c.SetStreamBudget(c.Stats().StreamBytes - 1)
-	if _, lp, st, ln, rp := snapshot(); st != 0 || ln != 1 || rp != 1 {
-		t.Fatalf("stream not evicted third: %d/%d/%d/%d", lp, st, ln, rp)
+	if _, st, ln, rp := snapshot(); ln != 0 || rp != 1 {
+		t.Fatalf("lane not evicted third: %d/%d/%d", st, ln, rp)
 	}
-	// Tier 4: the lane sub-stream goes before the reuse profile.
-	c.SetStreamBudget(c.Stats().StreamBytes - 1)
-	if _, lp, st, ln, rp := snapshot(); ln != 0 || rp != 1 {
-		t.Fatalf("lane not evicted fourth: %d/%d/%d/%d", lp, st, ln, rp)
-	}
-	// Tier 5: finally the reuse profile.
+	// Tier 4: finally the reuse profile.
 	c.SetStreamBudget(1)
-	if _, _, _, _, rp := snapshot(); rp != 0 {
+	if _, _, _, rp := snapshot(); rp != 0 {
 		t.Fatal("reuse profile survived a 1-byte budget")
 	}
 }
@@ -276,55 +267,47 @@ type legacyCacheFile struct {
 	RProfiles map[string]*memsim.ReuseProfile
 }
 
-// TestLoadPreLaneProfileCacheFormat pins that cache files written
-// before lane profiles existed still load — everything they carry
-// survives, lane profiles simply start empty — and that a fresh save
-// then round-trips lane profiles (including the merge-on-load path).
+// laneProfileCacheFile is the same legacy format as written while the
+// cache persisted isolated lane profiles.
+type laneProfileCacheFile struct {
+	Entries   map[string]cacheEntry
+	Streams   map[string]streamEntry
+	RProfiles map[string]*memsim.ReuseProfile
+	LProfiles map[string]*memsim.ReuseProfile
+}
+
+// TestLoadPreLaneProfileCacheFormat pins that legacy single-struct
+// cache files still load whether or not they carry lane profiles:
+// everything else they hold survives, and the lane profiles are
+// skipped (bounds are rederived from the lanes).
 func TestLoadPreLaneProfileCacheFormat(t *testing.T) {
 	legacy := legacyCacheFile{
 		Entries:   map[string]cacheEntry{"k": {Result: Result{App: "URL"}}},
 		Streams:   map[string]streamEntry{"s": {App: "URL", Packets: 1, Stream: mkStream(false)}},
 		RProfiles: map[string]*memsim.ReuseProfile{"rp": mkReuseProfile(t)},
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	c := NewCache()
-	if err := c.Load(&buf); err != nil {
-		t.Fatalf("pre-lane-profile cache rejected: %v", err)
-	}
-	st := c.Stats()
-	if st.Entries != 1 || st.Streams != 1 || st.ReuseProfiles != 1 || st.LaneProfiles != 0 {
-		t.Fatalf("legacy load mangled stores: %+v", st)
-	}
-
-	// Round trip with a lane profile on top of the legacy content.
-	lp := mkReuseProfile(t)
-	lp.ColdLines, lp.EndLive = 3, 128
-	c.storeLaneProfile("lp", lp)
-	var buf2 bytes.Buffer
-	if err := c.SaveWithStreams(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf2.Bytes()
-	c2 := NewCache()
-	if err := c2.Load(bytes.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-	got := c2.lookupLaneProfile("lp")
-	if got == nil || !reflect.DeepEqual(got, lp) {
-		t.Fatalf("lane profile did not round-trip: %+v", got)
-	}
-	if s := c2.Stats(); s.LaneProfiles != 1 || s.Streams != 1 {
-		t.Fatalf("round-trip stats wrong: %+v", s)
-	}
-	// Re-loading merges instead of double-counting.
-	if err := c2.Load(bytes.NewReader(saved)); err != nil {
-		t.Fatal(err)
-	}
-	if s := c2.Stats(); s.LaneProfiles != 1 {
-		t.Fatalf("reload duplicated lane profiles: %+v", s)
+	for name, v := range map[string]any{
+		"pre-lane-profile": legacy,
+		"with-lane-profiles": laneProfileCacheFile{
+			Entries: legacy.Entries, Streams: legacy.Streams, RProfiles: legacy.RProfiles,
+			LProfiles: map[string]*memsim.ReuseProfile{"lp": mkReuseProfile(t)},
+		},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		c := NewCache()
+		rep, err := c.LoadReported(&buf)
+		if err != nil {
+			t.Fatalf("%s: legacy cache rejected: %v", name, err)
+		}
+		if rep.Format != "legacy-struct" || len(rep.Dropped) != 0 || rep.Truncated {
+			t.Fatalf("%s: load report %+v", name, rep)
+		}
+		if st := c.Stats(); st.Entries != 1 || st.Streams != 1 || st.ReuseProfiles != 1 {
+			t.Fatalf("%s: legacy load mangled stores: %+v", name, st)
+		}
 	}
 }
 

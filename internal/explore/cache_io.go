@@ -48,7 +48,9 @@ const (
 )
 
 // Section identifiers of the v4 format. Values are part of the on-disk
-// format: never renumber, only append.
+// format: never renumber, only append. secLProfiles held isolated lane
+// profiles; no save writes it any more (lane bounds are rederived from
+// the decoded lanes), and a load skips it like any unknown section.
 const (
 	secResults    byte = 1
 	secStreams    byte = 2
@@ -171,10 +173,6 @@ func (c *Cache) save(w io.Writer, withStreams bool) error {
 		for k, v := range c.rprofiles {
 			rprofiles[k] = v
 		}
-		lprofiles := make(map[string]*memsim.ReuseProfile, len(c.lprofiles))
-		for k, v := range c.lprofiles {
-			lprofiles[k] = v
-		}
 		c.sm.RUnlock()
 		for _, s := range []struct {
 			id byte
@@ -184,7 +182,6 @@ func (c *Cache) save(w io.Writer, withStreams bool) error {
 			{secLanes, lanes},
 			{secScheds, scheds},
 			{secRProfiles, rprofiles},
-			{secLProfiles, lprofiles},
 		} {
 			if err := section(s.id, s.v); err != nil {
 				return err
@@ -397,12 +394,6 @@ func (c *Cache) stageSection(id byte, r io.Reader) (func(), error) {
 			return nil, err
 		}
 		return func() { c.mergeRProfiles(m) }, nil
-	case secLProfiles:
-		var m map[string]*memsim.ReuseProfile
-		if err := safeDecode(r, &m); err != nil {
-			return nil, err
-		}
-		return func() { c.mergeLProfiles(m) }, nil
 	case secCheckpoint:
 		var ck Checkpoint
 		if err := safeDecode(r, &ck); err != nil {
@@ -459,7 +450,6 @@ func (c *Cache) loadLegacy(br *bufio.Reader) (LoadReport, error) {
 	c.mergeLanes(f.Lanes)
 	c.mergeScheds(f.Scheds)
 	c.mergeRProfiles(f.RProfiles)
-	c.mergeLProfiles(f.LProfiles)
 	rep.Sections = append(rep.Sections, "legacy")
 	return rep, nil
 }
@@ -565,29 +555,6 @@ func (c *Cache) mergeRProfiles(m map[string]*memsim.ReuseProfile) {
 			c.rprofOrder = append(c.rprofOrder, k)
 		}
 		c.rprofiles[k] = v
-		c.streamBytes += int64(v.SizeBytes())
-	}
-	c.evictLocked()
-}
-
-// mergeLProfiles merges loaded lane profiles, as storeLaneProfile.
-func (c *Cache) mergeLProfiles(m map[string]*memsim.ReuseProfile) {
-	if len(m) == 0 {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	for k, v := range m {
-		if v == nil {
-			continue
-		}
-		if old, ok := c.lprofiles[k]; ok {
-			c.streamBytes -= int64(old.SizeBytes())
-			v = v.Merge(old)
-		} else {
-			c.lprofOrder = append(c.lprofOrder, k)
-		}
-		c.lprofiles[k] = v
 		c.streamBytes += int64(v.SizeBytes())
 	}
 	c.evictLocked()

@@ -84,7 +84,7 @@ type DistWorkerStats struct {
 	// shards this worker received that a previous lease had lost.
 	Leased, Completed, Expired, Reassigned int64
 	// EntriesReceived / EntriesDeduped count compositional cache
-	// entries (lanes, schedules, lane profiles) the worker shipped,
+	// entries (lanes, schedules) the worker shipped,
 	// split by whether the coordinator already held the identity.
 	EntriesReceived, EntriesDeduped int64
 	// JobsSettled counts individual jobs this worker's reports settled

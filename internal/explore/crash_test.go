@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -376,8 +377,19 @@ func TestLoadSalvagesAroundCorruptSection(t *testing.T) {
 		}
 		return c.Stats()
 	}()
-	if fullStats.Entries == 0 || fullStats.Lanes == 0 || fullStats.LaneProfiles == 0 {
+	if fullStats.Entries == 0 || fullStats.Lanes == 0 || fullStats.Schedules == 0 {
 		t.Fatalf("crash-test cache too empty to be probative: %+v", fullStats)
+	}
+	// The sweep below corrupts every saved frame; pin that those are
+	// exactly the sections a save still writes.
+	var saved []string
+	for _, f := range frames {
+		if f.id != endFrameID {
+			saved = append(saved, frameSectionNames[f.id])
+		}
+	}
+	if want := []string{"results", "streams", "lanes", "schedules", "reuse-profiles", "checkpoint"}; !slices.Equal(saved, want) {
+		t.Fatalf("saved sections %v, want %v", saved, want)
 	}
 
 	for _, f := range frames {
@@ -408,7 +420,7 @@ func TestLoadSalvagesAroundCorruptSection(t *testing.T) {
 		st := fresh.Stats()
 		switch name {
 		case "results":
-			if st.Entries != 0 || st.Lanes != fullStats.Lanes || st.LaneProfiles != fullStats.LaneProfiles {
+			if st.Entries != 0 || st.Lanes != fullStats.Lanes || st.Schedules != fullStats.Schedules {
 				t.Fatalf("corrupt results: salvage stats %+v, full %+v", st, fullStats)
 			}
 		case "lanes":

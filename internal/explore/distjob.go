@@ -19,7 +19,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/astream"
 	"repro/internal/ddt"
-	"repro/internal/memsim"
 	"repro/internal/pareto"
 )
 
@@ -136,7 +135,7 @@ func (e *Engine) CachedOutcome(spec JobSpec) (JobOutcome, bool) {
 	if e.cache == nil {
 		return JobOutcome{}, false
 	}
-	key := cacheKey(e.app.Name(), spec.Cfg, spec.Assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas)
+	key := e.jobKey(spec.Cfg, spec.Assign)
 	r, ok := e.cache.lookup(key, spec.Guarded && e.guarded(), e.exploreCtx)
 	if !ok {
 		return JobOutcome{}, false
@@ -154,7 +153,7 @@ func (e *Engine) AdmitOutcome(o JobOutcome) {
 	if e.cache == nil || o.Err != "" {
 		return
 	}
-	key := cacheKey(e.app.Name(), o.Result.Config, o.Result.Assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas)
+	key := e.jobKey(o.Result.Config, o.Result.Assign)
 	e.cache.store(key, o.Result, e.exploreCtx)
 }
 
@@ -162,7 +161,7 @@ func (e *Engine) AdmitOutcome(o JobOutcome) {
 // the provenance handle a coordinator tracks unverified remote results
 // by, and the argument InvalidateCached takes to wipe one.
 func (e *Engine) JobKey(spec JobSpec) string {
-	return cacheKey(e.app.Name(), spec.Cfg, spec.Assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas)
+	return e.jobKey(spec.Cfg, spec.Assign)
 }
 
 // InvalidateCached wipes the settled result or tombstone under a job
@@ -255,31 +254,29 @@ func (e *Engine) CheckpointExternal(step int, front func() []pareto.Point, dist 
 }
 
 // DeltaCursor remembers which compositional cache entries have already
-// been exported, so a worker streams each lane, schedule and lane
-// profile to the coordinator exactly once per campaign.
+// been exported, so a worker streams each lane and schedule to the
+// coordinator exactly once per campaign.
 type DeltaCursor struct {
-	lanes, scheds, lprofiles map[string]bool
+	lanes, scheds map[string]bool
 }
 
 // NewDeltaCursor returns a cursor that has exported nothing.
 func NewDeltaCursor() *DeltaCursor {
 	return &DeltaCursor{
-		lanes:     make(map[string]bool),
-		scheds:    make(map[string]bool),
-		lprofiles: make(map[string]bool),
+		lanes:  make(map[string]bool),
+		scheds: make(map[string]bool),
 	}
 }
 
 // CacheDelta is the content-addressed compositional payload a worker
-// ships alongside its results: per-(role, kind) lane sub-streams,
-// per-configuration schedules and isolated lane profiles, keyed by the
-// same platform-invariant identities the cache stores them under —
+// ships alongside its results: per-(role, kind) lane sub-streams and
+// per-configuration schedules, keyed by the same platform-invariant
+// identities the cache stores them under —
 // which is what lets the coordinator dedupe entries two workers
 // captured independently.
 type CacheDelta struct {
-	Lanes     map[string]*astream.SubStream
-	Scheds    map[string]schedEntry
-	LProfiles map[string]*memsim.ReuseProfile
+	Lanes  map[string]*astream.SubStream
+	Scheds map[string]schedEntry
 }
 
 // Len reports how many entries the delta carries.
@@ -287,18 +284,17 @@ func (d *CacheDelta) Len() int {
 	if d == nil {
 		return 0
 	}
-	return len(d.Lanes) + len(d.Scheds) + len(d.LProfiles)
+	return len(d.Lanes) + len(d.Scheds)
 }
 
 // ExportDelta snapshots every complete compositional entry not yet
 // exported through cur, advancing the cursor. Entries are shared, not
-// copied — lanes, schedules and profiles are immutable once stored.
+// copied — lanes and schedules are immutable once stored.
 // Returns nil when nothing new accumulated.
 func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
 	d := &CacheDelta{
-		Lanes:     make(map[string]*astream.SubStream),
-		Scheds:    make(map[string]schedEntry),
-		LProfiles: make(map[string]*memsim.ReuseProfile),
+		Lanes:  make(map[string]*astream.SubStream),
+		Scheds: make(map[string]schedEntry),
 	}
 	c.sm.RLock()
 	for k, s := range c.lanes {
@@ -311,11 +307,6 @@ func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
 			d.Scheds[k] = e
 		}
 	}
-	for k, p := range c.lprofiles {
-		if !cur.lprofiles[k] {
-			d.LProfiles[k] = p
-		}
-	}
 	c.sm.RUnlock()
 	if d.Len() == 0 {
 		return nil
@@ -326,9 +317,6 @@ func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
 	for k := range d.Scheds {
 		cur.scheds[k] = true
 	}
-	for k := range d.LProfiles {
-		cur.lprofiles[k] = true
-	}
 	return d
 }
 
@@ -336,8 +324,6 @@ func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
 // ordinary stores (budget accounting, partial-drop and first-schedule-
 // wins semantics all apply) and reports how many entries were new
 // versus already present — the dedup the content-addressed keys buy.
-// Lane profiles count as duplicates when the key exists but are still
-// merged, since a later pass can only grow geometry coverage.
 func (c *Cache) MergeDelta(d *CacheDelta) (added, dup int) {
 	if d == nil {
 		return 0, 0
@@ -357,14 +343,6 @@ func (c *Cache) MergeDelta(d *CacheDelta) (added, dup int) {
 		}
 		c.storeSchedule(k, e)
 		added++
-	}
-	for k, p := range d.LProfiles {
-		if c.lookupLaneProfile(k) != nil {
-			dup++
-		} else {
-			added++
-		}
-		c.storeLaneProfile(k, p)
 	}
 	return added, dup
 }

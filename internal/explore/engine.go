@@ -70,8 +70,11 @@ type EngineStats struct {
 	// branch-and-bound subtree cuts, which add their full leaf width in
 	// one step.
 	Pruned int
-	// LaneProfiles counts the isolated per-lane profiled passes the
-	// bound computation paid — ~10·K for a 10^K space, not per-job work.
+	// LaneProfiles counts the lane bounds the engine derived: one per
+	// (lane, engine), each read off the lane's isolated suffix table
+	// (astream.LaneBound), whose isolated pass runs at most once per
+	// (lane, L1 geometry) however many engines share the lane — ~10·K
+	// for a 10^K space, not per-job work.
 	LaneProfiles int
 	// Expanded counts the tree nodes the branch-and-bound search popped
 	// off its best-first heap; SubtreeCuts counts the bulk tombstones it
@@ -112,12 +115,16 @@ type Engine struct {
 	// Bound pruning state: pruneOK gates on the engine's (single)
 	// platform being memsim.BoundEligible, model is that platform's
 	// energy model, and laneBounds memoizes each lane's derived
-	// memsim.LaneBound so the 10^K bound checks pay map reads, not
-	// profile arithmetic, per lane.
+	// memsim.LaneBound so the 10^K bound checks pay map reads per lane.
 	pruneOK    bool
 	model      energy.Model
-	laneBounds sync.Map // lane profile key -> memsim.LaneBound
-	laneLocks  sync.Map // lane profile key -> *sync.Mutex, dedupes slow-path computes per lane
+	laneBounds sync.Map // lane or schedule key -> memsim.LaneBound
+	laneLocks  sync.Map // lane or schedule key -> *sync.Mutex, dedupes slow-path computes per lane
+
+	// keys holds the hot cache-key renderings, allocated on first use:
+	// a field in place would grow every Engine by a size class, which
+	// costs measurable set-up time for engines that never render a key.
+	keys atomic.Pointer[engineKeys]
 
 	// Screening state (Options.SampleRate): sampleShift is the SHARDS
 	// rate exponent (0 = exact), screenCtx tags screening tombstones and
@@ -484,8 +491,7 @@ func (e *Engine) runJobMode(idx int, jb Job, guard *frontGuard, screen bool) Out
 	}
 	o := e.runJobExact(idx, jb, guard)
 	if e.cache != nil && o.Err == nil && !o.Result.Aborted {
-		key := screenKey(cacheKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas), e.sampleShift)
-		e.cache.store(key, o.Result, e.screenCtx)
+		e.cache.store(screenKey(e.jobKey(jb.Cfg, jb.Assign), e.sampleShift), o.Result, e.screenCtx)
 	}
 	return o
 }
@@ -505,7 +511,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		aguard = nil
 	}
 	if e.cache != nil {
-		key = cacheKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas)
+		key = e.jobKey(jb.Cfg, jb.Assign)
 		// A guarded stream may reuse a dominance tombstone: the job space
 		// of a step is deterministic, so a point an identical exploration
 		// (same simulation identity AND same exploration semantics)
@@ -605,13 +611,12 @@ func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Su
 	if aborted {
 		return // partial lanes prove nothing; compose mode runs unguarded anyway
 	}
-	app, packets := e.app.Name(), e.opts.packets()
-	e.cache.storeSchedule(schedKey(app, jb.Cfg, packets), schedEntry{
+	ck := e.keysFor(jb.Cfg)
+	e.cache.storeSchedule(ck.sched, schedEntry{
 		Sched: sched, Ambient: subs[0], Summary: sum,
 	})
 	for i, role := range sched.Roles {
-		kind := apps.KindFor(jb.Assign, role)
-		e.cache.storeLane(laneKey(app, jb.Cfg, packets, role, kind), subs[i+1])
+		e.cache.storeLane(ck.lane(role, apps.KindFor(jb.Assign, role)), subs[i+1])
 	}
 }
 
@@ -620,18 +625,17 @@ func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Su
 // per role, selected by the assignment's kind for that role. ok is
 // false as soon as anything is missing.
 func (e *Engine) composedLanes(cfg Config, assign apps.Assignment) (sched *astream.Schedule, lanes []*astream.UnpackedLane, sum apps.Summary, ok bool) {
-	app, packets := e.app.Name(), e.opts.packets()
-	sk := schedKey(app, cfg, packets)
-	sched, ambient, sum, ok := e.cache.lookupSchedule(sk)
+	ck := e.keysFor(cfg)
+	sched, ambient, sum, ok := e.cache.lookupSchedule(ck.sched)
 	if !ok {
 		return nil, nil, apps.Summary{}, false
 	}
 	lanes = make([]*astream.UnpackedLane, len(sched.Roles)+1)
-	if lanes[0], ok = e.cache.unpackedLane(sk, ambient, true); !ok {
+	if lanes[0], ok = e.cache.unpackedLane(ck.sched, ambient, true); !ok {
 		return nil, nil, apps.Summary{}, false
 	}
 	for i, role := range sched.Roles {
-		lk := laneKey(app, cfg, packets, role, apps.KindFor(assign, role))
+		lk := ck.lane(role, apps.KindFor(assign, role))
 		sub, ok := e.cache.lookupLane(lk)
 		if !ok {
 			return nil, nil, apps.Summary{}, false
@@ -675,9 +679,10 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 		// Staged like jobBound: the snapshot's footprint is only the
 		// running peak, so test with footprint ignored first, and walk
 		// the schedule for the exact final peak — once per replay — only
-		// when that relaxed vector is dominated. Dominance is monotone in
-		// footprint, so the decisions equal testing the exact peak at
-		// every poll.
+		// when that relaxed vector is dominated (through the schedule's
+		// peak memo, which jobBound's staged test shares). Dominance is
+		// monotone in footprint, so the decisions equal testing the exact
+		// peak at every poll.
 		g = func(c astream.Cost) bool {
 			v := replayVector(cfg, model, c)
 			v.Footprint = math.Inf(1)
@@ -685,8 +690,8 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 				return false
 			}
 			if !peakKnown {
-				p, err := astream.ComposedPeak(sched, lanes)
-				if err != nil {
+				p, ok := e.exactPeak(e.keysFor(jb.Cfg).sched, sched, jb)
+				if !ok {
 					return false
 				}
 				exactPeak, peakKnown = p, true
@@ -756,28 +761,25 @@ func (e *Engine) pruneJob(o *Outcome, jb Job, guard *frontGuard) bool {
 
 // jobBound assembles the job's admissible lower-bound cost vector from
 // the memoized per-lane bounds and reports whether dom holds on it.
-// ok is false — with nothing computed — when any lane or profile is
-// unavailable, so misses stay cheap and transient. dom is any dominance
-// test against a front; pruneJob passes the guard's (slack-widened
-// under screening), the screening deferral passes the face-value one.
+// ok is false — with nothing computed — when any lane is unavailable,
+// so misses stay cheap and transient. dom is any dominance test
+// against a front; pruneJob passes the guard's (slack-widened under
+// screening), the screening deferral passes the face-value one.
 func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.Vector, sum apps.Summary, ok, dominated bool) {
-	app, packets := e.app.Name(), e.opts.packets()
-	sk := schedKey(app, jb.Cfg, packets)
-	sched, ambient, sum, schedOK := e.cache.lookupSchedule(sk)
+	ck := e.keysFor(jb.Cfg)
+	sched, ambient, sum, schedOK := e.cache.lookupSchedule(ck.sched)
 	if !schedOK {
 		return metrics.Vector{}, apps.Summary{}, false, false
 	}
-	cfg := e.opts.platformConfig()
-	lineBytes := memsim.EffectiveLineBytes(cfg)
-	total, boundOK := e.laneBoundFor(laneProfileKey(sk, lineBytes), cfg, func() (*astream.UnpackedLane, bool) {
-		return e.cache.unpackedLane(sk, ambient, true)
+	total, boundOK := e.laneBoundFor(ck.sched, func() (*astream.UnpackedLane, bool) {
+		return e.cache.unpackedLane(ck.sched, ambient, true)
 	})
 	if !boundOK {
 		return metrics.Vector{}, apps.Summary{}, false, false
 	}
 	for _, role := range sched.Roles {
-		lk := laneKey(app, jb.Cfg, packets, role, apps.KindFor(jb.Assign, role))
-		b, ok := e.laneBoundFor(laneProfileKey(lk, lineBytes), cfg, func() (*astream.UnpackedLane, bool) {
+		lk := ck.lane(role, apps.KindFor(jb.Assign, role))
+		b, ok := e.laneBoundFor(lk, func() (*astream.UnpackedLane, bool) {
 			sub, ok := e.cache.lookupLane(lk)
 			if !ok {
 				return nil, false
@@ -789,35 +791,23 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 		}
 		total.Accumulate(b)
 	}
-	counts, cycles, peak := total.Cost(cfg)
-	seconds := float64(cycles) / cfg.ClockHz
-	bound = metrics.Vector{
-		Energy:    e.model.Energy(counts, seconds),
-		Time:      seconds,
-		Accesses:  float64(counts.Accesses()),
-		Footprint: float64(peak),
-	}
+	bound = e.boundVec(total)
 	if !dom(bound) {
 		// The closed-form footprint floor is the loosest axis (it knows
 		// nothing about which lanes' live bytes coexist). Tighten it to
 		// the EXACT composed peak — a schedule walk over the lanes'
-		// segment deltas, still zero probes — and re-check. This stage
-		// needs the decoded lanes; a fully warm profile cache answers
-		// most prunes at the first check without touching them. Before
-		// paying the walk, make sure footprint is actually the blocking
-		// axis: if no member dominates even with footprint ignored, no
-		// exact peak can flip the answer.
+		// segment deltas, still zero probes, memoized per combination on
+		// the schedule entry — and re-check. Before that, make sure
+		// footprint is actually the blocking axis: if no member
+		// dominates even with footprint ignored, no exact peak can flip
+		// the answer.
 		relaxed := bound
 		relaxed.Footprint = math.Inf(1)
 		if !dom(relaxed) {
 			return bound, sum, true, false
 		}
-		_, lanes, _, lanesOK := e.composedLanes(jb.Cfg, jb.Assign)
-		if !lanesOK {
-			return bound, sum, true, false
-		}
-		exactPeak, err := astream.ComposedPeak(sched, lanes)
-		if err != nil {
+		exactPeak, ok := e.exactPeak(ck.sched, sched, jb)
+		if !ok {
 			return bound, sum, true, false
 		}
 		bound.Footprint = float64(exactPeak)
@@ -828,49 +818,52 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 	return bound, sum, true, true
 }
 
-// laneBoundFor returns one lane's memoized bound ingredients at cfg,
-// deriving them on first use from the lane's cached isolated profile —
-// or, when no covering profile exists yet, by running the isolated
-// profiled pass over the lane (fetch supplies its decoded form) and
-// persisting the profile for later engines and processes. It reports
-// false without memoizing when the lane is not available yet (a later
-// job may capture it), so misses stay cheap and transient.
-func (e *Engine) laneBoundFor(pkey string, cfg memsim.Config, fetch func() (*astream.UnpackedLane, bool)) (memsim.LaneBound, bool) {
-	if v, ok := e.laneBounds.Load(pkey); ok {
+// exactPeak returns the exact composed footprint peak of the job's
+// combination through the schedule's peak memo, walking the
+// combination's lanes only on the first request from any engine
+// sharing the cache.
+func (e *Engine) exactPeak(sk string, sched *astream.Schedule, jb Job) (uint64, bool) {
+	var buf [16]byte
+	return e.cache.composedPeak(sk, peakKey(buf[:0], sched.Roles, jb.Assign), func() (uint64, bool) {
+		sched, lanes, _, ok := e.composedLanes(jb.Cfg, jb.Assign)
+		if !ok {
+			return 0, false
+		}
+		p, err := astream.ComposedPeak(sched, lanes)
+		return p, err == nil
+	})
+}
+
+// laneBoundFor returns one lane's memoized bound ingredients at the
+// engine's platform, deriving them on first use from the lane's
+// isolated suffix table (fetch supplies the decoded lane, which
+// memoizes the table). It reports false without memoizing when the
+// lane is not available yet (a later job may capture it), so misses
+// stay cheap and transient.
+func (e *Engine) laneBoundFor(key string, fetch func() (*astream.UnpackedLane, bool)) (memsim.LaneBound, bool) {
+	if v, ok := e.laneBounds.Load(key); ok {
 		return v.(memsim.LaneBound), true
 	}
 	// Serialize the slow path PER LANE: without this, every worker that
-	// misses the memo for the same new lane would run its own multi-ms
-	// isolated pass (and over-count LaneProfiles); keying the lock by
-	// lane lets distinct lanes profile in parallel during the cold
-	// ramp. Failures are not memoized — a missing lane may be captured
-	// by a later job — so the lock, not a sync.Once, guards the work.
-	muI, _ := e.laneLocks.LoadOrStore(pkey, &sync.Mutex{})
+	// misses the memo for the same new lane would wait on the lane's
+	// table build and over-count LaneProfiles; keying the lock by lane
+	// lets distinct lanes build in parallel during the cold ramp.
+	// Failures are not memoized — a missing lane may be captured by a
+	// later job — so the lock, not a sync.Once, guards the work.
+	muI, _ := e.laneLocks.LoadOrStore(key, &sync.Mutex{})
 	mu := muI.(*sync.Mutex)
 	mu.Lock()
 	defer mu.Unlock()
-	if v, ok := e.laneBounds.Load(pkey); ok {
+	if v, ok := e.laneBounds.Load(key); ok {
 		return v.(memsim.LaneBound), true
 	}
-	p := e.cache.lookupLaneProfile(pkey)
-	if p == nil || !p.Covers(cfg) {
-		u, ok := fetch()
-		if !ok {
-			return memsim.LaneBound{}, false
-		}
-		profs := astream.ReplayLaneProfiled(u, []memsim.Config{cfg})
-		if len(profs) != 1 {
-			return memsim.LaneBound{}, false
-		}
-		p = profs[0]
-		e.cache.storeLaneProfile(pkey, p)
-		e.laneProfiled.Add(1)
-	}
-	b, ok := memsim.BoundFromProfile(p, cfg)
+	u, ok := fetch()
 	if !ok {
 		return memsim.LaneBound{}, false
 	}
-	e.laneBounds.Store(pkey, b)
+	b := astream.LaneBound(u, e.opts.platformConfig())
+	e.laneProfiled.Add(1)
+	e.laneBounds.Store(key, b)
 	return b, true
 }
 
@@ -1108,7 +1101,7 @@ func (e *Engine) serveProfileFamily(p *memsim.ReuseProfile, skey string, cfg Con
 	// so cached Results never lose their summaries.
 	sum, haveSum := apps.Summary{}, false
 	if e.opts.Compose {
-		_, _, s, ok := e.cache.lookupSchedule(schedKey(e.app.Name(), cfg, e.opts.packets()))
+		_, _, s, ok := e.cache.lookupSchedule(e.keysFor(cfg).sched)
 		sum, haveSum = s, ok
 	} else if _, s, ok := e.cache.lookupStream(skey); ok {
 		sum, haveSum = s, true
@@ -1225,7 +1218,7 @@ func (e *Engine) captureStream(cfg Config, assign apps.Assignment) (*astream.Str
 		Stream: st, Summary: sum, Arenas: e.opts.Arenas,
 	})
 	e.simulated.Add(1)
-	key := cacheKey(e.app.Name(), cfg, assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas)
+	key := e.jobKey(cfg, assign)
 	e.cache.store(key, Result{
 		App: e.app.Name(), Config: cfg, Assign: assign,
 		Vec: p.Metrics(), Summary: sum,

@@ -143,9 +143,10 @@ type Options struct {
 	// BoundPrune enables bound-guided combination pruning (implies
 	// Compose, and so Arenas; requires a cache): before composing a
 	// combination, the engine sums the admissible per-lane lower bounds
-	// derived from each lane's ISOLATED reuse profile
-	// (memsim.BoundFromProfile over astream.ReplayLaneProfiled passes,
-	// ~10·K cheap passes total) and skips the composed replay entirely
+	// derived from each lane's ISOLATED probe outcomes (astream.LaneBound:
+	// one LineSim pass per lane and L1 geometry, ~10·K cheap passes
+	// total, shared with the completion bound) and skips the composed
+	// replay entirely
 	// when the live Pareto front already dominates the bound — the
 	// combination provably cannot enter the front. A combination the
 	// bound cannot prune is composed with its replay polled against the

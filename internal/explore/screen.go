@@ -72,7 +72,7 @@ func (e *Engine) noteScreenCI(ci float64) {
 // sending the caller down the exact path.
 func (e *Engine) screenJob(idx int, jb Job, guard *frontGuard) (Outcome, bool) {
 	o := Outcome{Index: idx, Job: jb}
-	key := screenKey(cacheKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.platformConfig(), e.opts.Arenas), e.sampleShift)
+	key := screenKey(e.jobKey(jb.Cfg, jb.Assign), e.sampleShift)
 	if r, ok := e.cache.lookup(key, guard != nil, e.screenCtx); ok {
 		e.cacheHits.Add(1)
 		e.noteScreenCI(r.RelCI)

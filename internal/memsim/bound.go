@@ -1,12 +1,15 @@
 package memsim
 
 // Admissible per-lane lower bounds: closed-form arithmetic turning the
-// ISOLATED reuse profiles of a combination's lanes into a cost vector
-// that provably cannot exceed the exact composed replay outcome, on any
-// objective. A combination whose lower bound is already dominated by the
-// live Pareto front can then be discarded with zero probe passes — the
-// bound-then-prune structure the exploration engine layers over
-// compositional replay.
+// ISOLATED per-access probe outcomes of a combination's lanes into a
+// cost vector that provably cannot exceed the exact composed replay
+// outcome, on any objective. A combination whose lower bound is already
+// dominated by the live Pareto front can then be discarded with zero
+// probe passes — the bound-then-prune structure the exploration engine
+// layers over compositional replay. The outcomes come from one isolated
+// LineSim pass per (lane, L1 geometry) plus a first-touch walk per
+// (lane, line size) (astream.LaneBound); the same tables price the
+// unprobed suffix of a guarded composed replay.
 //
 // Which ingredients are sound requires care; each field of LaneBound is
 // backed by one of these arguments (lanes allocate from disjoint arenas,
@@ -18,25 +21,23 @@ package memsim
 //   - L1 hits: LRU stacks satisfy stack inclusion — interleaving other
 //     lanes' (disjoint) lines between two accesses of a lane to the same
 //     line can only push the reused line DEEPER in its set's recency
-//     stack, never shallower. A probe's composed L1 stack distance is
-//     therefore >= its isolated distance, so the lane's isolated L1 hit
-//     count is an UPPER bound on its composed L1 hits. The argument
-//     holds access by access: a probe that misses L1 in isolation
-//     misses L1 in every composed interleave.
+//     stack, never shallower. A probe that misses L1 in isolation
+//     therefore misses L1 in every composed interleave, so the lane's
+//     isolated L1 hit count is an UPPER bound on its composed L1 hits.
 //   - DRAM fills: the first composed touch of every distinct line is
-//     cold at every level, whatever the interleave, so the per-lane
-//     distinct-line counts (ColdLines) sum to a LOWER bound on composed
-//     DRAM fills. Per access again: a probe that is its lane's first
-//     touch of a line is a DRAM fill.
+//     cold at every level, whatever the interleave. A probe that is its
+//     lane's first touch of a line is a DRAM fill, so the per-lane
+//     distinct-line counts sum to a LOWER bound on composed DRAM fills.
 //   - Footprint: while one lane's segment runs every other lane's live
 //     bytes are constant, so the composed peak is at least each lane's
 //     own high-water mark, and at least the summed end-of-run live.
 //
-// The per-access forms also price any SUFFIX of a lane's accesses: a
-// guarded composed replay (astream.ReplayComposedUnpacked) bounds its
-// unprobed remainder by charging each lane's isolated misses as L2 hits
-// and its first touches as DRAM fills, and every other probe as an L1
-// hit — sound under the same latency order BoundEligible requires.
+// Both probe arguments hold access by access, so they also price any
+// SUFFIX of a lane's accesses: a guarded composed replay
+// (astream.ReplayComposedUnpacked) bounds its unprobed remainder by
+// charging each lane's isolated misses as L2 hits and its first touches
+// as DRAM fills, and every other probe as an L1 hit — sound under the
+// same latency order BoundEligible requires.
 //
 // Deliberately absent: the lanes' isolated L2 hit/miss split. The
 // composed L2 reference stream is NOT the interleave of the isolated L2
@@ -45,7 +46,7 @@ package memsim
 // which can convert a later isolated DRAM fill into a composed L2 hit.
 // Summing isolated L2-level costs is therefore inadmissible; the bound
 // instead lets every non-cold L1 miss hit L2, the cheapest sound
-// outcome. The admissibility property test in internal/explore pins the
+// outcome. The admissibility property tests in internal/explore pin the
 // whole construction against exact composed replays.
 
 // LaneBound carries the lower-bound ingredients of one lane — or, after
@@ -62,28 +63,6 @@ type LaneBound struct {
 
 	Peak    uint64 // max over accumulated lanes of own-footprint high water
 	EndLive uint64 // summed end-of-run live bytes
-}
-
-// BoundFromProfile derives one lane's bound ingredients at cfg from its
-// isolated reuse profile. ok is false when cfg is outside the profile's
-// covered cross product (the caller must re-profile the lane for cfg's
-// geometry family).
-func BoundFromProfile(p *ReuseProfile, cfg Config) (LaneBound, bool) {
-	c, pipelined, ok := p.CountsFor(cfg)
-	if !ok {
-		return LaneBound{}, false
-	}
-	return LaneBound{
-		Probes:     p.Probes,
-		MaxL1Hits:  c.L1Hits,
-		ColdFills:  p.ColdLines,
-		Pipelined:  pipelined,
-		ReadWords:  p.ReadWords,
-		WriteWords: p.WriteWords,
-		OpCycles:   p.OpCycles,
-		Peak:       p.Peak,
-		EndLive:    p.EndLive,
-	}, true
 }
 
 // Accumulate folds another lane's ingredients into b — the profile

@@ -22,22 +22,19 @@ func boundProfile(t *testing.T) *ReuseProfile {
 	return p
 }
 
-// TestBoundFromProfileArithmetic pins the closed-form bound: the
-// ingredients come straight off the profile, accumulation sums counters
-// and maxes peaks, and Cost picks the admissible cost-minimizing split
-// (maximal L1 hits, cold fills at DRAM, the rest L2).
-func TestBoundFromProfileArithmetic(t *testing.T) {
+// TestLaneBoundArithmetic pins the closed-form bound: accumulation
+// sums counters and maxes peaks, and Cost picks the admissible
+// cost-minimizing split (maximal L1 hits, cold fills at DRAM, the rest
+// L2). The ingredients come from an isolated LineSim pass, as
+// astream.LaneBound derives them.
+func TestLaneBoundArithmetic(t *testing.T) {
 	cfg := DefaultConfig()
-	p := boundProfile(t)
-	b, ok := BoundFromProfile(p, cfg)
-	if !ok {
-		t.Fatal("profile does not cover the config it was built for")
-	}
-	counts, pipelined, _ := p.CountsFor(cfg)
-	if b.Probes != p.Probes || b.MaxL1Hits != counts.L1Hits || b.ColdFills != 3 ||
-		b.Pipelined != pipelined || b.ReadWords != 16 || b.WriteWords != 5 ||
-		b.OpCycles != 40 || b.Peak != 512 || b.EndLive != 300 {
-		t.Fatalf("bound ingredients wrong: %+v", b)
+	// 4 accesses, 3 distinct lines (0x1000 reused), one spanning 64B.
+	ls := NewLineSim(cfg)
+	ls.ProbeAccesses([]uint32{0x1000, 0x1004, 0x9000, 0x1000}, []uint32{4, 4, 64, 4})
+	b := LaneBound{
+		Probes: ls.Probes(), MaxL1Hits: ls.L1Hits, ColdFills: 3, Pipelined: ls.Pipelined(),
+		ReadWords: 16, WriteWords: 5, OpCycles: 40, Peak: 512, EndLive: 300,
 	}
 
 	other := b

@@ -79,15 +79,6 @@ type GeomSim struct {
 	sampleSeen map[uint32]uint32
 	curSlot    uint32
 
-	// Exact-mode distinct-line tracking (TrackColdLines): an
-	// open-addressed set of line+1 keys (a zero word is an empty slot;
-	// line numbers stay below 2^30, so the +1 never wraps) inserted as
-	// the walk probes, so a profiled pass learns ColdLines — the
-	// cold-fill floor of the admissible per-lane bound — without a
-	// second walk over the stream. Zero length = disarmed.
-	coldSlots []uint32
-	coldLines uint64
-
 	groups []geomGroup
 }
 
@@ -438,10 +429,6 @@ func (s *GeomSim) ResetSampled(cfgs []Config, sampleShift uint32) bool {
 	if s.sampleSeen != nil {
 		clear(s.sampleSeen)
 	}
-	if s.coldSlots != nil {
-		s.coldSlots = s.coldSlots[:0] // disarmed until TrackColdLines re-arms
-		s.coldLines = 0
-	}
 	s.lastFirst, s.lastLine = noLine, noLine
 	s.probes, s.winHits, s.pipelined, s.sampledProbes = 0, 0, 0, 0
 	return true
@@ -449,62 +436,6 @@ func (s *GeomSim) ResetSampled(cfgs []Config, sampleShift uint32) bool {
 
 // SampleShift returns the kernel's sample-rate shift (0 = exact).
 func (s *GeomSim) SampleShift() uint32 { return s.rateShift }
-
-// TrackColdLines arms distinct-line counting for the next pass of an
-// exact kernel. Reset disarms it, so pooled kernels only pay the
-// per-line set insert on passes that asked for it. Panics on a sampled
-// kernel: its walk descends only hash-kept lines, and a subset count
-// could silently stand in for the exact cold-fill floor.
-func (s *GeomSim) TrackColdLines() {
-	if s.rateShift != 0 {
-		panic("memsim: TrackColdLines on a sampled kernel")
-	}
-	if cap(s.coldSlots) == 0 {
-		s.coldSlots = make([]uint32, 1<<14)
-		return
-	}
-	s.coldSlots = s.coldSlots[:cap(s.coldSlots)]
-	clear(s.coldSlots)
-	s.coldLines = 0
-}
-
-// ColdLines returns the distinct lines counted since TrackColdLines.
-func (s *GeomSim) ColdLines() uint64 { return s.coldLines }
-
-func (s *GeomSim) coldAdd(line uint32) {
-	key := line + 1
-	mask := uint32(len(s.coldSlots) - 1)
-	i := (key * 2654435761) & mask
-	for {
-		switch s.coldSlots[i] {
-		case key:
-			return
-		case 0:
-			s.coldSlots[i] = key
-			if s.coldLines++; s.coldLines*2 >= uint64(len(s.coldSlots)) {
-				s.coldGrow()
-			}
-			return
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *GeomSim) coldGrow() {
-	old := s.coldSlots
-	s.coldSlots = make([]uint32, len(old)*2)
-	mask := uint32(len(s.coldSlots) - 1)
-	for _, key := range old {
-		if key == 0 {
-			continue
-		}
-		i := (key * 2654435761) & mask
-		for s.coldSlots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		s.coldSlots[i] = key
-	}
-}
 
 // LineBytes returns the family's shared address-mapping line size.
 func (s *GeomSim) LineBytes() uint32 { return s.lineBytes }
@@ -541,7 +472,6 @@ func (s *GeomSim) ProbeAccesses(addrs, sizes []uint32) {
 		lastFirst, lastLine = s.lastFirst, s.lastLine
 		probes, winHits     uint64
 		pipelined           uint64
-		cold                = len(s.coldSlots) > 0
 	)
 	for i, addr := range addrs {
 		size := sizes[i]
@@ -570,9 +500,6 @@ func (s *GeomSim) ProbeAccesses(addrs, sizes []uint32) {
 			lastFirst, lastLine = noLine, noLine
 		}
 		for line := first; ; line++ {
-			if cold {
-				s.coldAdd(line)
-			}
 			s.probeLine(line)
 			probes++
 			if line == last {
@@ -972,14 +899,12 @@ type ReuseProfile struct {
 	OpCycles   uint64
 	Peak       uint64
 
-	// Closed-form lane lower-bound ingredients (version 2; zero on
-	// profiles that predate them, which only weakens the bound). For an
-	// isolated per-lane profile, ColdLines counts the distinct cache
-	// lines the lane touches at this line size — every one of them costs
-	// at least one DRAM fill in ANY interleaving, because its first
-	// composed touch is cold — and EndLive is the lane's live bytes when
-	// the run ends, a floor on the composed footprint peak once summed
-	// across lanes. Whole-run profiles leave both zero.
+	// Lane lower-bound ingredients of version 2: the distinct lines and
+	// end-of-run live bytes of an isolated per-lane profile. No current
+	// pass writes them — lane bounds come from astream's isolated suffix
+	// tables — so every profile built today leaves both zero; they stay
+	// in the encoding so that older profiles keep decoding and
+	// validating.
 	ColdLines uint64
 	EndLive   uint64
 
