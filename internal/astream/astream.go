@@ -434,6 +434,13 @@ type decoder struct {
 	pos      int
 	lastAddr uint32
 	lastPeak uint64
+	// segs accepts the segment terminators of a lane sub-stream; next
+	// then also stops after each one, setting atSeg and the segment's
+	// footprint deltas. A whole-run stream carries none.
+	segs   bool
+	atSeg  bool
+	segMax uint64
+	segEnd int64
 }
 
 // delta decodes one fixed-width address delta of widthM1+1 bytes at the
@@ -488,13 +495,15 @@ func uvarintAt(buf []byte, pos int) (uint64, int) {
 }
 
 // next fills b with up to batchEvents decoded accesses plus the
-// invariant aggregates of the same span. It returns false once the
-// stream is exhausted (the final batch may still carry data). The
-// recorder never splits an event across chunks, so the inner loop
-// decodes one chunk with purely local state.
+// invariant aggregates of the same span — on a sub-stream, only up to
+// the next segment terminator. It returns false once the stream is
+// exhausted (the final batch may still carry data). The recorder never
+// splits an event across chunks, so the inner loop decodes one chunk
+// with purely local state.
 func (d *decoder) next(b *batch) (bool, error) {
 	n := 0
 	b.readWords, b.writeWords, b.opCycles = 0, 0, 0
+	d.atSeg = false
 	for n < batchEvents {
 		if d.pos >= len(d.buf) {
 			if d.ci >= len(d.chunks) {
@@ -571,12 +580,25 @@ func (d *decoder) next(b *batch) (bool, error) {
 					return false, d.corrupt()
 				}
 				d.lastPeak += u
+			} else if tag == tagSeg && d.segs {
+				var maxD, endU uint64
+				if maxD, pos = uvarintAt(buf, pos); pos < 0 {
+					return false, d.corrupt()
+				}
+				if endU, pos = uvarintAt(buf, pos); pos < 0 {
+					return false, d.corrupt()
+				}
+				d.atSeg, d.segMax, d.segEnd = true, maxD, unzigzag64(endU)
+				break
 			} else {
 				return false, fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, d.ci-1)
 			}
 		}
 		d.pos = pos
 		d.lastAddr = lastAddr
+		if d.atSeg {
+			break
+		}
 	}
 	b.nAcc = n
 	b.peak = d.lastPeak

@@ -1,6 +1,7 @@
 package astream_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -181,16 +182,24 @@ func testConfigs() []memsim.Config {
 	return out
 }
 
+// replayOne replays src on the single configuration cfg, failing the
+// test on error.
+func replayOne(t testing.TB, src astream.Source, cfg memsim.Config, guard astream.GuardFunc) astream.Cost {
+	t.Helper()
+	costs, _, err := astream.Replay(src, []memsim.Config{cfg}, astream.ReplayOpts{Guard: guard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return costs[0]
+}
+
 func TestReplayMatchesLive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	evs := randEvents(rng, 50000)
 	s := record(evs)
 	for _, cfg := range testConfigs() {
 		wantCounts, wantCycles, wantPeak := liveCost(evs, cfg)
-		got, err := astream.Replay(s, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := replayOne(t, s, cfg, nil)
 		if got.Aborted {
 			t.Fatal("unguarded replay reported aborted")
 		}
@@ -211,7 +220,7 @@ func TestReplayMultiMatchesSingle(t *testing.T) {
 	evs := randEvents(rng, 30000)
 	s := record(evs)
 	cfgs := testConfigs()
-	multi, err := astream.ReplayMulti(s, cfgs)
+	multi, _, err := astream.Replay(s, cfgs, astream.ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +228,7 @@ func TestReplayMultiMatchesSingle(t *testing.T) {
 		t.Fatalf("%d costs for %d configs", len(multi), len(cfgs))
 	}
 	for k, cfg := range cfgs {
-		single, err := astream.Replay(s, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if multi[k] != single {
+		if single := replayOne(t, s, cfg, nil); multi[k] != single {
 			t.Errorf("config %d: multi %+v != single %+v", k, multi[k], single)
 		}
 	}
@@ -233,19 +238,13 @@ func TestGuardedReplayAborts(t *testing.T) {
 	evs := randEvents(rand.New(rand.NewSource(3)), 40000)
 	s := record(evs)
 	cfg := memsim.DefaultConfig()
-	full, err := astream.Replay(s, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := replayOne(t, s, cfg, nil)
 	limit := full.Cycles / 4
 	calls := 0
-	got, err := astream.Replay(s, cfg, func(c astream.Cost) bool {
+	got := replayOne(t, s, cfg, func(c astream.Cost) bool {
 		calls++
 		return c.Cycles > limit
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if calls == 0 {
 		t.Fatal("guard never polled")
 	}
@@ -256,11 +255,7 @@ func TestGuardedReplayAborts(t *testing.T) {
 		t.Fatalf("aborted replay ran to completion: %d >= %d cycles", got.Cycles, full.Cycles)
 	}
 	// A guard that never fires must not change the outcome.
-	unguarded, err := astream.Replay(s, cfg, func(astream.Cost) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unguarded != full {
+	if unguarded := replayOne(t, s, cfg, func(astream.Cost) bool { return false }); unguarded != full {
 		t.Fatalf("benign guard changed the outcome: %+v vs %+v", unguarded, full)
 	}
 }
@@ -272,18 +267,17 @@ func TestPartialStreamRefused(t *testing.T) {
 	if !s.Partial {
 		t.Fatal("Finish(true) did not mark stream partial")
 	}
-	if _, err := astream.Replay(s, memsim.DefaultConfig(), nil); err == nil {
-		t.Fatal("Replay accepted a partial stream")
-	}
-	if _, err := astream.ReplayMulti(s, []memsim.Config{memsim.DefaultConfig()}); err == nil {
-		t.Fatal("ReplayMulti accepted a partial stream")
+	for _, cfgs := range [][]memsim.Config{{memsim.DefaultConfig()}, testConfigs()} {
+		if _, _, err := astream.Replay(s, cfgs, astream.ReplayOpts{}); !errors.Is(err, astream.ErrPartial) {
+			t.Fatalf("Replay of a partial stream on %d configs: err = %v, want ErrPartial", len(cfgs), err)
+		}
 	}
 }
 
 func TestCorruptStreamErrors(t *testing.T) {
 	s := record(randEvents(rand.New(rand.NewSource(5)), 100))
 	s.Chunks[0][0] = 0x7F // unknown tag (not an access, not op/peak)
-	if _, err := astream.Replay(s, memsim.DefaultConfig(), nil); err == nil {
+	if _, _, err := astream.Replay(s, []memsim.Config{memsim.DefaultConfig()}, astream.ReplayOpts{}); err == nil {
 		t.Fatal("corrupt stream replayed without error")
 	}
 }

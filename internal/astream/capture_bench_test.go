@@ -79,7 +79,7 @@ func BenchmarkCaptureRoute(b *testing.B) {
 	b.Run("replay-1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := astream.Replay(s, memsim.DefaultConfig(), nil); err != nil {
+			if _, _, err := astream.Replay(s, []memsim.Config{memsim.DefaultConfig()}, astream.ReplayOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -88,7 +88,7 @@ func BenchmarkCaptureRoute(b *testing.B) {
 	b.Run("replay-multi-4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := astream.ReplayMulti(s, cfgs); err != nil {
+			if _, _, err := astream.Replay(s, cfgs, astream.ReplayOpts{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -101,6 +101,9 @@ func BenchmarkCaptureRoute(b *testing.B) {
 // batch arrays and the LineSim tag stores come from the pool, with a
 // geometry-matched simulator Reset instead of rebuilt.
 func TestReplaySteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled kernels at random by design")
+	}
 	p := platform.New(memsim.DefaultConfig())
 	rec := astream.NewRecorder()
 	p.Capture(rec)
@@ -116,11 +119,11 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	s := rec.Finish(false)
 
 	cfg := memsim.DefaultConfig()
-	if _, err := astream.Replay(s, cfg, nil); err != nil {
+	if _, _, err := astream.Replay(s, []memsim.Config{cfg}, astream.ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := astream.Replay(s, cfg, nil); err != nil {
+		if _, _, err := astream.Replay(s, []memsim.Config{cfg}, astream.ReplayOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	})

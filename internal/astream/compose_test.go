@@ -75,6 +75,20 @@ func captureTwoRole(t *testing.T, k ddt.Kind, seed int64, n int) (*astream.Sched
 	return cr.Finish(false)
 }
 
+// unpackAll decodes every lane of a composed capture into a
+// Composition with its schedule.
+func unpackAll(t testing.TB, sched *astream.Schedule, subs []*astream.SubStream) astream.Composition {
+	t.Helper()
+	lanes := make([]*astream.UnpackedLane, len(subs))
+	for i, s := range subs {
+		var err error
+		if lanes[i], err = s.Unpack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return astream.Composition{Sched: sched, Lanes: lanes}
+}
+
 func TestComposedReplayEquivalenceTwoRoles(t *testing.T) {
 	const seed, n = 42, 500
 	platforms := sweep.DefaultPlatforms()
@@ -101,16 +115,13 @@ func TestComposedReplayEquivalenceTwoRoles(t *testing.T) {
 		ka := ddt.Kind(rng.Intn(ddt.NumKinds))
 		kb := ddt.Kind(rng.Intn(ddt.NumKinds))
 		// Ambient lane is kind-invariant; take it from the AR capture.
-		combo := []*astream.SubStream{lanes[ddt.AR][0], lanes[ka][1], lanes[kb][2]}
+		combo := unpackAll(t, ref, []*astream.SubStream{lanes[ddt.AR][0], lanes[ka][1], lanes[kb][2]})
 		for _, pp := range platforms {
 			live := platform.New(pp.Config)
 			live.UseArenas([]string{"alpha", "beta"})
 			twoRoleOps(live, ka, kb, seed, n)
 
-			got, err := astream.ReplayComposed(ref, combo, pp.Config, nil)
-			if err != nil {
-				t.Fatalf("%v+%v on %s: %v", ka, kb, pp.Name, err)
-			}
+			got := replayOne(t, combo, pp.Config, nil)
 			if got.Counts != live.Mem.Counts() {
 				t.Errorf("%v+%v on %s: counts %+v != live %+v", ka, kb, pp.Name, got.Counts, live.Mem.Counts())
 			}

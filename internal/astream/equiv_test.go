@@ -80,10 +80,7 @@ func TestReplayEquivalenceDDTSweepPlatforms(t *testing.T) {
 				wantCounts, wantCycles := live.Mem.Counts(), live.Mem.Cycles()
 				wantVec := live.Metrics()
 
-				got, err := astream.Replay(st, pp.Config, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := replayOne(t, st, pp.Config, nil)
 				if got.Counts != wantCounts {
 					t.Errorf("%v seed %d on %s: counts %+v != live %+v", kind, seed, pp.Name, got.Counts, wantCounts)
 				}
@@ -123,7 +120,7 @@ func TestReplayMultiEquivalenceDDT(t *testing.T) {
 	for i, pp := range platforms {
 		cfgs[i] = pp.Config
 	}
-	multi, err := astream.ReplayMulti(st, cfgs)
+	multi, _, err := astream.Replay(st, cfgs, astream.ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

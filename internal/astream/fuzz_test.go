@@ -112,10 +112,11 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 		if partial {
 			return // partial streams must refuse to replay
 		}
-		cost, err := astream.Replay(st, memsim.DefaultConfig(), nil)
+		costs, _, err := astream.Replay(st, []memsim.Config{memsim.DefaultConfig()}, astream.ReplayOpts{})
 		if err != nil {
 			t.Fatalf("replay of recorded stream failed: %v", err)
 		}
+		cost := costs[0]
 		if cost.Counts.ReadWords != wantReads || cost.Counts.WriteWords != wantWrites {
 			t.Fatalf("replay words %d/%d, recorded %d/%d",
 				cost.Counts.ReadWords, cost.Counts.WriteWords, wantReads, wantWrites)
@@ -154,7 +155,7 @@ func FuzzStreamDecodeArbitrary(f *testing.F) {
 		if words > 1<<22 {
 			return
 		}
-		_, replayErr := astream.Replay(st, memsim.DefaultConfig(), nil)
+		_, _, replayErr := astream.Replay(st, []memsim.Config{memsim.DefaultConfig()}, astream.ReplayOpts{})
 		// A chunk with segment events is valid for ForEach but the flat
 		// replay decoder rejects tagSeg; everything else must agree.
 		if (forEachErr == nil) != (replayErr == nil) && !hasSeg {

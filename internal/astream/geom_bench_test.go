@@ -12,7 +12,8 @@ import (
 // all-geometry kernel on a real Route stream: a same-line-size
 // multi-platform sweep (L1 sizes 4–32K x 2/4-way, with L2 scaled)
 // evaluated by one GeomSim pass against the per-configuration LineSim
-// replay it replaces, plus the two derived tiers — the profiled pass
+// replays it replaces (one unprofiled single-configuration Replay per
+// point, each its own decode and LineSim pass), plus the two derived tiers — the profiled pass
 // (same walk, reuse profile retained) and the warm profile-only sweep,
 // which is pure arithmetic: zero decode passes, zero probe passes.
 // All four arms produce bit-identical costs (asserted every iteration).
@@ -29,19 +30,21 @@ func BenchmarkGeomSweep(b *testing.B) {
 		// Best-of-3 per arm: single-shot CI runs (-benchtime=1x) are
 		// allocator noise otherwise, as in BenchmarkSweepBestComboPlatforms.
 		for rep := 0; rep < 3; rep++ {
-			astream.ForceLineSimReplay(true)
 			t0 := time.Now()
-			want, err = astream.ReplayMulti(s, cfgs)
-			astream.ForceLineSimReplay(false)
-			if err != nil {
-				b.Fatal(err)
+			want = want[:0]
+			for _, cfg := range cfgs {
+				c, _, err := astream.Replay(s, []memsim.Config{cfg}, astream.ReplayOpts{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				want = append(want, c[0])
 			}
 			if d := time.Since(t0); perConfig == 0 || d < perConfig {
 				perConfig = d
 			}
 
 			t1 := time.Now()
-			got, err = astream.ReplayMulti(s, cfgs)
+			got, _, err = astream.Replay(s, cfgs, astream.ReplayOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -50,7 +53,7 @@ func BenchmarkGeomSweep(b *testing.B) {
 			}
 
 			t2 := time.Now()
-			got2, ps, err := astream.ReplayMultiProfiled(s, cfgs)
+			got2, ps, err := astream.Replay(s, cfgs, astream.ReplayOpts{Profile: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -49,16 +49,12 @@ func TestGeomReplayMultiEquivalence(t *testing.T) {
 	st := rec.Finish(false)
 
 	cfgs := geomSweepConfigs()
-	multi, profs, err := astream.ReplayMultiProfiled(st, cfgs)
+	multi, profs, err := astream.Replay(st, cfgs, astream.ReplayOpts{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, cfg := range cfgs {
-		want, err := astream.Replay(st, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if multi[k] != want {
+		if want := replayOne(t, st, cfg, nil); multi[k] != want {
 			t.Errorf("cfg %d: geom multi-replay %+v != per-config replay %+v", k, multi[k], want)
 		}
 	}
@@ -87,10 +83,7 @@ func TestGeomReplayMultiEquivalence(t *testing.T) {
 	// count) is served by the profile, exactly.
 	novel := cfgs[1]
 	novel.L2.SizeBytes, novel.L2.Assoc = 16<<10, 2
-	want, err := astream.Replay(st, novel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := replayOne(t, st, novel, nil)
 	served := false
 	for _, p := range profs {
 		if got, ok := astream.CostFromProfile(p, novel); ok {
@@ -106,34 +99,26 @@ func TestGeomReplayMultiEquivalence(t *testing.T) {
 }
 
 // TestGeomComposedMultiEquivalence pins the composed (arena) path: a
-// multi-configuration composed replay — chunk-decoding and pre-decoded
-// (Unpacked) alike — routed through the all-geometry kernel must match
-// the single-configuration composed replay of every member, and the
-// profiled variant's reuse profiles must agree.
+// multi-configuration composed replay — unprofiled and profiled alike —
+// routed through the all-geometry kernel must match the
+// single-configuration composed replay of every member, and the
+// profiled pass's reuse profiles must agree.
 func TestGeomComposedMultiEquivalence(t *testing.T) {
 	const seed, n = 31, 600
 	sched, subs := captureTwoRole(t, ddt.DLLAR, seed, n)
 	cfgs := geomSweepConfigs()
 
-	multi, err := astream.ReplayComposedMulti(sched, subs, cfgs)
+	comp := unpackAll(t, sched, subs)
+	multi, _, err := astream.Replay(comp, cfgs, astream.ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes := make([]*astream.UnpackedLane, len(subs))
-	for i, s := range subs {
-		if lanes[i], err = s.Unpack(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	unpacked, profs, err := astream.ReplayComposedUnpackedProfiled(sched, lanes, cfgs)
+	unpacked, profs, err := astream.Replay(comp, cfgs, astream.ReplayOpts{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, cfg := range cfgs {
-		want, err := astream.ReplayComposed(sched, subs, cfg, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := replayOne(t, comp, cfg, nil)
 		if multi[k] != want {
 			t.Errorf("cfg %d: composed geom multi %+v != composed single %+v", k, multi[k], want)
 		}
@@ -157,6 +142,9 @@ func TestGeomComposedMultiEquivalence(t *testing.T) {
 // (Reset, not rebuild) and allocate only the small fixed plan/result
 // slices — no tag stores, no histograms, no batch arrays.
 func TestGeomReplayMultiSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled kernels at random by design")
+	}
 	pc := platform.New(memsim.DefaultConfig())
 	rec := astream.NewRecorder()
 	pc.Capture(rec)
@@ -165,20 +153,20 @@ func TestGeomReplayMultiSteadyStateAllocs(t *testing.T) {
 	st := rec.Finish(false)
 
 	cfgs := geomSweepConfigs()[:8] // the pure same-line-size family
-	if _, err := astream.ReplayMulti(st, cfgs); err != nil {
+	if _, _, err := astream.Replay(st, cfgs, astream.ReplayOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := astream.ReplayMulti(st, cfgs); err != nil {
+		if _, _, err := astream.Replay(st, cfgs, astream.ReplayOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// Expected steady state: the result slice, the plan's family/index
-	// slices and the pool round trip — around ten small allocations
-	// (more under the race detector's instrumentation), independent of
+	// slices and the pool round trip — around ten small allocations,
+	// independent of
 	// stream length and geometry sizes. A kernel rebuild instead of a
 	// Reset costs 80+ allocations, which is what this guards.
 	if allocs > 40 {
-		t.Errorf("steady-state geom ReplayMulti allocates %.1f objects/op, want <= 40", allocs)
+		t.Errorf("steady-state geom multi-config Replay allocates %.1f objects/op, want <= 40", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package astream
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"repro/internal/memsim"
@@ -29,17 +30,21 @@ type Cost struct {
 
 // GuardFunc is polled during a guarded replay with a lower bound on
 // the replay's final cost; returning true stops the replay (the Cost
-// comes back Aborted). Flat replays poll the bare partial cost. The
-// unpacked composed replay polls the tighter completion bound on a
-// memsim.BoundEligible platform (see ReplayComposedUnpacked), and the
-// bare partial cost elsewhere. Either way no objective a snapshot
+// comes back Aborted). A Composition on a memsim.BoundEligible platform
+// polls the completion bound (see Replay); every other guarded replay
+// polls the bare partial cost. Either way no objective a snapshot
 // implies — cycles, energy, words, footprint — exceeds the exact final
 // one, so a front member dominating a snapshot dominates the final
-// vector, as in live early abort. The snapshot's
-// Peak is the running footprint peak; a guard that needs the exact
-// final peak computes it with ComposedPeak. The poll cadence is one
-// check per batch of about batchEvents accesses — the same order of
-// magnitude as the live simulation's probe-count cadence.
+// vector, as in live early abort. The snapshot's Peak is the running
+// footprint peak; a guard that needs the exact final peak computes it
+// with ComposedPeak.
+//
+// The poll cadence is one check per batchEvents probed accesses, the
+// same order of magnitude as the live simulation's probe-count cadence.
+// A *Stream polls after every full decoded batch, never after the final
+// partial one; a Composition polls at the end of the first schedule run
+// (consecutive segments of one lane) that brings the accesses since the
+// last poll to batchEvents, the final run included.
 type GuardFunc func(Cost) bool
 
 // costOf merges the platform-invariant counters with one LineSim's probe
@@ -53,25 +58,38 @@ func costOf(cfg memsim.Config, ls *memsim.LineSim, inv memsim.Counts, peak uint6
 
 // scratch is the reusable per-replay working set: the decode batch (the
 // two 8 KiB struct-of-array halves), the probe simulators — per-config
-// LineSims and all-geometry GeomSims — and the lane decoders of
-// composed replays. Replays run steadily inside the exploration
-// engine's worker pool — thousands per exploration — so this state is
-// pooled rather than reallocated per call; a recycled kernel whose
-// geometry (or geometry family) matches the request is Reset instead of
-// rebuilt. The astream benchmarks assert the resulting steady-state
-// allocation count.
+// LineSims and all-geometry GeomSims — the plan's index slice and a
+// walker per source kind. Replays run steadily inside the
+// exploration engine's worker pool — thousands per exploration — so
+// this state is pooled rather than reallocated per call; a recycled
+// kernel whose geometry (or geometry family) matches the request is
+// Reset instead of rebuilt. The astream benchmarks assert the resulting
+// steady-state allocation count.
 type scratch struct {
-	b       batch
-	sims    []*memsim.LineSim
-	geos    []*memsim.GeomSim
-	ds      []decoder
-	cursors []int
+	b      batch
+	sims   []*memsim.LineSim
+	geos   []*memsim.GeomSim
+	simIdx []int
+	// The walker of the open source: sw for a *Stream, cw (composed)
+	// for a Composition.
+	sw       streamWalker
+	cw       compWalker
+	composed bool
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func getScratch() *scratch  { return scratchPool.Get().(*scratch) }
-func putScratch(s *scratch) { scratchPool.Put(s) }
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// putScratch returns s to the pool without its source references, so a
+// pooled scratch never keeps a stream's chunks or a composition's lanes
+// alive.
+func putScratch(s *scratch) {
+	s.sw = streamWalker{}
+	clear(s.cw.isos)
+	s.cw = compWalker{cursor: s.cw.cursor[:0], isos: s.cw.isos[:0]}
+	scratchPool.Put(s)
+}
 
 // simFor returns slot i's simulator, cold and configured for cfg —
 // recycled when the geometry matches, freshly built otherwise.
@@ -93,8 +111,8 @@ func (s *scratch) simFor(i int, cfg memsim.Config) *memsim.LineSim {
 // stores are sized for the shift's scaled set counts) is pooled (a
 // worker alternating between the line-size families of a sweep must
 // not rebuild tag stores per pass), freshly built otherwise. planFor
-// only requests eligible same-line-size families, so construction
-// cannot fail.
+// only requests eligible same-line-size families under a validated
+// shift, so construction cannot fail.
 func (s *scratch) geoFor(i int, family []memsim.Config, sampleShift uint32) *memsim.GeomSim {
 	for len(s.geos) <= i {
 		s.geos = append(s.geos, nil)
@@ -116,67 +134,6 @@ func (s *scratch) geoFor(i int, family []memsim.Config, sampleShift uint32) *mem
 	}
 	s.geos[i] = gs
 	return gs
-}
-
-// decodersFor returns a lane-decoder slice of length n, reusing capacity.
-func (s *scratch) decodersFor(n int) []decoder {
-	if cap(s.ds) < n {
-		s.ds = make([]decoder, n)
-	}
-	s.ds = s.ds[:n]
-	return s.ds
-}
-
-// cursorsFor returns a zeroed per-lane segment-cursor slice of length n.
-func (s *scratch) cursorsFor(n int) []int {
-	if cap(s.cursors) < n {
-		s.cursors = make([]int, n)
-	}
-	s.cursors = s.cursors[:n]
-	for i := range s.cursors {
-		s.cursors[i] = 0
-	}
-	return s.cursors
-}
-
-// Replay evaluates the stream under cfg without re-running the
-// application: one decode pass drives the configuration's cache model
-// with the recorded access sequence while the platform-invariant
-// counters (word counts, ALU cycles, footprint) are reconstructed
-// arithmetically. guard, when non-nil, is polled once per batch; a true
-// result stops the replay and returns the partial Cost with Aborted set.
-func Replay(s *Stream, cfg memsim.Config, guard GuardFunc) (Cost, error) {
-	if s.Partial {
-		return Cost{}, ErrPartial
-	}
-	sc := getScratch()
-	defer putScratch(sc)
-	var (
-		ls  = sc.simFor(0, cfg)
-		inv memsim.Counts
-		d   = decoder{chunks: s.Chunks}
-		b   = &sc.b
-	)
-	for {
-		more, err := d.next(b)
-		if err != nil {
-			return Cost{}, err
-		}
-		inv.ReadWords += b.readWords
-		inv.WriteWords += b.writeWords
-		inv.OpCycles += b.opCycles
-		ls.ProbeAccesses(b.addr[:b.nAcc], b.size[:b.nAcc])
-		if !more {
-			break
-		}
-		if guard != nil {
-			if snap := costOf(cfg, ls, inv, b.peak); guard(snap) {
-				snap.Aborted = true
-				return snap, nil
-			}
-		}
-	}
-	return costOf(cfg, ls, inv, b.peak), nil
 }
 
 // costOfGeom is costOf for a configuration served by an all-geometry
@@ -206,10 +163,10 @@ func CostFromProfile(p *memsim.ReuseProfile, cfg memsim.Config) (Cost, bool) {
 	return Cost{Counts: counts, Cycles: cfg.CyclesFor(counts, pipelined), Peak: p.Peak}, true
 }
 
-// multiPlan is how a multi-configuration replay partitions its targets:
+// multiPlan is how a replay partitions its target configurations:
 // same-line-size geometry families collapse into one GeomSim pass each,
 // and the leftovers (singleton families, non-power-of-two geometries)
-// keep a dedicated LineSim. Every probe batch is walked once per geom
+// keep a dedicated LineSim. Every probe run is walked once per geom
 // plus once per leftover sim — not once per configuration.
 type multiPlan struct {
 	cfgs    []memsim.Config
@@ -217,11 +174,10 @@ type multiPlan struct {
 	geomIdx [][]int // geoms[k] serves cfgs[geomIdx[k][...]]
 	sims    []*memsim.LineSim
 	simIdx  []int // sims[j] serves cfgs[simIdx[j]]
+	// views[lane][k] is the lane's sampled view for geoms[k] when a
+	// sampled Composition replays on GeomSims alone (compWalker.views).
+	views [][]*sampledView
 }
-
-// forceLineSim disables all-geometry routing (benchmark baseline only;
-// see export_test.go).
-var forceLineSim = false
 
 // planFor partitions cfgs into the plan, recycling pooled kernels. The
 // line-size grouping is the shared memsim.LineFamiliesOf, so the plan
@@ -232,43 +188,69 @@ var forceLineSim = false
 // to an exact LineSim, even under sampling — their costs simply come
 // back exact, which only tightens the caller's interval.
 func (sc *scratch) planFor(cfgs []memsim.Config, profiled bool, sampleShift uint32) multiPlan {
-	p := multiPlan{cfgs: cfgs}
-	for _, fam := range memsim.LineFamiliesOf(cfgs) {
-		var idx []int
-		for _, i := range fam.Indexes {
-			if forceLineSim || !memsim.GeomEligible(cfgs[i]) {
-				p.simIdx = append(p.simIdx, i)
-			} else {
-				idx = append(idx, i)
+	// Built in locals, not in the plan: the plan holds cfgs, which must
+	// not reach the pooled scratch (a caller's slice would escape).
+	simIdx := sc.simIdx[:0]
+	var geomIdx [][]int
+	if len(cfgs) == 1 && !profiled && sampleShift == 0 {
+		// The guarded and per-platform hot path: a lone exact
+		// configuration is always a LineSim, so skip the grouping.
+		simIdx = append(simIdx, 0)
+	} else {
+		for _, fam := range memsim.LineFamiliesOf(cfgs) {
+			var idx []int
+			for _, i := range fam.Indexes {
+				if !memsim.GeomEligible(cfgs[i]) {
+					simIdx = append(simIdx, i)
+				} else {
+					idx = append(idx, i)
+				}
 			}
+			if len(idx) == 0 {
+				continue
+			}
+			if len(idx) < 2 && !profiled && sampleShift == 0 {
+				simIdx = append(simIdx, idx...)
+				continue
+			}
+			fcfgs := make([]memsim.Config, len(idx))
+			for k, i := range idx {
+				fcfgs[k] = cfgs[i]
+			}
+			sc.geoFor(len(geomIdx), fcfgs, sampleShift)
+			geomIdx = append(geomIdx, idx)
 		}
-		if len(idx) == 0 {
-			continue
-		}
-		if len(idx) < 2 && !profiled && sampleShift == 0 {
-			p.simIdx = append(p.simIdx, idx...)
-			continue
-		}
-		fcfgs := make([]memsim.Config, len(idx))
-		for k, i := range idx {
-			fcfgs[k] = cfgs[i]
-		}
-		p.geoms = append(p.geoms, sc.geoFor(len(p.geoms), fcfgs, sampleShift))
-		p.geomIdx = append(p.geomIdx, idx)
 	}
-	for j, i := range p.simIdx {
-		p.sims = append(p.sims, sc.simFor(j, cfgs[i]))
+	for j, i := range simIdx {
+		sc.simFor(j, cfgs[i])
 	}
-	return p
+	sc.simIdx = simIdx
+	return multiPlan{
+		cfgs:    cfgs,
+		geoms:   sc.geos[:len(geomIdx)],
+		geomIdx: geomIdx,
+		sims:    sc.sims[:len(simIdx)],
+		simIdx:  simIdx,
+	}
 }
 
-// probe walks one access batch through every kernel of the plan.
-func (p *multiPlan) probe(addrs, sizes []uint32) {
+// probe walks one run's accesses through every kernel of the plan —
+// or, on a sampled view plan, feeds each kernel the run's kept lines.
+func (p *multiPlan) probe(r *run) {
+	if len(r.addr) == 0 {
+		return
+	}
+	if p.views != nil {
+		for k, gs := range p.geoms {
+			p.views[r.lane][k].probeRun(gs, r.s0, r.s1)
+		}
+		return
+	}
 	for _, gs := range p.geoms {
-		gs.ProbeAccesses(addrs, sizes)
+		gs.ProbeAccesses(r.addr, r.size)
 	}
 	for _, ls := range p.sims {
-		ls.ProbeAccesses(addrs, sizes)
+		ls.ProbeAccesses(r.addr, r.size)
 	}
 }
 
@@ -288,8 +270,8 @@ func (p *multiPlan) costs(inv memsim.Counts, peak uint64) []Cost {
 }
 
 // profiles snapshots every geometry family's reuse profile, completed
-// with the stream's platform-invariant aggregates so a profile-served
-// cost later needs no stream at all.
+// with the source's platform-invariant aggregates so a profile-served
+// cost later needs no source at all.
 func (p *multiPlan) profiles(inv memsim.Counts, peak uint64) []*memsim.ReuseProfile {
 	out := make([]*memsim.ReuseProfile, 0, len(p.geoms))
 	for _, gs := range p.geoms {
@@ -303,68 +285,213 @@ func (p *multiPlan) profiles(inv memsim.Counts, peak uint64) []*memsim.ReuseProf
 	return out
 }
 
-// ReplayMulti evaluates K configurations in a single pass over the
-// stream: one decode, and one all-geometry probe kernel per family of
-// configurations sharing an L1 line size (see memsim.GeomSim) — so a
-// same-line-size geometry sweep pays roughly one probe pass total
-// instead of one per configuration. Configurations that cannot join a
-// family fall back to a dedicated per-config LineSim over the same
-// decoded batches (the decode is still paid exactly once).
-func ReplayMulti(s *Stream, cfgs []memsim.Config) ([]Cost, error) {
-	costs, _, err := replayMulti(s, cfgs, false, 0)
-	return costs, err
+// Source is an access sequence Replay evaluates: a whole-run capture
+// (*Stream) or one DDT combination composed from per-lane parts
+// (Composition). Both refine one specification — the access sequence of
+// a run — so they share one evaluator. The interface is sealed.
+type Source interface{ source() }
+
+func (*Stream) source()     {}
+func (Composition) source() {}
+
+// ReplayOpts selects what a Replay computes besides the exact costs.
+type ReplayOpts struct {
+	// Guard, when non-nil, is polled during the pass (see GuardFunc); a
+	// true result stops it and returns the snapshot with Aborted set. A
+	// guarded replay takes exactly one configuration and neither
+	// profiles nor samples.
+	Guard GuardFunc
+	// Profile additionally returns the reuse profiles of the pass: one
+	// memsim.ReuseProfile per geometry family (identified by its
+	// LineBytes), each answering any configuration in its covered cross
+	// product by pure arithmetic afterwards (CostFromProfile).
+	Profile bool
+	// SampleShift samples the pass at spatial rate 2^-SampleShift: the
+	// walk and the platform-invariant aggregates stay exact, while only
+	// the hash-kept line subset descends the recency stacks, so the
+	// probe cost drops by ~2^SampleShift. Costs and profiles come back as
+	// scaled estimates with confidence intervals (ReuseProfile.RelCI);
+	// configurations outside memsim.GeomEligible come back exact. Shift
+	// 0 is the exact pass.
+	SampleShift uint32
 }
 
-// ReplayMultiProfiled is ReplayMulti plus the reuse profiles of the
-// pass: one memsim.ReuseProfile per geometry family (identified by its
-// LineBytes), each answering any configuration in its covered cross
-// product by pure arithmetic afterwards. The exploration cache persists
-// them so warm platform sweeps need zero probe passes.
-func ReplayMultiProfiled(s *Stream, cfgs []memsim.Config) ([]Cost, []*memsim.ReuseProfile, error) {
-	return replayMulti(s, cfgs, true, 0)
-}
-
-// ReplayMultiProfiledSampled is ReplayMultiProfiled at spatial sample
-// rate 2^-sampleShift: the decode still walks every event (the
-// platform-invariant aggregates stay exact) but only the hash-kept line
-// subset descends the recency stacks, so the probe cost — the dominant
-// term on long streams — drops by ~2^sampleShift. Costs and profiles
-// come back as scaled estimates with confidence intervals
-// (ReuseProfile.RelCI); shift 0 is exactly ReplayMultiProfiled.
-func ReplayMultiProfiledSampled(s *Stream, cfgs []memsim.Config, sampleShift uint32) ([]Cost, []*memsim.ReuseProfile, error) {
-	return replayMulti(s, cfgs, true, sampleShift)
-}
-
-func replayMulti(s *Stream, cfgs []memsim.Config, profiled bool, sampleShift uint32) ([]Cost, []*memsim.ReuseProfile, error) {
-	if s.Partial {
-		return nil, nil, ErrPartial
+// Replay evaluates src under every configuration in cfgs without
+// re-running the application. One walk of the source drives the plan's
+// probe kernels — one all-geometry kernel per family of configurations
+// sharing an L1 line size (memsim.GeomSim), a dedicated LineSim for the
+// rest — while the platform-invariant counters (word counts, ALU
+// cycles, footprint) are reconstructed arithmetically, so a geometry
+// sweep pays about one probe pass, not one per configuration. Each
+// result is exactly what a live execution of the same run on that
+// configuration would produce (the arena-mode run, for a Composition).
+//
+// A guarded replay on a Composition and a memsim.BoundEligible platform
+// polls the completion bound: exact final word and op counts, the probe
+// outcomes so far, and each lane's unprobed suffix priced by its
+// isolated outcomes (isolated L1 misses as L2 hits, first line touches
+// as DRAM fills, every other probe as an L1 hit; see memsim/bound.go).
+// The per-lane tables come from one isolated pass per lane and L1
+// geometry, memoized on the lane.
+//
+// Replay returns an error, and never panics, for a guard with other
+// than one configuration or with Profile or SampleShift set, a sample
+// shift above memsim.MaxSampleShift, a partial stream (ErrPartial), and
+// a composition whose lanes do not match its schedule.
+func Replay(src Source, cfgs []memsim.Config, opts ReplayOpts) ([]Cost, []*memsim.ReuseProfile, error) {
+	switch {
+	case opts.Guard != nil && len(cfgs) != 1:
+		return nil, nil, fmt.Errorf("astream: a guarded replay takes exactly one configuration, got %d", len(cfgs))
+	case opts.Guard != nil && opts.SampleShift != 0:
+		return nil, nil, errors.New("astream: a guarded replay cannot sample (a sampled partial cost is no lower bound)")
+	case opts.Guard != nil && opts.Profile:
+		return nil, nil, errors.New("astream: a guarded replay cannot profile (an aborted pass has no complete profile)")
+	case opts.SampleShift > memsim.MaxSampleShift:
+		return nil, nil, fmt.Errorf("astream: sample shift %d exceeds max %d", opts.SampleShift, memsim.MaxSampleShift)
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	plan := sc.planFor(cfgs, profiled, sampleShift)
+	if err := sc.open(src); err != nil {
+		return nil, nil, err
+	}
+	plan := sc.planFor(cfgs, opts.Profile, opts.SampleShift)
+	if sc.composed && opts.SampleShift != 0 && len(plan.sims) == 0 {
+		// Sampled GeomSims alone: probe the lanes' kept lines only.
+		plan.views = sc.cw.views(plan.geoms, opts.SampleShift)
+	}
 	var (
-		inv  memsim.Counts
-		peak uint64
-		d    = decoder{chunks: s.Chunks}
-		b    = &sc.b
+		inv     memsim.Counts
+		peak    uint64
+		since   int
+		r       run
+		bound   completion
+		bounded bool
 	)
+	if opts.Guard != nil && sc.composed {
+		bound, bounded = sc.cw.completion(cfgs[0])
+	}
 	for {
-		more, err := d.next(b)
+		ok, err := sc.next(&r)
 		if err != nil {
 			return nil, nil, err
 		}
-		inv.ReadWords += b.readWords
-		inv.WriteWords += b.writeWords
-		inv.OpCycles += b.opCycles
-		peak = b.peak
-		plan.probe(b.addr[:b.nAcc], b.size[:b.nAcc])
-		if !more {
+		if !ok {
 			break
+		}
+		inv.ReadWords += r.readW
+		inv.WriteWords += r.writeW
+		inv.OpCycles += r.ops
+		peak = r.peak
+		plan.probe(&r)
+		if opts.Guard == nil {
+			continue
+		}
+		if since += len(r.addr); since < batchEvents {
+			continue
+		}
+		since = 0
+		// A guarded plan is one configuration on a dedicated LineSim.
+		ls := plan.sims[0]
+		snap := costOf(cfgs[0], ls, inv, peak)
+		if bounded {
+			// The completion bound: exact final invariants, the probe
+			// outcomes so far, and every lane's suffix from its next
+			// checkpoint priced by its isolated outcomes — misses at L2
+			// hits, first touches at DRAM fills. The remaining probes
+			// (isolated hits, and the gap between a cursor and its
+			// checkpoint) are priced as L1 hits.
+			misses, cold := sc.cw.suffix()
+			cnt := bound.inv
+			cnt.L1Hits = ls.L1Hits + (bound.probes - ls.Probes() - misses)
+			cnt.L2Hits = ls.L2Hits + misses - cold
+			cnt.DRAMFills = ls.DRAMFills + cold
+			snap = Cost{Counts: cnt, Cycles: cfgs[0].CyclesFor(cnt, bound.pipelined), Peak: peak}
+		}
+		if opts.Guard(snap) {
+			snap.Aborted = true
+			return []Cost{snap}, nil, nil
 		}
 	}
 	out := plan.costs(inv, peak)
-	if !profiled {
+	if !opts.Profile {
 		return out, nil, nil
 	}
 	return out, plan.profiles(inv, peak), nil
+}
+
+// run is one probe run a source hands the walk: the accesses in probe
+// order with their platform-invariant deltas and the footprint peak as
+// of the run's end. lane and [s0, s1) locate a composed run in its lane
+// for the sampled views.
+type run struct {
+	addr, size         []uint32
+	readW, writeW, ops uint64
+	peak               uint64
+	lane, s0, s1       int
+}
+
+// completion is a composition's completion-bound ingredients: the
+// exact final word and op counts, line probes and pipelined words, all
+// known before the walk starts.
+type completion struct {
+	inv               memsim.Counts
+	probes, pipelined uint64
+}
+
+// open validates src and positions its walker at the start: the
+// source-specific half of Replay, which yields the probe runs (next)
+// and, for a Composition, the completion-bound tables (compWalker).
+func (sc *scratch) open(src Source) error {
+	switch s := src.(type) {
+	case *Stream:
+		if s == nil {
+			return errors.New("astream: nil stream")
+		}
+		if s.Partial {
+			return ErrPartial
+		}
+		sc.sw, sc.composed = streamWalker{d: decoder{chunks: s.Chunks}, b: &sc.b}, false
+		return nil
+	case Composition:
+		if err := s.check(); err != nil {
+			return err
+		}
+		sc.cw.toks, sc.cw.lanes, sc.composed = s.Sched.Tokens, s.Lanes, true
+		for range s.Lanes {
+			sc.cw.cursor = append(sc.cw.cursor, 0)
+		}
+		return nil
+	}
+	return errors.New("astream: nil or unknown replay source")
+}
+
+// next fills r with the open source's next probe run; false once the
+// source is exhausted.
+func (sc *scratch) next(r *run) (bool, error) {
+	if sc.composed {
+		return sc.cw.next(r)
+	}
+	return sc.sw.next(r)
+}
+
+// streamWalker decodes a stream's delta chunks one batch at a time.
+type streamWalker struct {
+	d    decoder
+	b    *batch
+	done bool
+}
+
+func (w *streamWalker) next(r *run) (bool, error) {
+	if w.done {
+		return false, nil
+	}
+	more, err := w.d.next(w.b)
+	if err != nil {
+		return false, err
+	}
+	w.done = !more
+	b := w.b
+	r.addr, r.size = b.addr[:b.nAcc], b.size[:b.nAcc]
+	r.readW, r.writeW, r.ops, r.peak = b.readWords, b.writeWords, b.opCycles, b.peak
+	return true, nil
 }

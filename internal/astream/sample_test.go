@@ -72,14 +72,14 @@ func TestSampledReplayAllAppsWithinCI(t *testing.T) {
 		pc.EndCapture()
 		st := rec.Finish(false)
 
-		exact, exactProfs, err := astream.ReplayMultiProfiled(st, cfgs)
+		exact, exactProfs, err := astream.Replay(st, cfgs, astream.ReplayOpts{Profile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		// R = 1: the sampled entry point at shift 0 must be bit-identical
-		// to the exact one, profiles included.
-		zero, zeroProfs, err := astream.ReplayMultiProfiledSampled(st, cfgs, 0)
+		// R = 1: a sampled pass at shift 0 must be bit-identical to the
+		// exact one, profiles included.
+		zero, zeroProfs, err := astream.Replay(st, cfgs, astream.ReplayOpts{Profile: true, SampleShift: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestSampledReplayAllAppsWithinCI(t *testing.T) {
 		}
 
 		for _, shift := range []uint32{3, 6} { // R = 1/8, 1/64
-			costs, profs, err := astream.ReplayMultiProfiledSampled(st, cfgs, shift)
+			costs, profs, err := astream.Replay(st, cfgs, astream.ReplayOpts{Profile: true, SampleShift: shift})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestSampledReplayAllAppsWithinCI(t *testing.T) {
 }
 
 // TestSampledComposedReplay pins the composed (arena) sampled path: at
-// shift 0 the sampled entry points reproduce the exact composed replay
+// shift 0 the sampled pass reproduces the exact composed replay
 // bit-for-bit; at R < 1 the invariant counters and ComposedPeak stay
 // exact while the estimates land within the reported interval; guarded
 // replay refuses sampling outright (a sampled partial cost is not a
@@ -155,19 +155,13 @@ func TestSampledComposedReplay(t *testing.T) {
 	for i, pp := range pts {
 		cfgs[i] = pp.Config
 	}
-	lanes := make([]*astream.UnpackedLane, len(subs))
-	var err error
-	for i, s := range subs {
-		if lanes[i], err = s.Unpack(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	comp := unpackAll(t, sched, subs)
 
-	exact, exactProfs, err := astream.ReplayComposedUnpackedProfiled(sched, lanes, cfgs)
+	exact, exactProfs, err := astream.Replay(comp, cfgs, astream.ReplayOpts{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	zero, zeroProfs, err := astream.ReplayComposedUnpackedProfiledSampled(sched, lanes, cfgs, 0)
+	zero, zeroProfs, err := astream.Replay(comp, cfgs, astream.ReplayOpts{Profile: true, SampleShift: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +170,7 @@ func TestSampledComposedReplay(t *testing.T) {
 	}
 
 	for _, shift := range []uint32{3, 6} {
-		costs, profs, err := astream.ReplayComposedUnpackedProfiledSampled(sched, lanes, cfgs, shift)
+		costs, profs, err := astream.Replay(comp, cfgs, astream.ReplayOpts{Profile: true, SampleShift: shift})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +201,7 @@ func TestSampledComposedReplay(t *testing.T) {
 	// Guarded composed replay + sampling is a contradiction; it must be
 	// refused, not silently ignored.
 	guard := func(astream.Cost) bool { return false }
-	if _, _, err := astream.ReplayComposedUnpackedSampledGuardProbe(sched, lanes, cfgs[:1], guard); err == nil {
+	if _, _, err := astream.Replay(comp, cfgs[:1], astream.ReplayOpts{Guard: guard, SampleShift: 3}); err == nil {
 		t.Error("guarded sampled composed replay did not error")
 	}
 }

@@ -105,22 +105,16 @@ func FuzzCompletionBoundAdmissible(f *testing.F) {
 		platforms := fuzzPlatforms()
 		cfg := platforms[int(cfgSel)%len(platforms)]
 		sched, lanes := syntheticComposition(seed, nLanes, nTokens, window)
+		comp := astream.Composition{Sched: sched, Lanes: lanes}
 
-		costs, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{cfg}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact := costs[0]
+		exact := replayOne(t, comp, cfg, nil)
 		var snaps []astream.Cost
-		guarded, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{cfg}, func(c astream.Cost) bool {
+		guarded := replayOne(t, comp, cfg, func(c astream.Cost) bool {
 			snaps = append(snaps, c)
 			return false
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if guarded[0] != exact {
-			t.Fatalf("a never-firing guard changed the replay: %+v, unguarded %+v", guarded[0], exact)
+		if guarded != exact {
+			t.Fatalf("a never-firing guard changed the replay: %+v, unguarded %+v", guarded, exact)
 		}
 		model := energy.CACTILike(cfg)
 		energyOf := func(c astream.Cost) float64 {
@@ -155,10 +149,10 @@ func TestGuardedReplayConcurrentLanes(t *testing.T) {
 	cfg := fuzzPlatforms()[0]
 	snapshots := func() []astream.Cost {
 		var snaps []astream.Cost
-		if _, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{cfg}, func(c astream.Cost) bool {
+		if _, _, err := astream.Replay(astream.Composition{Sched: sched, Lanes: lanes}, []memsim.Config{cfg}, astream.ReplayOpts{Guard: func(c astream.Cost) bool {
 			snaps = append(snaps, c)
 			return false
-		}); err != nil {
+		}}); err != nil {
 			t.Error(err)
 		}
 		return snaps

@@ -64,7 +64,7 @@ func TestLaneBoundAdmissible(t *testing.T) {
 			// Decoded lanes, memoized: each memoizes its isolated suffix
 			// tables, so every lane pays one isolated pass per geometry.
 			unpacked := make(map[*astream.SubStream]*astream.UnpackedLane)
-			laneBound := func(sub *astream.SubStream, pc memsim.Config) memsim.LaneBound {
+			unpack := func(sub *astream.SubStream) *astream.UnpackedLane {
 				u, ok := unpacked[sub]
 				if !ok {
 					var err error
@@ -73,7 +73,10 @@ func TestLaneBoundAdmissible(t *testing.T) {
 					}
 					unpacked[sub] = u
 				}
-				return astream.LaneBound(u, pc)
+				return u
+			}
+			laneBound := func(sub *astream.SubStream, pc memsim.Config) memsim.LaneBound {
+				return astream.LaneBound(unpack(sub), pc)
 			}
 
 			rng := rand.New(rand.NewSource(int64(97 + len(roles))))
@@ -86,7 +89,11 @@ func TestLaneBoundAdmissible(t *testing.T) {
 					assign[role] = k
 					lanes[i+1] = byKind[k][i+1]
 				}
-				exact, err := astream.ReplayComposedMulti(sched, lanes, cfgs)
+				comp := astream.Composition{Sched: sched, Lanes: make([]*astream.UnpackedLane, len(lanes))}
+				for li, sub := range lanes {
+					comp.Lanes[li] = unpack(sub)
+				}
+				exact, _, err := astream.Replay(comp, cfgs, astream.ReplayOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,14 +182,15 @@ func randomComboLanes(t *testing.T, byKind map[ddt.Kind][]*astream.SubStream, ro
 // recording run finished with the exact cost.
 func guardSnapshots(t *testing.T, sched *astream.Schedule, lanes []*astream.UnpackedLane, pc memsim.Config) (exact astream.Cost, snaps []astream.Cost) {
 	t.Helper()
-	costs, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{pc}, nil)
+	comp := astream.Composition{Sched: sched, Lanes: lanes}
+	costs, _, err := astream.Replay(comp, []memsim.Config{pc}, astream.ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	guarded, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{pc}, func(c astream.Cost) bool {
+	guarded, _, err := astream.Replay(comp, []memsim.Config{pc}, astream.ReplayOpts{Guard: func(c astream.Cost) bool {
 		snaps = append(snaps, c)
 		return false
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,12 +111,10 @@ func TestComposedReplayMatchesArenaLive(t *testing.T) {
 					assign[role] = k
 					lanes[i+1] = byKind[k][i+1]
 				}
+				comp := unpackComposition(t, sched, lanes)
 				for _, pp := range platforms {
 					live := runArena(t, a, cfg, assign, pp.Config)
-					got, err := astream.ReplayComposed(sched, lanes, pp.Config, nil)
-					if err != nil {
-						t.Fatalf("%s on %s: %v", assign, pp.Name, err)
-					}
+					got := replayOne(t, comp, pp.Config)
 					if got.Counts != live.Mem.Counts() {
 						t.Errorf("%s on %s: counts %+v != live %+v", assign, pp.Name, got.Counts, live.Mem.Counts())
 					}
@@ -130,6 +128,31 @@ func TestComposedReplayMatchesArenaLive(t *testing.T) {
 			}
 		})
 	}
+}
+
+// unpackComposition decodes a combination's sub-streams into a
+// Composition with its schedule.
+func unpackComposition(t *testing.T, sched *astream.Schedule, subs []*astream.SubStream) astream.Composition {
+	t.Helper()
+	lanes := make([]*astream.UnpackedLane, len(subs))
+	for i, s := range subs {
+		var err error
+		if lanes[i], err = s.Unpack(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return astream.Composition{Sched: sched, Lanes: lanes}
+}
+
+// replayOne replays src on the single configuration cfg, failing the
+// test on error.
+func replayOne(t *testing.T, src astream.Source, cfg memsim.Config) astream.Cost {
+	t.Helper()
+	costs, _, err := astream.Replay(src, []memsim.Config{cfg}, astream.ReplayOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return costs[0]
 }
 
 // TestEngineComposeMatchesArenaLive pins the engine fast path: a full

@@ -620,31 +620,31 @@ func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Su
 	}
 }
 
-// composedLanes gathers the schedule and the job point's pre-decoded
-// lanes from the cache: the ambient lane plus one unpacked sub-stream
+// composition gathers the schedule and the point's pre-decoded lanes
+// from the cache: the ambient lane plus one unpacked sub-stream
 // per role, selected by the assignment's kind for that role. ok is
 // false as soon as anything is missing.
-func (e *Engine) composedLanes(cfg Config, assign apps.Assignment) (sched *astream.Schedule, lanes []*astream.UnpackedLane, sum apps.Summary, ok bool) {
+func (e *Engine) composition(cfg Config, assign apps.Assignment) (astream.Composition, apps.Summary, bool) {
 	ck := e.keysFor(cfg)
 	sched, ambient, sum, ok := e.cache.lookupSchedule(ck.sched)
 	if !ok {
-		return nil, nil, apps.Summary{}, false
+		return astream.Composition{}, apps.Summary{}, false
 	}
-	lanes = make([]*astream.UnpackedLane, len(sched.Roles)+1)
+	lanes := make([]*astream.UnpackedLane, len(sched.Roles)+1)
 	if lanes[0], ok = e.cache.unpackedLane(ck.sched, ambient, true); !ok {
-		return nil, nil, apps.Summary{}, false
+		return astream.Composition{}, apps.Summary{}, false
 	}
 	for i, role := range sched.Roles {
 		lk := ck.lane(role, apps.KindFor(assign, role))
 		sub, ok := e.cache.lookupLane(lk)
 		if !ok {
-			return nil, nil, apps.Summary{}, false
+			return astream.Composition{}, apps.Summary{}, false
 		}
 		if lanes[i+1], ok = e.cache.unpackedLane(lk, sub, false); !ok {
-			return nil, nil, apps.Summary{}, false
+			return astream.Composition{}, apps.Summary{}, false
 		}
 	}
-	return sched, lanes, sum, true
+	return astream.Composition{Sched: sched, Lanes: lanes}, sum, true
 }
 
 // composeJob satisfies a job by interleaving cached per-role sub-streams
@@ -660,7 +660,7 @@ func (e *Engine) composedLanes(cfg Config, assign apps.Assignment) (sched *astre
 // is an admissible lower bound, so a strictly dominating member proves
 // the exact vector dominated. A cut replay becomes a tombstone.
 func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
-	sched, lanes, sum, ok := e.composedLanes(jb.Cfg, jb.Assign)
+	comp, sum, ok := e.composition(jb.Cfg, jb.Assign)
 	if !ok {
 		return false
 	}
@@ -690,7 +690,7 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 				return false
 			}
 			if !peakKnown {
-				p, ok := e.exactPeak(e.keysFor(jb.Cfg).sched, sched, jb)
+				p, ok := e.exactPeak(e.keysFor(jb.Cfg).sched, comp.Sched, jb)
 				if !ok {
 					return false
 				}
@@ -700,7 +700,7 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 			return dom(v)
 		}
 	}
-	costs, err := astream.ReplayComposedUnpacked(sched, lanes, []memsim.Config{cfg}, g)
+	costs, _, err := astream.Replay(comp, []memsim.Config{cfg}, astream.ReplayOpts{Guard: g})
 	if err != nil {
 		return false
 	}
@@ -825,11 +825,11 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 func (e *Engine) exactPeak(sk string, sched *astream.Schedule, jb Job) (uint64, bool) {
 	var buf [16]byte
 	return e.cache.composedPeak(sk, peakKey(buf[:0], sched.Roles, jb.Assign), func() (uint64, bool) {
-		sched, lanes, _, ok := e.composedLanes(jb.Cfg, jb.Assign)
+		comp, _, ok := e.composition(jb.Cfg, jb.Assign)
 		if !ok {
 			return 0, false
 		}
-		p, err := astream.ComposedPeak(sched, lanes)
+		p, err := astream.ComposedPeak(comp)
 		return p, err == nil
 	})
 }
@@ -894,10 +894,11 @@ func (e *Engine) replayJob(o *Outcome, st *astream.Stream, sum apps.Summary, jb 
 			return guard.dominatedBeyond(replayVector(cfg, model, c))
 		}
 	}
-	cost, err := astream.Replay(st, cfg, g)
+	costs, _, err := astream.Replay(st, []memsim.Config{cfg}, astream.ReplayOpts{Guard: g})
 	if err != nil {
 		return false
 	}
+	cost := costs[0]
 	o.Result = Result{
 		App:     e.app.Name(),
 		Config:  jb.Cfg,
@@ -989,10 +990,12 @@ func (e *Engine) Profile(ctx context.Context, cfg Config) (*profiler.Set, error)
 // executing the application at most once. The platforms are grouped
 // into line-size geometry families (platform.LineFamilies); a family
 // whose cached reuse profile covers every member is answered by pure
-// arithmetic — zero probe passes — and each remaining family costs one
-// all-geometry probe pass over the point's access stream (taken from
-// the cache or captured by a single execution), which also leaves its
-// reuse profile in the cache for the next sweep. Results are exact —
+// arithmetic — zero probe passes — and the remaining families share
+// one all-geometry probe pass (see evalFamilies). Under Compose the
+// pass replays the point's cached composition; without one — or
+// without Compose — it replays the point's access stream, taken from
+// the cache or captured by a single execution. Either pass leaves its
+// reuse profiles in the cache for the next sweep. Results are exact —
 // identical to live simulation on each platform — and are stored in the
 // cache under their full identities. Without a cache to hold the stream
 // it falls back to one live simulation per platform.
@@ -1002,13 +1005,6 @@ func (e *Engine) EvaluatePlatforms(ctx context.Context, cfg Config, assign apps.
 	}
 	if len(platforms) == 0 {
 		return nil, nil
-	}
-	// Compose mode: if the point's profiles or lanes are cached, one
-	// merged pass evaluates every platform without any stream capture.
-	if e.opts.Compose && e.cache != nil {
-		if vecs, ok := e.composePlatforms(cfg, assign, platforms); ok {
-			return vecs, nil
-		}
 	}
 	if e.cache == nil {
 		// Capture unavailable: one live simulation per platform.
@@ -1024,169 +1020,76 @@ func (e *Engine) EvaluatePlatforms(ctx context.Context, cfg Config, assign apps.
 		}
 		return vecs, nil
 	}
-
-	skey := streamKey(e.app.Name(), cfg, assign, e.opts.packets(), e.opts.Arenas)
-	vecs := make([]metrics.Vector, len(platforms))
-	var rest []int // platform indexes the cached profiles cannot answer
-	for _, fam := range platform.LineFamilies(platforms) {
-		if e.profileFamily(skey, cfg, assign, fam, platforms, vecs) {
-			continue
+	// A composed pass that finds no cached composition (or fails) leaves
+	// no trace, so the stream pass below cannot double-count.
+	if e.opts.Compose {
+		if vecs, ok, err := e.evalPlatforms(cfg, assign, platforms, true); ok && err == nil {
+			return vecs, nil
 		}
-		rest = append(rest, fam.Indexes...)
 	}
-	if len(rest) == 0 {
-		return vecs, nil
-	}
-
-	st, sum, err := e.captureStream(cfg, assign)
+	vecs, _, err := e.evalPlatforms(cfg, assign, platforms, false)
 	if err != nil {
 		return nil, err
-	}
-	// One pass over the stream: a single decode drives every remaining
-	// family's all-geometry kernel (the replay planner groups by line
-	// size internally), leaving one reuse profile per family behind.
-	cfgs := make([]memsim.Config, len(rest))
-	for j, i := range rest {
-		cfgs[j] = platforms[i]
-	}
-	costs, profs, err := astream.ReplayMultiProfiled(st, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range profs {
-		e.cache.storeReuseProfile(reuseProfileKey(skey, p.LineBytes), p)
-	}
-	e.replayed.Add(int64(len(rest)))
-	for j, i := range rest {
-		pc := platforms[i]
-		vecs[i] = replayVector(pc, energy.CACTILike(pc), costs[j])
-		e.cache.store(cacheKey(e.app.Name(), cfg, assign, e.opts.packets(), pc, e.opts.Arenas), Result{
-			App:     e.app.Name(),
-			Config:  cfg,
-			Assign:  assign,
-			Vec:     vecs[i],
-			Summary: sum,
-		}, e.exploreCtx)
 	}
 	return vecs, nil
 }
 
-// profileFamily answers one line-size family of a platform evaluation
-// from the point's cached reuse profile alone. It reports false when no
-// profile is cached or any family member is outside the covered cross
-// product, sending the caller to the probe pass.
-func (e *Engine) profileFamily(skey string, cfg Config, assign apps.Assignment, fam platform.LineFamily, platforms []memsim.Config, vecs []metrics.Vector) bool {
-	p := e.cache.lookupReuseProfile(reuseProfileKey(skey, fam.LineBytes))
-	if p == nil {
-		return false
-	}
-	return e.serveProfileFamily(p, skey, cfg, assign, fam, platforms, vecs)
-}
-
-// serveProfileFamily fills vecs for one family from an already-resolved
-// reuse profile (immutable, so the caller may hold it across other
-// cache operations), storing results when the stream or schedule entry
-// still provides the run summary. It reports false when any family
-// member is outside the profile's covered cross product.
-func (e *Engine) serveProfileFamily(p *memsim.ReuseProfile, skey string, cfg Config, assign apps.Assignment, fam platform.LineFamily, platforms []memsim.Config, vecs []metrics.Vector) bool {
-	costs := make([]astream.Cost, len(fam.Indexes))
-	for j, i := range fam.Indexes {
-		var ok bool
-		if costs[j], ok = astream.CostFromProfile(p, platforms[i]); !ok {
-			return false
-		}
-	}
-	// The profile alone has no behavioural summary; only store results
-	// when the identity's stream (or schedule) entry still provides it,
-	// so cached Results never lose their summaries.
-	sum, haveSum := apps.Summary{}, false
-	if e.opts.Compose {
-		_, _, s, ok := e.cache.lookupSchedule(e.keysFor(cfg).sched)
-		sum, haveSum = s, ok
-	} else if _, s, ok := e.cache.lookupStream(skey); ok {
-		sum, haveSum = s, true
-	}
-	for j, i := range fam.Indexes {
-		pc := platforms[i]
-		vecs[i] = replayVector(pc, energy.CACTILike(pc), costs[j])
-		if haveSum {
-			e.cache.store(cacheKey(e.app.Name(), cfg, assign, e.opts.packets(), pc, e.opts.Arenas), Result{
-				App:     e.app.Name(),
-				Config:  cfg,
-				Assign:  assign,
-				Vec:     vecs[i],
-				Summary: sum,
-			}, e.exploreCtx)
-		}
-	}
-	e.profiled.Add(int64(len(fam.Indexes)))
-	return true
-}
-
-// composePlatforms evaluates one simulation point under every platform
-// from compositional state: line-size families covered by the point's
-// cached reuse profile are pure arithmetic, and the rest share a single
-// merged composed replay (one decode of the lanes, one all-geometry
-// kernel per family) when the schedule and all lanes are cached — which
-// also leaves reuse profiles behind. Results are stored under their
-// full identities. The coverage check runs before anything is committed
-// (results, stats), so a false return leaves no trace and the caller's
-// fallback path cannot double-count.
-func (e *Engine) composePlatforms(cfg Config, assign apps.Assignment, platforms []memsim.Config) ([]metrics.Vector, bool) {
+// evalPlatforms is one EvaluatePlatforms pass over the point's cached
+// composition (composed) or its access stream. Results are stored when
+// the point's run summary is known: from the pass's source, or else
+// from the point's cached stream or schedule entry, so cached Results
+// never lose their summaries.
+func (e *Engine) evalPlatforms(cfg Config, assign apps.Assignment, platforms []memsim.Config, composed bool) ([]metrics.Vector, bool, error) {
 	app, packets := e.app.Name(), e.opts.packets()
-	skey := streamKey(app, cfg, assign, packets, true)
-	families := platform.LineFamilies(platforms)
-
-	// Dry run: which families do the cached profiles cover? Profiles
-	// are immutable, so holding the pointers keeps the serve loop below
-	// immune to concurrent eviction.
-	covered := make([]*memsim.ReuseProfile, len(families))
-	var rest []int
-	for fi, fam := range families {
-		p := e.cache.lookupReuseProfile(reuseProfileKey(skey, fam.LineBytes))
-		for _, i := range fam.Indexes {
-			if p != nil && !p.Covers(platforms[i]) {
-				p = nil
+	skey := streamKey(app, cfg, assign, packets, e.opts.Arenas)
+	vecs := make([]metrics.Vector, len(platforms))
+	var (
+		sum              apps.Summary
+		haveSum, settled bool
+	)
+	open := func() (astream.Source, error) {
+		if composed {
+			comp, s, ok := e.composition(cfg, assign)
+			if !ok {
+				return nil, nil
+			}
+			sum, haveSum, settled = s, true, true
+			return comp, nil
+		}
+		st, s, err := e.captureStream(cfg, assign)
+		if err != nil {
+			return nil, err
+		}
+		sum, haveSum, settled = s, true, true
+		return st, nil
+	}
+	put := func(i int, cost astream.Cost, probed bool) {
+		pc := platforms[i]
+		vecs[i] = replayVector(pc, energy.CACTILike(pc), cost)
+		switch {
+		case !probed:
+			e.profiled.Add(1)
+		case composed:
+			e.composed.Add(1)
+		default:
+			e.replayed.Add(1)
+		}
+		if !settled {
+			settled = true
+			if e.opts.Compose {
+				_, _, sum, haveSum = e.cache.lookupSchedule(e.keysFor(cfg).sched)
+			} else {
+				_, sum, haveSum = e.cache.lookupStream(skey)
 			}
 		}
-		covered[fi] = p
-		if p == nil {
-			rest = append(rest, fam.Indexes...)
-		}
-	}
-
-	vecs := make([]metrics.Vector, len(platforms))
-	if len(rest) > 0 {
-		sched, lanes, sum, ok := e.composedLanes(cfg, assign)
-		if !ok {
-			return nil, false // nothing committed yet
-		}
-		cfgs := make([]memsim.Config, len(rest))
-		for j, i := range rest {
-			cfgs[j] = platforms[i]
-		}
-		costs, profs, err := astream.ReplayComposedUnpackedProfiled(sched, lanes, cfgs)
-		if err != nil {
-			return nil, false
-		}
-		for _, p := range profs {
-			e.cache.storeReuseProfile(reuseProfileKey(skey, p.LineBytes), p)
-		}
-		e.composed.Add(int64(len(rest)))
-		for j, i := range rest {
-			pc := platforms[i]
-			vecs[i] = replayVector(pc, energy.CACTILike(pc), costs[j])
-			e.cache.store(cacheKey(app, cfg, assign, packets, pc, true), Result{
+		if haveSum {
+			e.cache.store(cacheKey(app, cfg, assign, packets, pc, e.opts.Arenas), Result{
 				App: app, Config: cfg, Assign: assign, Vec: vecs[i], Summary: sum,
 			}, e.exploreCtx)
 		}
 	}
-	for fi, fam := range families {
-		if p := covered[fi]; p != nil {
-			e.serveProfileFamily(p, skey, cfg, assign, fam, platforms, vecs)
-		}
-	}
-	return vecs, true
+	ok, err := evalFamilies(e.cache, skey, platforms, platform.LineFamilies(platforms), nil, open, put)
+	return vecs, ok, err
 }
 
 // captureStream returns the complete access stream for the point, from

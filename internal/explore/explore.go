@@ -146,13 +146,13 @@ type Options struct {
 	// derived from each lane's ISOLATED probe outcomes (astream.LaneBound:
 	// one LineSim pass per lane and L1 geometry, ~10·K cheap passes
 	// total, shared with the completion bound) and skips the composed
-	// replay entirely
-	// when the live Pareto front already dominates the bound — the
-	// combination provably cannot enter the front. A combination the
-	// bound cannot prune is composed with its replay polled against the
-	// same front: the completion bound (astream.ReplayComposedUnpacked)
-	// is tested with the same margin-free dominance, and a dominated
-	// replay stops mid-walk as an Aborted tombstone. Survivor fronts are
+	// replay entirely when the live Pareto front already dominates the
+	// bound — the combination provably cannot enter the front. A
+	// combination the bound cannot prune is composed with its replay
+	// polled against the same front: the completion bound (a guarded
+	// astream.Replay of its Composition) is tested with the same
+	// margin-free dominance, and a dominated replay stops mid-walk as an
+	// Aborted tombstone. Survivor fronts are
 	// bit-identical to the exhaustive path (the bound never exceeds the
 	// exact cost on any objective, and dominance is transitive); pruned
 	// entries carry the bound vector with Result.Aborted and

@@ -107,15 +107,12 @@ func TestGeomReplayMatchesLiveAllApps(t *testing.T) {
 			pc.EndCapture()
 			st := rec.Finish(false)
 
-			costs, profs, err := astream.ReplayMultiProfiled(st, cfgs)
+			costs, profs, err := astream.Replay(st, cfgs, astream.ReplayOpts{Profile: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, mc := range cfgs {
-				want, err := astream.Replay(st, mc, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := replayOne(t, st, mc)
 				if costs[i] != want {
 					t.Errorf("%s: geom pass %+v != per-config replay %+v", pts[i].Name, costs[i], want)
 				}
@@ -139,21 +136,13 @@ func TestGeomReplayMatchesLiveAllApps(t *testing.T) {
 				return
 			}
 			sched, subs := captureComposedRun(t, a, cfg, assign)
-			lanes := make([]*astream.UnpackedLane, len(subs))
-			for i, s := range subs {
-				if lanes[i], err = s.Unpack(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ccosts, cprofs, err := astream.ReplayComposedUnpackedProfiled(sched, lanes, cfgs)
+			comp := unpackComposition(t, sched, subs)
+			ccosts, cprofs, err := astream.Replay(comp, cfgs, astream.ReplayOpts{Profile: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, mc := range cfgs {
-				want, err := astream.ReplayComposed(sched, subs, mc, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := replayOne(t, comp, mc)
 				if ccosts[i] != want {
 					t.Errorf("%s composed: geom pass %+v != per-config %+v", pts[i].Name, ccosts[i], want)
 				}
@@ -226,6 +215,25 @@ func TestEvaluatePlatformsProfileWarm(t *testing.T) {
 	if st2.Profiled != len(variants) || st2.Simulated != 0 || st2.Replayed != 0 {
 		t.Errorf("warm stats: %+v, want %d profile-served and nothing else", st2, len(variants))
 	}
+
+	// A family the profile covers only in part is not profile-served:
+	// the whole family is probed from a fresh capture, exactly.
+	uncovered := cfgs[1]
+	uncovered.L1.SizeBytes, uncovered.L2.SizeBytes = 512<<10, 8<<20 // an L1 set count no default platform has
+	mixed := []memsim.Config{variants[0], uncovered}
+	eng3 := explore.NewEngine(a, opts)
+	vecs3, err := eng3.EvaluatePlatforms(context.Background(), ref, assign, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pc := range mixed {
+		if live := liveVec(t, a, ref, assign, pc); live.Vec != vecs3[i] {
+			t.Errorf("mixed %d: %+v != live %+v", i, vecs3[i], live.Vec)
+		}
+	}
+	if st3 := eng3.Stats(); st3.Simulated != 1 || st3.Replayed != len(mixed) || st3.Profiled != 0 {
+		t.Errorf("partly covered stats: %+v, want 1 execution and %d replayed", st3, len(mixed))
+	}
 }
 
 // TestReplayPlatformsProfileServed pins the warm-pass counterpart: the
@@ -263,10 +271,15 @@ func TestReplayPlatformsProfileServed(t *testing.T) {
 
 	// Extending the sweep to cross-product variants must be profile
 	// arithmetic: the profile-hit counter moves, and results are exact.
+	// The second extension repeats the first variant, whose results
+	// exist, so it owes one evaluation fewer per stream.
 	before := cache.Stats().ProfileHits
 	variants := crossProductVariants()
-	if n := explore.ReplayPlatforms(cache, variants); n != 2*len(variants) {
-		t.Fatalf("extension performed %d evaluations, want %d", n, 2*len(variants))
+	if n := explore.ReplayPlatforms(cache, variants[:1]); n != 2 {
+		t.Fatalf("first extension performed %d evaluations, want 2", n)
+	}
+	if n := explore.ReplayPlatforms(cache, variants); n != 2*len(variants)-2 {
+		t.Fatalf("extension performed %d evaluations, want %d", n, 2*len(variants)-2)
 	}
 	if after := cache.Stats().ProfileHits; after <= before {
 		t.Errorf("extension did not hit reuse profiles (%d -> %d)", before, after)

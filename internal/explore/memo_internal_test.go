@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/apps"
 	"repro/internal/apps/netapps"
@@ -117,11 +118,11 @@ func randomJob(rng *rand.Rand, ref Config, dominant []string) Job {
 // directly.
 func unmemoizedPeak(t *testing.T, e *Engine, jb Job) uint64 {
 	t.Helper()
-	sched, lanes, _, ok := e.composedLanes(jb.Cfg, jb.Assign)
+	comp, _, ok := e.composition(jb.Cfg, jb.Assign)
 	if !ok {
 		t.Fatalf("lanes of %s not cached", jb.Assign)
 	}
-	p, err := astream.ComposedPeak(sched, lanes)
+	p, err := astream.ComposedPeak(comp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +330,17 @@ func TestLoadLaneProfileSectionFile(t *testing.T) {
 	}
 	if len(rep.Dropped) != 0 || slices.Contains(rep.Sections, "lane-profiles") {
 		t.Fatalf("re-saved file report %+v", rep)
+	}
+}
+
+// TestEngineSizeClass pins explore.Engine inside the 512-byte allocator
+// size class. Crossing it (456 → 520 bytes) measurably raised the
+// campaign benchmark's paper-live setup_s (see the FOUND line on
+// setup_s and allocator size classes in CHANGES.md); a field that must
+// grow the struct belongs behind a pointer, as the keys memo is.
+func TestEngineSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Engine{}); n > 512 {
+		t.Fatalf("unsafe.Sizeof(Engine{}) = %d bytes, want <= 512: struct growth past the 512-byte size class "+
+			"slows paper-live setup_s (CHANGES.md, FOUND line on setup_s and size classes); move the new state behind a pointer", n)
 	}
 }

@@ -14,22 +14,16 @@ import (
 // ReplayPlatforms evaluates every complete captured access stream in the
 // cache against the given platform configurations, storing the exact
 // per-platform results back into the cache — the warm pass of a platform
-// sweep. The platforms are grouped into line-size geometry families
-// (platform.LineFamilies); per stream, each family is served, in order
-// of preference:
-//
-//   - by pure arithmetic from a cached reuse profile covering every
-//     missing family member — zero decode, zero probes;
-//   - by one all-geometry probe pass (astream.ReplayMultiProfiled): the
-//     stream is decoded exactly once for all remaining families, a
-//     single memsim.GeomSim walk per family yields every member's exact
-//     counts, and the reuse profiles stay in the cache so the next
-//     sweep over this identity is arithmetic.
+// sweep. Per stream, the platforms the stream has no finished result for
+// are evaluated by evalFamilies: a line-size family (platform.LineFamilies)
+// whose cached reuse profile covers its missing members is pure
+// arithmetic, and the remaining families share one profiled replay of
+// the stream, whose profiles stay in the cache so the next sweep over
+// this identity is arithmetic.
 //
 // The per-stream units are independent, so they fan out across a
 // bounded worker pool (GOMAXPROCS workers), each reusing the pooled
-// replay scratch. Platforms a stream already has finished results for
-// are skipped; partial streams and streams that fail to decode are
+// replay scratch. Partial streams and streams that fail to decode are
 // skipped (they fall back to live execution on demand). It returns the
 // number of (stream, platform) evaluations performed.
 func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
@@ -66,7 +60,25 @@ func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 		go func() {
 			defer wg.Done()
 			for e := range feed {
-				n.Add(int64(replayPlatformsForStream(c, e, families, platforms, models)))
+				keys := make([]string, len(platforms))
+				for i, pc := range platforms {
+					keys[i] = cacheKey(e.App, e.Cfg, e.Assign, e.Packets, pc, e.Arenas)
+				}
+				// A stream that fails to decode commits nothing and is
+				// skipped; its points fall back to live execution.
+				_, _ = evalFamilies(c, streamKey(e.App, e.Cfg, e.Assign, e.Packets, e.Arenas), platforms, families,
+					func(i int) bool { return !c.has(keys[i]) },
+					func() (astream.Source, error) { return e.Stream, nil },
+					func(i int, cost astream.Cost, _ bool) {
+						c.store(keys[i], Result{
+							App:     e.App,
+							Config:  e.Cfg,
+							Assign:  e.Assign,
+							Vec:     replayVector(platforms[i], models[i], cost),
+							Summary: e.Summary,
+						}, "")
+						n.Add(1)
+					})
 			}
 		}()
 	}
@@ -78,77 +90,82 @@ func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 	return int(n.Load())
 }
 
-// replayPlatformsForStream performs one stream's warm-pass unit,
-// returning the number of (stream, platform) evaluations it stored.
-func replayPlatformsForStream(c *Cache, e streamEntry, families []platform.LineFamily, platforms []memsim.Config, models []energy.Model) int {
-	skey := streamKey(e.App, e.Cfg, e.Assign, e.Packets, e.Arenas)
-	store := func(i int, cost astream.Cost) {
-		c.store(cacheKey(e.App, e.Cfg, e.Assign, e.Packets, platforms[i], e.Arenas), Result{
-			App:     e.App,
-			Config:  e.Cfg,
-			Assign:  e.Assign,
-			Vec:     replayVector(platforms[i], models[i], cost),
-			Summary: e.Summary,
-		}, "")
-	}
-
-	// Per family: nothing missing, profile arithmetic, or queue for the
-	// probe pass. A queued family enters the pass whole — not just its
-	// missing members — so the profile it leaves covers the family's
-	// full cross product.
-	n := 0
-	var rest []int
-	for _, fam := range families {
-		missing := fam.Indexes[:0:0]
+// evalFamilies evaluates one simulation point under platforms, one
+// line-size family at a time. want(i) reports whether platform i still
+// needs a result (nil wants every platform). A family whose cached
+// reuse profile (under the point's stream key skey) covers every wanted
+// member is answered by astream.CostFromProfile — zero decode, zero
+// probes. The other families enter one profiled astream.Replay of the
+// source open returns — whole, so the profiles they leave in the cache
+// cover each family's full cross product — and one walk of the source
+// drives every such family's all-geometry kernel. put receives each
+// wanted platform's exact cost; probed tells a probe-pass cost from a
+// profile-served one.
+//
+// Nothing is committed — no put, no stored profile — until the
+// coverage check is done and the probe pass, if any, has succeeded. A
+// nil source from open (none available) returns false, and a failed
+// pass returns its error; neither leaves a trace, so a caller may fall
+// back to another source without double-counting.
+func evalFamilies(c *Cache, skey string, platforms []memsim.Config, families []platform.LineFamily, want func(int) bool,
+	open func() (astream.Source, error), put func(i int, cost astream.Cost, probed bool)) (bool, error) {
+	wanted := func(i int) bool { return want == nil || want(i) }
+	// Profiles are immutable, so holding the pointers keeps the commit
+	// below immune to concurrent eviction.
+	covered := make([]*memsim.ReuseProfile, len(families))
+	var rest []int // platform indexes the cached profiles cannot answer
+	for fi, fam := range families {
+		var p *memsim.ReuseProfile
+		looked, covers := false, true
 		for _, i := range fam.Indexes {
-			if !c.has(cacheKey(e.App, e.Cfg, e.Assign, e.Packets, platforms[i], e.Arenas)) {
-				missing = append(missing, i)
-			}
-		}
-		if len(missing) == 0 {
-			continue
-		}
-		if p := c.lookupReuseProfile(reuseProfileKey(skey, fam.LineBytes)); p != nil {
-			costs := make([]astream.Cost, len(missing))
-			served := true
-			for j, i := range missing {
-				var ok bool
-				if costs[j], ok = astream.CostFromProfile(p, platforms[i]); !ok {
-					served = false
-					break
-				}
-			}
-			if served {
-				for j, i := range missing {
-					store(i, costs[j])
-				}
-				n += len(missing)
+			if !wanted(i) {
 				continue
 			}
+			if !looked {
+				p, looked = c.lookupReuseProfile(reuseProfileKey(skey, fam.LineBytes)), true
+			}
+			covers = covers && p != nil && p.Covers(platforms[i])
 		}
-		rest = append(rest, fam.Indexes...)
-	}
-	if len(rest) == 0 {
-		return n
+		switch {
+		case !looked: // nothing wanted
+		case covers:
+			covered[fi] = p
+		default:
+			rest = append(rest, fam.Indexes...)
+		}
 	}
 
-	// One decode of the stream drives every queued family's kernel.
-	cfgs := make([]memsim.Config, len(rest))
-	for j, i := range rest {
-		cfgs[j] = platforms[i]
-	}
-	costs, profs, err := astream.ReplayMultiProfiled(e.Stream, cfgs)
-	if err != nil {
-		return n
-	}
-	for _, p := range profs {
-		c.storeReuseProfile(reuseProfileKey(skey, p.LineBytes), p)
-	}
-	for j, i := range rest {
-		if !c.has(cacheKey(e.App, e.Cfg, e.Assign, e.Packets, platforms[i], e.Arenas)) {
-			store(i, costs[j])
-			n++
+	var costs []astream.Cost
+	if len(rest) > 0 {
+		src, err := open()
+		if src == nil || err != nil {
+			return false, err
+		}
+		cfgs := make([]memsim.Config, len(rest))
+		for j, i := range rest {
+			cfgs[j] = platforms[i]
+		}
+		var profs []*memsim.ReuseProfile
+		if costs, profs, err = astream.Replay(src, cfgs, astream.ReplayOpts{Profile: true}); err != nil {
+			return false, err
+		}
+		for _, p := range profs {
+			c.storeReuseProfile(reuseProfileKey(skey, p.LineBytes), p)
 		}
 	}
-	return n
+	for fi, fam := range families {
+		if p := covered[fi]; p != nil {
+			for _, i := range fam.Indexes {
+				if cost, ok := astream.CostFromProfile(p, platforms[i]); ok && wanted(i) {
+					put(i, cost, false)
+				}
+			}
+		}
+	}
+	for j, i := range rest {
+		if wanted(i) {
+			put(i, costs[j], true)
+		}
+	}
+	return true, nil
 }

@@ -131,7 +131,7 @@ func (e *Engine) screenJob(idx int, jb Job, guard *frontGuard) (Outcome, bool) {
 // arithmetic, zero probes), else one sampled composed replay — which
 // leaves its profile behind for the next platform at this rate.
 func (e *Engine) screenCompose(o *Outcome, jb Job) bool {
-	sched, lanes, sum, ok := e.composedLanes(jb.Cfg, jb.Assign)
+	comp, sum, ok := e.composition(jb.Cfg, jb.Assign)
 	if !ok {
 		return false
 	}
@@ -145,7 +145,7 @@ func (e *Engine) screenCompose(o *Outcome, jb Job) bool {
 			return true
 		}
 	}
-	costs, profs, err := astream.ReplayComposedUnpackedProfiledSampled(sched, lanes, []memsim.Config{cfg}, e.sampleShift)
+	costs, profs, err := astream.Replay(comp, []memsim.Config{cfg}, astream.ReplayOpts{Profile: true, SampleShift: e.sampleShift})
 	if err != nil {
 		return false
 	}

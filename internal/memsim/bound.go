@@ -33,11 +33,11 @@ package memsim
 //     own high-water mark, and at least the summed end-of-run live.
 //
 // Both probe arguments hold access by access, so they also price any
-// SUFFIX of a lane's accesses: a guarded composed replay
-// (astream.ReplayComposedUnpacked) bounds its unprobed remainder by
-// charging each lane's isolated misses as L2 hits and its first touches
-// as DRAM fills, and every other probe as an L1 hit — sound under the
-// same latency order BoundEligible requires.
+// SUFFIX of a lane's accesses: a guarded astream.Replay of an
+// astream.Composition bounds its unprobed remainder by charging each
+// lane's isolated misses as L2 hits and its first touches as DRAM
+// fills, and every other probe as an L1 hit — sound under the same
+// latency order BoundEligible requires.
 //
 // Deliberately absent: the lanes' isolated L2 hit/miss split. The
 // composed L2 reference stream is NOT the interleave of the isolated L2

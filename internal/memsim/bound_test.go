@@ -3,11 +3,12 @@ package memsim
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// boundProfile builds a small real lane profile from an all-geometry
-// pass plus hand-set lane aggregates.
+// boundProfile builds a small real profile from an all-geometry pass
+// plus hand-set invariant aggregates.
 func boundProfile(t *testing.T) *ReuseProfile {
 	t.Helper()
 	gs, err := NewGeomSim([]Config{DefaultConfig()})
@@ -18,7 +19,6 @@ func boundProfile(t *testing.T) *ReuseProfile {
 	gs.ProbeAccesses([]uint32{0x1000, 0x1004, 0x9000, 0x1000}, []uint32{4, 4, 64, 4})
 	p := gs.Profile()
 	p.ReadWords, p.WriteWords, p.OpCycles, p.Peak = 16, 5, 40, 512
-	p.ColdLines, p.EndLive = 3, 300
 	return p
 }
 
@@ -186,10 +186,12 @@ func TestBoundEligible(t *testing.T) {
 	}
 }
 
-// encodeV1 writes the version-1 binary form of p (no ColdLines/EndLive),
-// mirroring the pre-bound encoder — the legacy persisted format.
-func encodeV1(p *ReuseProfile) []byte {
-	b := []byte{reuseProfileMagic, reuseProfileV1}
+// encodeLegacy writes the version-1 or version-2 binary form of an
+// exact profile p, mirroring the encoders of those versions — the
+// legacy persisted formats. Version 2 carries the lane slots cold and
+// endLive.
+func encodeLegacy(p *ReuseProfile, version byte, cold, endLive uint64) []byte {
+	b := []byte{reuseProfileMagic, version}
 	b = binary.AppendUvarint(b, uint64(p.LineBytes))
 	b = binary.AppendUvarint(b, p.Probes)
 	b = binary.AppendUvarint(b, p.Pipelined)
@@ -197,6 +199,10 @@ func encodeV1(p *ReuseProfile) []byte {
 	b = binary.AppendUvarint(b, p.WriteWords)
 	b = binary.AppendUvarint(b, p.OpCycles)
 	b = binary.AppendUvarint(b, p.Peak)
+	if version >= reuseProfileV2 {
+		b = binary.AppendUvarint(b, cold)
+		b = binary.AppendUvarint(b, endLive)
+	}
 	b = binary.AppendUvarint(b, uint64(len(p.L1)))
 	for i := range p.L1 {
 		e := &p.L1[i]
@@ -222,23 +228,14 @@ func encodeV1(p *ReuseProfile) []byte {
 	return b
 }
 
-// TestReuseProfileVersionCompat pins the encoding bump: version-1
-// profiles (written before the bound fields existed) still decode, with
-// ColdLines/EndLive zero — a weaker but still admissible bound — while
-// the current encoder round-trips them and rejects inconsistent values.
+// TestReuseProfileVersionCompat pins the encoding's history: version-1
+// and version-2 profiles still decode to the same profile the current
+// encoder round-trips; version 2's retired lane slots are read and
+// dropped, yet slots that are structurally impossible — cold lines
+// above the probe count, end-of-run live bytes above the peak — still
+// reject the profile as corrupt.
 func TestReuseProfileVersionCompat(t *testing.T) {
 	p := boundProfile(t)
-
-	var v1 ReuseProfile
-	if err := v1.UnmarshalBinary(encodeV1(p)); err != nil {
-		t.Fatalf("legacy v1 profile rejected: %v", err)
-	}
-	if v1.ColdLines != 0 || v1.EndLive != 0 {
-		t.Fatalf("v1 decode invented bound fields: %+v", v1)
-	}
-	if v1.Probes != p.Probes || v1.Peak != p.Peak || len(v1.L1) != len(p.L1) {
-		t.Fatalf("v1 decode mangled shared fields: %+v", v1)
-	}
 
 	enc, err := p.MarshalBinary()
 	if err != nil {
@@ -251,30 +248,30 @@ func TestReuseProfileVersionCompat(t *testing.T) {
 	if err := rt.UnmarshalBinary(enc); err != nil {
 		t.Fatal(err)
 	}
-	if rt.ColdLines != p.ColdLines || rt.EndLive != p.EndLive {
-		t.Fatalf("round trip lost bound fields: %+v", rt)
+	if !reflect.DeepEqual(&rt, p) {
+		t.Fatalf("round trip changed the profile:\n%+v\nwant\n%+v", &rt, p)
 	}
 
-	// ColdLines exceeding the probe count, or EndLive exceeding the
-	// lane's own peak, are structurally impossible and must be rejected,
-	// not silently trusted — either would inflate the "lower" bound
-	// past the exact cost.
-	bad := *p
-	bad.ColdLines = bad.Probes + 1
-	encBad, err := bad.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	for _, legacy := range []struct {
+		name string
+		enc  []byte
+	}{
+		{"v1", encodeLegacy(p, reuseProfileV1, 0, 0)},
+		{"v2", encodeLegacy(p, reuseProfileV2, 3, 300)},
+	} {
+		var got ReuseProfile
+		if err := got.UnmarshalBinary(legacy.enc); err != nil {
+			t.Fatalf("legacy %s profile rejected: %v", legacy.name, err)
+		}
+		if !reflect.DeepEqual(&got, &rt) {
+			t.Fatalf("legacy %s decode differs from the current round trip:\n%+v\nwant\n%+v", legacy.name, &got, &rt)
+		}
 	}
-	if err := new(ReuseProfile).UnmarshalBinary(encBad); err == nil {
+
+	if err := new(ReuseProfile).UnmarshalBinary(encodeLegacy(p, reuseProfileV2, p.Probes+1, 300)); err == nil {
 		t.Fatal("cold lines > probes accepted")
 	}
-	tall := *p
-	tall.EndLive = tall.Peak + 1
-	encTall, err := tall.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := new(ReuseProfile).UnmarshalBinary(encTall); err == nil {
+	if err := new(ReuseProfile).UnmarshalBinary(encodeLegacy(p, reuseProfileV2, 3, p.Peak+1)); err == nil {
 		t.Fatal("end-live > peak accepted")
 	}
 }

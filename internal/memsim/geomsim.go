@@ -899,15 +899,6 @@ type ReuseProfile struct {
 	OpCycles   uint64
 	Peak       uint64
 
-	// Lane lower-bound ingredients of version 2: the distinct lines and
-	// end-of-run live bytes of an isolated per-lane profile. No current
-	// pass writes them — lane bounds come from astream's isolated suffix
-	// tables — so every profile built today leaves both zero; they stay
-	// in the encoding so that older profiles keep decoding and
-	// validating.
-	ColdLines uint64
-	EndLive   uint64
-
 	// Spatial-sampling descriptor (version 3; zero on exact profiles).
 	// SampleShift k means the histograms were collected over a
 	// hash-selected 2^-k fraction of the distinct lines: they sum to
@@ -1064,7 +1055,6 @@ func (p *ReuseProfile) Merge(o *ReuseProfile) *ReuseProfile {
 	if p.LineBytes != o.LineBytes || p.Probes != o.Probes || p.Pipelined != o.Pipelined ||
 		p.ReadWords != o.ReadWords || p.WriteWords != o.WriteWords ||
 		p.OpCycles != o.OpCycles || p.Peak != o.Peak ||
-		p.ColdLines != o.ColdLines || p.EndLive != o.EndLive ||
 		p.SampleShift != o.SampleShift || p.SampledProbes != o.SampledProbes ||
 		p.SampledLines != o.SampledLines {
 		return p
@@ -1073,7 +1063,6 @@ func (p *ReuseProfile) Merge(o *ReuseProfile) *ReuseProfile {
 		LineBytes: p.LineBytes, Probes: p.Probes, Pipelined: p.Pipelined,
 		ReadWords: p.ReadWords, WriteWords: p.WriteWords,
 		OpCycles: p.OpCycles, Peak: p.Peak,
-		ColdLines: p.ColdLines, EndLive: p.EndLive,
 		SampleShift: p.SampleShift, SampledProbes: p.SampledProbes,
 		SampledLines: p.SampledLines,
 	}
@@ -1155,12 +1144,14 @@ func (p *ReuseProfile) String() string {
 // structure hard — power-of-two geometry, canonical ordering, and that
 // every histogram sums (with its Deep bucket) to exactly the probe
 // count its level must account for — so a corrupt or truncated profile
-// errors instead of silently miscounting. Version 2 appends the lane
-// lower-bound aggregates (ColdLines, EndLive); version 3 appends the
-// spatial-sampling descriptor (SampleShift, and when nonzero
-// SampledProbes/SampledLines plus per-entry Sq variance arrays).
-// Version 1 and 2 profiles still decode, with the newer fields zero —
-// i.e. as exact profiles with a weaker but still admissible bound.
+// errors instead of silently miscounting. Version 2 appended two lane
+// aggregates (distinct lines, end-of-run live bytes) of the isolated
+// lane profiles that lane bounds no longer use; the encoder writes both
+// slots as zero, and the decoder still reads and range-checks them —
+// so a corrupt older profile is still rejected — and then drops them.
+// Version 3 appends the spatial-sampling descriptor (SampleShift, and
+// when nonzero SampledProbes/SampledLines plus per-entry Sq variance
+// arrays). Version 1 and 2 profiles still decode, as exact profiles.
 const (
 	reuseProfileMagic   = 0xD7 // first byte of every encoded profile
 	reuseProfileV1      = 1
@@ -1183,8 +1174,7 @@ func (p *ReuseProfile) MarshalBinary() ([]byte, error) {
 	b = binary.AppendUvarint(b, p.WriteWords)
 	b = binary.AppendUvarint(b, p.OpCycles)
 	b = binary.AppendUvarint(b, p.Peak)
-	b = binary.AppendUvarint(b, p.ColdLines)
-	b = binary.AppendUvarint(b, p.EndLive)
+	b = append(b, 0, 0) // the retired version-2 lane slots
 	b = binary.AppendUvarint(b, uint64(p.SampleShift))
 	if p.SampleShift > 0 {
 		b = binary.AppendUvarint(b, p.SampledProbes)
@@ -1360,22 +1350,23 @@ func (p *ReuseProfile) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	if version >= reuseProfileV2 {
-		if out.ColdLines, err = d.uvarint(); err != nil {
+		// The retired lane slots: still validated, then dropped.
+		cold, err := d.uvarint()
+		if err != nil {
 			return err
 		}
-		if out.EndLive, err = d.uvarint(); err != nil {
+		endLive, err := d.uvarint()
+		if err != nil {
 			return err
 		}
-		if out.ColdLines > out.Probes {
-			return fmt.Errorf("memsim: reuse profile cold lines %d exceed %d probes", out.ColdLines, out.Probes)
+		if cold > out.Probes {
+			return fmt.Errorf("memsim: reuse profile cold lines %d exceed %d probes", cold, out.Probes)
 		}
 		// A lane's live bytes at run end can never exceed its own
 		// high-water mark (per segment, the net delta is bounded by the
-		// in-segment max delta). Enforcing it keeps a corrupt profile
-		// from inflating the footprint floor past the exact composed
-		// peak — which would make the "lower bound" inadmissible.
-		if out.EndLive > out.Peak {
-			return fmt.Errorf("memsim: reuse profile end-live %d exceeds peak %d", out.EndLive, out.Peak)
+		// in-segment max delta).
+		if endLive > out.Peak {
+			return fmt.Errorf("memsim: reuse profile end-live %d exceeds peak %d", endLive, out.Peak)
 		}
 	}
 	if version >= reuseProfileVersion {
