@@ -18,9 +18,9 @@ import (
 // combinations the live front already dominates must beat the PR-4
 // composed path — which still pays one composed probe pass per
 // combination — by >= 2x cold, with the survivor front bit-identical
-// (pinned by TestBoundPrunedDRRGrid). FlatPrune keeps both arms on the
-// linear scan; the tree search on top of this is pinned by
-// BenchmarkBranchBoundExploration.
+// (pinned by TestBoundPrunedDRRGrid). The pruned arm is the default
+// branch-and-bound search; BenchmarkBranchBoundExploration measures it
+// on FlowMon's 10^5-combination space too.
 //
 //   - cold: both arms start from nothing and pay their own ~10·K lane
 //     captures; the pruned arm additionally pays ~10·K isolated lane
@@ -47,8 +47,8 @@ func BenchmarkBoundPrunedExploration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(s1.Results) != 1000 {
-			b.Fatalf("expected 1000 combinations, got %d", len(s1.Results))
+		if s1.Simulations != 1000 {
+			b.Fatalf("expected 1000 combinations, got %d", s1.Simulations)
 		}
 		return time.Since(t0), eng.Stats()
 	}
@@ -56,7 +56,7 @@ func BenchmarkBoundPrunedExploration(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			composed, _ := run(b, explore.Options{TracePackets: packets, DominantK: 3, Compose: true})
-			pruned, st := run(b, explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true, FlatPrune: true})
+			pruned, st := run(b, explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true})
 			if st.Pruned == 0 {
 				b.Fatal("bound-guided arm pruned nothing")
 			}
@@ -94,7 +94,7 @@ func BenchmarkBoundPrunedExploration(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			composed, cst := run(b, explore.Options{TracePackets: packets, DominantK: 3, Compose: true,
 				Cache: load(b), Platform: &other})
-			pruned, st := run(b, explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true, FlatPrune: true,
+			pruned, st := run(b, explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true,
 				Cache: load(b), Platform: &other})
 			if cst.Simulated != 0 || st.Simulated != 0 {
 				b.Fatalf("warm arms executed %d/%d simulations", cst.Simulated, st.Simulated)
@@ -110,13 +110,13 @@ func BenchmarkBoundPrunedExploration(b *testing.B) {
 	})
 }
 
-// BenchmarkBranchBoundExploration pins the tentpole claim of the
-// best-first branch-and-bound tree search against the PR-5 LINEAR
-// bound-pruned scan (the FlatPrune arm): on the 10^5-combination
-// FlowMon space the tree search must win >= 5x by cutting dominated
-// lane-prefix subtrees in bulk — regions the linear scan still pays one
-// per-combination bound check (and job) each for. Both arms produce
-// bit-identical survivor fronts (pinned by TestBranchBoundK5FrontIdentity).
+// BenchmarkBranchBoundExploration measures the best-first
+// branch-and-bound tree search against the exhaustive composed scan,
+// which pays one composed replay per combination: on the
+// 10^5-combination FlowMon space the tree search cuts dominated
+// lane-prefix subtrees in bulk and composes only the rest. Both arms
+// produce bit-identical survivor fronts (pinned by
+// TestBranchBoundK5FrontIdentity).
 //
 //   - cold: both arms pay the same ~10·K lane captures and profile
 //     passes; the branch-and-bound arm seeds the front with the ten
@@ -142,6 +142,7 @@ func BenchmarkBranchBoundExploration(b *testing.B) {
 		}
 		ref := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 		base := explore.Options{TracePackets: c.packets, DominantK: c.k, BoundPrune: true}
+		exhaustive := explore.Options{TracePackets: c.packets, DominantK: c.k, Compose: true}
 
 		run := func(b *testing.B, opts explore.Options) (time.Duration, explore.EngineStats, *explore.Step1Result) {
 			b.Helper()
@@ -156,7 +157,7 @@ func BenchmarkBranchBoundExploration(b *testing.B) {
 			}
 			return time.Since(t0), eng.Stats(), s1
 		}
-		report := func(b *testing.B, flat, bb time.Duration, s1 *explore.Step1Result) {
+		report := func(b *testing.B, ex, bb time.Duration, s1 *explore.Step1Result) {
 			b.Helper()
 			matPruned := 0
 			for _, r := range s1.Results {
@@ -169,20 +170,18 @@ func BenchmarkBranchBoundExploration(b *testing.B) {
 				b.Fatalf("tree search accounts for %d materialized + %d bulk-cut of %d",
 					len(s1.Results), bulk, c.space)
 			}
-			b.ReportMetric(float64(flat.Milliseconds()), "flat-ms")
+			b.ReportMetric(float64(ex.Milliseconds()), "exhaustive-ms")
 			b.ReportMetric(float64(bb.Milliseconds()), "branchbound-ms")
-			b.ReportMetric(float64(flat)/float64(bb), "speedup-x")
+			b.ReportMetric(float64(ex)/float64(bb), "speedup-x")
 			b.ReportMetric(float64(bulk)/float64(c.space), "cut-ratio")
 			b.ReportMetric(float64(len(s1.Results)), "materialized")
 		}
 
 		b.Run(fmt.Sprintf("%s-K%d/cold", c.app, c.k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				flatOpts := base
-				flatOpts.FlatPrune = true
-				flat, _, _ := run(b, flatOpts)
+				ex, _, _ := run(b, exhaustive)
 				bb, _, s1 := run(b, base)
-				report(b, flat, bb, s1)
+				report(b, ex, bb, s1)
 			}
 		})
 
@@ -207,17 +206,16 @@ func BenchmarkBranchBoundExploration(b *testing.B) {
 				return c
 			}
 			for i := 0; i < b.N; i++ {
-				flatOpts := base
-				flatOpts.FlatPrune = true
-				flatOpts.Cache, flatOpts.Platform = load(b), &other
-				flat, fst, _ := run(b, flatOpts)
+				exOpts := exhaustive
+				exOpts.Cache, exOpts.Platform = load(b), &other
+				ex, est, _ := run(b, exOpts)
 				bbOpts := base
 				bbOpts.Cache, bbOpts.Platform = load(b), &other
 				bb, st, s1 := run(b, bbOpts)
-				if fst.Simulated != 0 || st.Simulated != 0 {
-					b.Fatalf("warm arms executed %d/%d simulations", fst.Simulated, st.Simulated)
+				if est.Simulated != 0 || st.Simulated != 0 {
+					b.Fatalf("warm arms executed %d/%d simulations", est.Simulated, st.Simulated)
 				}
-				report(b, flat, bb, s1)
+				report(b, ex, bb, s1)
 			}
 		})
 	}

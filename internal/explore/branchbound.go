@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"container/heap"
 	"context"
+	"iter"
 	"math"
 	"slices"
 	"sort"
@@ -38,13 +39,6 @@ import (
 // (it swaps a floor for a real lane), so the pop sequence is monotone
 // non-decreasing in the scalarized priority — the best-first invariant
 // TestBranchBoundMonotoneExpansion pins.
-
-// bbLeaf is one surviving combination the searcher hands to the worker
-// pool.
-type bbLeaf struct {
-	combo  int
-	assign apps.Assignment
-}
 
 // bbNode is one lane-prefix node: roles 0..depth-1 of the dominant slate
 // carry the base-10 digits of base (most significant first, matching
@@ -455,75 +449,54 @@ func (s *bbSearcher) node(depth, base int, acc memsim.LaneBound) *bbNode {
 	return &bbNode{depth: depth, base: base, acc: acc, vec: vec, prio: s.priority(vec)}
 }
 
-// assignment materializes the leaf's combination (most significant digit
-// = level 0), matching the flat CombinationSeq job order.
-func (s *bbSearcher) assignment(combo int) apps.Assignment {
-	assign := make(apps.Assignment, len(s.roles))
-	for i := len(s.roles) - 1; i >= 0; i-- {
-		assign[s.roles[i]] = ddt.Kind(combo % ddt.NumKinds)
-		combo /= ddt.NumKinds
-	}
-	return assign
-}
-
-// search runs the best-first loop: pop the lowest-bound prefix, cut its
-// whole subtree when the live front already dominates the bound
-// (emitting the width of the uncounted leaves), emit surviving leaves to
-// the worker pool, expand surviving inner nodes one level. skip marks
-// combinations already materialized (the seeds): they are excluded from
-// both leaf emission and cut widths, so every combination is accounted
-// exactly once. The emit callbacks return false to stop the search
-// (cancellation).
-func (s *bbSearcher) search(ctx context.Context, skip map[int]bool, emitLeaf func(bbLeaf) bool, emitCut func(width int) bool) {
-	h := bbHeap{s.node(0, 0, s.baseAcc)}
-	k := len(s.roles)
-	for len(h) > 0 {
-		if ctx.Err() != nil {
-			return
-		}
-		n := heap.Pop(&h).(*bbNode)
-		s.engine.bbExpanded.Add(1)
-		if s.onPop != nil {
-			s.onPop(n)
-		}
-		if s.cuts(n) {
-			width := s.widths[n.depth]
-			for seed := range skip {
-				if seed >= n.base && seed < n.base+s.widths[n.depth] {
-					width--
-				}
-			}
-			if width > 0 && !emitCut(width) {
+// search is the best-first loop, an iterator over the combination
+// indexes of the leaves to resolve: pop the lowest-bound prefix, cut its
+// whole subtree when the front already dominates the bound (reporting
+// the width of the uncounted leaves to cut), yield a surviving leaf,
+// expand a surviving inner node one level. skip marks combinations
+// already materialized (the seeds): they are excluded from both leaf
+// emission and cut widths, so every combination is accounted exactly
+// once. The search runs on its consumer's goroutine, so each pop reads
+// the front as the consumer last left it; it stops when ctx is
+// cancelled or the consumer stops.
+func (s *bbSearcher) search(ctx context.Context, skip map[int]bool, cut func(width int)) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		h := bbHeap{s.node(0, 0, s.baseAcc)}
+		k := len(s.roles)
+		for len(h) > 0 {
+			if ctx.Err() != nil {
 				return
 			}
-			continue
-		}
-		if n.depth == k {
-			if skip[n.base] {
+			n := heap.Pop(&h).(*bbNode)
+			s.engine.bbExpanded.Add(1)
+			if s.onPop != nil {
+				s.onPop(n)
+			}
+			if s.cuts(n) {
+				width := s.widths[n.depth]
+				for seed := range skip {
+					if seed >= n.base && seed < n.base+s.widths[n.depth] {
+						width--
+					}
+				}
+				if width > 0 {
+					cut(width)
+				}
 				continue
 			}
-			if !emitLeaf(bbLeaf{combo: n.base, assign: s.assignment(n.base)}) {
-				return
+			if n.depth == k {
+				if !skip[n.base] && !yield(n.base) {
+					return
+				}
+				continue
 			}
-			continue
-		}
-		for kind := 0; kind < ddt.NumKinds; kind++ {
-			acc := n.acc
-			acc.Accumulate(s.bounds[n.depth][kind])
-			heap.Push(&h, s.node(n.depth+1, n.base+kind*s.widths[n.depth+1], acc))
+			for kind := 0; kind < ddt.NumKinds; kind++ {
+				acc := n.acc
+				acc.Accumulate(s.bounds[n.depth][kind])
+				heap.Push(&h, s.node(n.depth+1, n.base+kind*s.widths[n.depth+1], acc))
+			}
 		}
 	}
-}
-
-// comboIndex recovers a job's combination index from its assignment —
-// the inverse of bbSearcher.assignment, used by the collector to tag
-// results without threading indexes through the job stream.
-func comboIndex(assign apps.Assignment, dominant []string) int {
-	idx := 0
-	for _, role := range dominant {
-		idx = idx*ddt.NumKinds + int(apps.KindFor(assign, role))
-	}
-	return idx
 }
 
 // step1BranchBound is the bound-guided Step1 body: seed, search, cut.
@@ -534,12 +507,11 @@ func comboIndex(assign apps.Assignment, dominant []string) int {
 // captures the flat scan pays, just scheduled up front — while their
 // exact results open the Pareto front. Phase 2 assembles the per-role
 // bound tables (memoized lane bounds; on a warm cache this costs map
-// lookups). Phase 3 is the best-first search: a single searcher
-// goroutine owns the priority queue and streams surviving leaves to the
-// worker pool, while subtree cuts flow to the collector as bulk widths;
-// the collector feeds finished results to the shared front guard, so
-// every landed outcome tightens the very bound tests that decide the
-// next cuts.
+// lookups). Phase 3 is the best-first search, run as the job iterator
+// of the engine's driver: every surviving leaf goes to the worker pool,
+// every subtree cut settles its width on the spot, and because a guarded
+// driver lands each epoch before it draws again, every pop tests its
+// bound against a front that holds every result drawn before it.
 //
 // Results holds only materialized combinations (sorted by combination
 // index); cut subtrees appear solely in the Pruned width count. The
@@ -549,8 +521,6 @@ func comboIndex(assign apps.Assignment, dominant []string) int {
 // never enter any later front.
 func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Step1Result) error {
 	dominant, total := s1.DominantRoles, s1.Simulations
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	guard := newFrontGuard(e.opts.abortMargin())
 	guardFor := func(Job) *frontGuard { return guard }
 
@@ -560,12 +530,11 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 	}
 	var mat []materialized
 	done := 0
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
+	progress := func(n int) {
+		done += n
+		if e.opts.Progress != nil {
+			e.opts.Progress(done, total)
 		}
-		cancel()
 	}
 	sc := ckptScope{step: 1, front: guard.points}
 	land := func(o Outcome) {
@@ -574,123 +543,45 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 		if !o.Result.Aborted {
 			guard.add(o.Result.Point(combo))
 		}
-		done++
-		e.noteSettled(1, sc)
-		if e.opts.Progress != nil {
-			e.opts.Progress(done, total)
-		}
+		progress(1)
+	}
+	// A subtree cut settles its whole leaf width in one step: the
+	// watermark composes with bulk tombstones by width, so materialized
+	// + cut counts still sum to the space.
+	cut := func(width int) {
+		e.pruned.Add(int64(width))
+		e.bbCuts.Add(1)
+		s1.Pruned += width
+		e.noteSettled(int64(width), sc)
+		progress(width)
 	}
 
 	// Phase 1: seeds. combination index of all-kind-j is j * repunit.
-	skip := make(map[int]bool, ddt.NumKinds)
 	repunit := (total - 1) / (ddt.NumKinds - 1)
-	seedJobs := func(yield func(Job) bool) {
-		for j := 0; j < ddt.NumKinds; j++ {
-			skip[j*repunit] = true
-			if !yield(Job{Cfg: reference, Assign: e.assignFromCombo(dominant, j*repunit)}) {
-				return
-			}
-		}
+	seeds := make([]int, ddt.NumKinds)
+	skip := make(map[int]bool, ddt.NumKinds)
+	for j := range seeds {
+		seeds[j] = j * repunit
+		skip[seeds[j]] = true
 	}
-	for o := range e.stream(runCtx, seedJobs, guardFor) {
-		if o.Err != nil {
-			fail(o.Err)
-			continue
-		}
-		land(o)
-	}
-	if firstErr != nil {
-		return firstErr
+	if err := e.run(ctx, comboJobs(reference, dominant, slices.Values(seeds)), guardFor, false, sc, land); err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		e.fireCheckpoint(sc, false) // cancelled mid-seed: snapshot for resume
 		return err
 	}
 
-	// Phase 2: bound tables.
-	searcher, ok := e.newBBSearcher(reference, dominant, guard)
-
-	// Phase 3: search the rest of the tree — or, if any lane is still
-	// unavailable (a seed aborted before capture, cache eviction), fall
-	// back to the flat scan over the unseeded combinations; per-leaf
+	// Phase 2: bound tables. Phase 3: search the rest of the tree — or,
+	// if any lane is still unavailable (a seed aborted before capture,
+	// cache eviction), scan the unseeded combinations flat; per-leaf
 	// pruneJob still applies there, only subtree cutting is lost.
-	leafCh := make(chan bbLeaf, e.workers())
-	cutCh := make(chan int, e.workers())
-	go func() {
-		defer close(leafCh)
-		defer close(cutCh)
-		if !ok {
-			for combo := 0; combo < total; combo++ {
-				if skip[combo] {
-					continue
-				}
-				select {
-				case leafCh <- bbLeaf{combo: combo, assign: e.assignFromCombo(dominant, combo)}:
-				case <-runCtx.Done():
-					return
-				}
-			}
-			return
-		}
-		searcher.search(runCtx, skip,
-			func(lf bbLeaf) bool {
-				select {
-				case leafCh <- lf:
-					return true
-				case <-runCtx.Done():
-					return false
-				}
-			},
-			func(width int) bool {
-				select {
-				case cutCh <- width:
-					return true
-				case <-runCtx.Done():
-					return false
-				}
-			})
-	}()
-	jobs := func(yield func(Job) bool) {
-		for lf := range leafCh {
-			if !yield(Job{Cfg: reference, Assign: lf.assign}) {
-				return
-			}
-		}
+	rest := combos(total, skip)
+	if searcher, ok := e.newBBSearcher(reference, dominant, guard); ok {
+		rest = searcher.search(ctx, skip, cut)
 	}
-	outs := e.stream(runCtx, jobs, guardFor)
-	cuts := cutCh
-	for outs != nil || cuts != nil {
-		select {
-		case o, open := <-outs:
-			if !open {
-				outs = nil
-				continue
-			}
-			if o.Err != nil {
-				fail(o.Err)
-				continue
-			}
-			land(o)
-		case w, open := <-cuts:
-			if !open {
-				cuts = nil
-				continue
-			}
-			e.pruned.Add(int64(w))
-			e.bbCuts.Add(1)
-			s1.Pruned += w
-			done += w
-			// A subtree cut settles its whole leaf width in one step:
-			// the watermark composes with bulk tombstones by width, so
-			// materialized + cut counts still sum to the space.
-			e.noteSettled(int64(w), sc)
-			if e.opts.Progress != nil {
-				e.opts.Progress(done, total)
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
+	if err := e.run(ctx, comboJobs(reference, dominant, rest), guardFor, false, sc, land); err != nil {
+		return err
 	}
 	if err := ctx.Err(); err != nil {
 		e.fireCheckpoint(sc, false) // cancelled mid-search: snapshot for resume
@@ -718,15 +609,4 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 		}
 	}
 	return nil
-}
-
-// assignFromCombo decodes a combination index into the assignment of the
-// dominant slate, least significant digit on the last role.
-func (e *Engine) assignFromCombo(dominant []string, combo int) apps.Assignment {
-	assign := make(apps.Assignment, len(dominant))
-	for i := len(dominant) - 1; i >= 0; i-- {
-		assign[dominant[i]] = ddt.Kind(combo % ddt.NumKinds)
-		combo /= ddt.NumKinds
-	}
-	return assign
 }

@@ -70,9 +70,9 @@ func TestBranchBoundMonotoneExpansion(t *testing.T) {
 				}
 			}
 		}
-		searcher.search(context.Background(), map[int]bool{},
-			func(bbLeaf) bool { leaves++; return true },
-			func(w int) bool { cuts += w; return true })
+		for range searcher.search(context.Background(), map[int]bool{}, func(w int) { cuts += w }) {
+			leaves++
+		}
 		return pops, leaves, cuts
 	}
 
@@ -124,9 +124,9 @@ func TestBranchBoundSeedsExcludedFromCuts(t *testing.T) {
 	}
 	guard.add(pareto.Point{Label: "zero", Vec: metrics.Vector{}})
 	leaves, cuts := 0, 0
-	searcher.search(context.Background(), skip,
-		func(bbLeaf) bool { leaves++; return true },
-		func(w int) bool { cuts += w; return true })
+	for range searcher.search(context.Background(), skip, func(w int) { cuts += w }) {
+		leaves++
+	}
 	if leaves != 0 {
 		t.Fatalf("zero front emitted %d leaves", leaves)
 	}
@@ -197,9 +197,8 @@ func TestFootFloorMatchesFullScan(t *testing.T) {
 				early++
 			}
 		}
-		searcher.search(context.Background(), map[int]bool{},
-			func(bbLeaf) bool { return true },
-			func(int) bool { return true })
+		for range searcher.search(context.Background(), map[int]bool{}, func(int) {}) {
+		}
 	}
 
 	for i, sv := range s1.Survivors {

@@ -669,21 +669,6 @@ func (c *Cache) storeProfile(key string, p *profiler.Set) {
 	c.pm.Unlock()
 }
 
-// cacheFile is the persistent form of a pre-v4 (single gob struct)
-// cache file, kept for legacy decoding. Streams, lane sub-streams,
-// schedules and reuse profiles are optional (SaveWithStreams);
-// dominance profiles are runtime-only. Files written before a field
-// existed decode it as empty; the isolated lane profiles older files
-// carry (LProfiles) are skipped, since gob ignores fields the struct no
-// longer has.
-type cacheFile struct {
-	Entries   map[string]cacheEntry
-	Streams   map[string]streamEntry
-	Lanes     map[string]*astream.SubStream
-	Scheds    map[string]schedEntry
-	RProfiles map[string]*memsim.ReuseProfile
-}
-
 // Save serializes the cached results to w (gob), without the access
 // streams; use SaveWithStreams to persist those too. Counters are not
 // saved.
@@ -700,7 +685,7 @@ func (c *Cache) SaveWithStreams(w io.Writer) error {
 }
 
 // save and Load live in cache_io.go: the sectioned v4 format with
-// per-section CRC32C framing, the legacy decoders, and the atomic
+// per-section CRC32C framing, its salvaging loader, and the atomic
 // SaveFile path.
 
 // cacheKey renders the complete identity of one simulation: the

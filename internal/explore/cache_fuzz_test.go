@@ -2,16 +2,19 @@ package explore
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"testing"
 
+	"repro/internal/apps/netapps"
 	"repro/internal/memsim"
 )
 
-// fuzzSeedImages builds one encoding of every format Load accepts —
-// sectioned v4 (lean and with streams), the legacy cacheFile struct,
-// and the original bare entry map — from a cache holding an entry of
-// every persisted kind.
+// fuzzSeedImages builds the sectioned encodings Load accepts — lean and
+// with streams, from a cache holding an entry of every persisted kind;
+// with one compositional capture's schedule and lanes; and with the
+// isolated lane-profile section older writers emitted, which a load
+// skips.
 func fuzzSeedImages(tb testing.TB) [][]byte {
 	tb.Helper()
 	gs, err := memsim.NewGeomSim([]memsim.Config{memsim.DefaultConfig()})
@@ -37,19 +40,31 @@ func fuzzSeedImages(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 
-	var legacyStruct bytes.Buffer
-	if err := gob.NewEncoder(&legacyStruct).Encode(cacheFile{
-		Entries: map[string]cacheEntry{"k1": {Result: Result{App: "URL"}, Ctx: "prune=0 k=2"}},
-	}); err != nil {
+	a, err := netapps.ByName("Route")
+	if err != nil {
 		tb.Fatal(err)
 	}
-	var legacyMap bytes.Buffer
-	if err := gob.NewEncoder(&legacyMap).Encode(map[string]cacheEntry{
-		"k1": {Result: Result{App: "URL"}, Ctx: "prune=0 k=2"},
-	}); err != nil {
+	eng := NewEngine(a, Options{TracePackets: 4, Compose: true})
+	if _, err := eng.Simulate(context.Background(), Configs(a)[0], nil); err != nil {
 		tb.Fatal(err)
 	}
-	return [][]byte{lean.Bytes(), full.Bytes(), legacyStruct.Bytes(), legacyMap.Bytes()}
+	var composed bytes.Buffer
+	if err := eng.Cache().SaveWithStreams(&composed); err != nil {
+		tb.Fatal(err)
+	}
+
+	var lp bytes.Buffer
+	if err := gob.NewEncoder(&lp).Encode(map[string]*memsim.ReuseProfile{"lp": prof}); err != nil {
+		tb.Fatal(err)
+	}
+	end := lean.Len() - frameHeaderLen - 4 // the end marker: a header and an empty payload's CRC
+	var withLP bytes.Buffer
+	withLP.Write(lean.Bytes()[:end])
+	if err := writeFrame(&withLP, secLProfiles, lp.Bytes()); err != nil {
+		tb.Fatal(err)
+	}
+	withLP.Write(lean.Bytes()[end:])
+	return [][]byte{lean.Bytes(), full.Bytes(), composed.Bytes(), withLP.Bytes()}
 }
 
 // FuzzCacheLoad throws arbitrary bytes — seeded with every real cache
@@ -103,18 +118,15 @@ func FuzzCacheLoad(f *testing.F) {
 // TestCacheLoadMutationSweep is the deterministic core of the fuzz
 // contract, run on every plain `go test`: for each real encoding, every
 // truncation length and a bit flip at every offset must either load
-// (possibly salvaging) or fail cleanly — never panic. Legacy formats
-// carry no checksums, so a flipped byte may decode to garbage or error;
-// the sectioned format must additionally never hard-fail past its
-// preamble — a damaged section drops or truncates the scan while the
-// rest loads.
+// (possibly salvaging) or fail cleanly — never panic — and never
+// hard-fail past its preamble: a damaged section drops or truncates the
+// scan while the rest loads.
 func TestCacheLoadMutationSweep(t *testing.T) {
 	for _, img := range fuzzSeedImages(t) {
-		sectioned := bytes.HasPrefix(img, []byte(cacheMagic))
 		preamble := len(cacheMagic) + 4
 		for n := 0; n <= len(img); n++ {
 			_, err := NewCache().LoadReported(bytes.NewReader(img[:n]))
-			if err != nil && sectioned && n >= preamble {
+			if err != nil && n >= preamble {
 				t.Fatalf("sectioned image truncated to %d bytes: hard error %v, want salvage", n, err)
 			}
 		}
@@ -122,7 +134,7 @@ func TestCacheLoadMutationSweep(t *testing.T) {
 			mut := append([]byte(nil), img...)
 			mut[off] ^= 0xA5
 			_, err := NewCache().LoadReported(bytes.NewReader(mut))
-			if err != nil && sectioned && off >= preamble {
+			if err != nil && off >= preamble {
 				t.Fatalf("sectioned image flipped at %d: hard error %v, want salvage or truncation", off, err)
 			}
 		}

@@ -10,8 +10,10 @@ import (
 	"repro/internal/memsim"
 )
 
-// TestLoadLegacyCacheFormat pins that cache files written before the
-// access-stream format — a bare gob entry map — still load.
+// TestLoadLegacyCacheFormat pins that a file written before the
+// sectioned format — a bare gob entry map — is refused cleanly: an
+// error, no panic, and nothing merged into the cache it was loaded
+// into. The CLI moves such a file aside and runs cold.
 func TestLoadLegacyCacheFormat(t *testing.T) {
 	legacy := map[string]cacheEntry{
 		"k1": {Result: Result{App: "URL"}, Ctx: "prune=0 k=2"},
@@ -21,13 +23,13 @@ func TestLoadLegacyCacheFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCache()
-	if err := c.Load(&buf); err != nil {
-		t.Fatalf("legacy cache rejected: %v", err)
+	c.store("k0", Result{App: "Route"}, "")
+	if err := c.Load(&buf); err == nil {
+		t.Fatal("legacy cache accepted")
 	}
-	if r, ok := c.lookup("k1", false, ""); !ok || r.App != "URL" {
-		t.Fatalf("legacy entry missing: %+v ok=%v", r, ok)
+	if _, ok := c.lookup("k1", false, ""); ok || c.Len() != 1 {
+		t.Fatalf("refused load merged entries: %d held", c.Len())
 	}
-	// Garbage must still error.
 	if err := NewCache().Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
 		t.Fatal("garbage cache file accepted")
 	}
@@ -253,61 +255,6 @@ func TestSampledProfilesNotPersisted(t *testing.T) {
 	}
 	if loaded.lookupSampledProfile(key) != nil {
 		t.Fatal("sampled profile survived a save/load round trip")
-	}
-}
-
-// legacyCacheFile mirrors the persisted cache format as written before
-// lane profiles existed (PR 4): gob matches fields by name, so encoding
-// this struct is byte-compatible with an old process's SaveWithStreams.
-type legacyCacheFile struct {
-	Entries   map[string]cacheEntry
-	Streams   map[string]streamEntry
-	Lanes     map[string]*astream.SubStream
-	Scheds    map[string]schedEntry
-	RProfiles map[string]*memsim.ReuseProfile
-}
-
-// laneProfileCacheFile is the same legacy format as written while the
-// cache persisted isolated lane profiles.
-type laneProfileCacheFile struct {
-	Entries   map[string]cacheEntry
-	Streams   map[string]streamEntry
-	RProfiles map[string]*memsim.ReuseProfile
-	LProfiles map[string]*memsim.ReuseProfile
-}
-
-// TestLoadPreLaneProfileCacheFormat pins that legacy single-struct
-// cache files still load whether or not they carry lane profiles:
-// everything else they hold survives, and the lane profiles are
-// skipped (bounds are rederived from the lanes).
-func TestLoadPreLaneProfileCacheFormat(t *testing.T) {
-	legacy := legacyCacheFile{
-		Entries:   map[string]cacheEntry{"k": {Result: Result{App: "URL"}}},
-		Streams:   map[string]streamEntry{"s": {App: "URL", Packets: 1, Stream: mkStream(false)}},
-		RProfiles: map[string]*memsim.ReuseProfile{"rp": mkReuseProfile(t)},
-	}
-	for name, v := range map[string]any{
-		"pre-lane-profile": legacy,
-		"with-lane-profiles": laneProfileCacheFile{
-			Entries: legacy.Entries, Streams: legacy.Streams, RProfiles: legacy.RProfiles,
-			LProfiles: map[string]*memsim.ReuseProfile{"lp": mkReuseProfile(t)},
-		},
-	} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			t.Fatal(err)
-		}
-		c := NewCache()
-		rep, err := c.LoadReported(&buf)
-		if err != nil {
-			t.Fatalf("%s: legacy cache rejected: %v", name, err)
-		}
-		if rep.Format != "legacy-struct" || len(rep.Dropped) != 0 || rep.Truncated {
-			t.Fatalf("%s: load report %+v", name, rep)
-		}
-		if st := c.Stats(); st.Entries != 1 || st.Streams != 1 || st.ReuseProfiles != 1 {
-			t.Fatalf("%s: legacy load mangled stores: %+v", name, st)
-		}
 	}
 }
 

@@ -37,11 +37,9 @@ import (
 // before the end marker is a torn write: everything up to the last
 // complete frame loads, the tail is reported as truncation.
 //
-// Files written by earlier versions — the gob cacheFile struct, or the
-// original bare entry map — carry no magic and are detected from a
-// bounded prefix (the gob type-descriptor region names the top-level
-// struct within the first few hundred bytes), then decoded by streaming
-// straight from the reader: no format needs the whole file resident.
+// Files written before version 4 — a gob struct or a bare gob entry
+// map — carry no magic and are refused like any other non-cache input;
+// the cache is a memo, and a cold run rebuilds it.
 const (
 	cacheMagic   = "DDTCACHE"
 	cacheVersion = 4
@@ -211,11 +209,10 @@ type LoadReport struct {
 // Load merges previously saved cache contents from r, overwriting
 // entries with equal keys (except that a loaded partial stream never
 // replaces a complete one, mirroring storeStream). It is how repeated
-// CLI runs skip simulations earlier runs already paid for. All prior
-// formats still load: the sectioned v4 format, the gob cacheFile
-// struct, and the original bare entry map. Salvageable damage (a
-// corrupt section, a truncated tail) is absorbed silently here; use
-// LoadReported to observe it.
+// CLI runs skip simulations earlier runs already paid for. Only the
+// sectioned v4 format loads. Salvageable damage (a corrupt section, a
+// truncated tail) is absorbed silently here; use LoadReported to
+// observe it.
 func (c *Cache) Load(r io.Reader) error {
 	_, err := c.LoadReported(r)
 	return err
@@ -241,12 +238,6 @@ func (c *Cache) LoadFileFS(fs faultio.ReadFS, path string) (LoadReport, error) {
 	return c.LoadReported(f)
 }
 
-// legacyProbeBytes bounds the prefix the format probe may examine:
-// past the start of the gob type-descriptor region (the top-level
-// type's descriptor begins within the first handful of bytes) while
-// staying ahead of map payload data, which could contain anything.
-const legacyProbeBytes = 256
-
 // LoadReported is Load with salvage reporting. The error is reserved
 // for unusable input — an unreadable reader, an unsupported version, a
 // file that is not a cache at all; checksum-dropped sections and torn
@@ -254,17 +245,16 @@ const legacyProbeBytes = 256
 func (c *Cache) LoadReported(r io.Reader) (LoadReport, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	head, _ := br.Peek(len(cacheMagic) + 4)
-	if len(head) >= len(cacheMagic)+4 && string(head[:len(cacheMagic)]) == cacheMagic {
-		version := binary.LittleEndian.Uint32(head[len(cacheMagic):])
-		if version != cacheVersion {
-			return LoadReport{}, fmt.Errorf("explore: loading simulation cache: unsupported format version %d", version)
-		}
-		if _, err := br.Discard(len(cacheMagic) + 4); err != nil {
-			return LoadReport{}, fmt.Errorf("explore: loading simulation cache: %w", err)
-		}
-		return c.loadSectioned(br)
+	if len(head) < len(cacheMagic)+4 || string(head[:len(cacheMagic)]) != cacheMagic {
+		return LoadReport{}, fmt.Errorf("explore: loading simulation cache: not a version-%d cache file", cacheVersion)
 	}
-	return c.loadLegacy(br)
+	if version := binary.LittleEndian.Uint32(head[len(cacheMagic):]); version != cacheVersion {
+		return LoadReport{}, fmt.Errorf("explore: loading simulation cache: unsupported format version %d", version)
+	}
+	if _, err := br.Discard(len(cacheMagic) + 4); err != nil {
+		return LoadReport{}, fmt.Errorf("explore: loading simulation cache: %w", err)
+	}
+	return c.loadSectioned(br)
 }
 
 // loadSectioned scans the v4 frame sequence, merging every section
@@ -409,9 +399,8 @@ func (c *Cache) stageSection(id byte, r io.Reader) (func(), error) {
 }
 
 // safeDecode gob-decodes one value with panics converted to errors:
-// corrupt bytes that slip past a checksum (or arrive via a legacy
-// format, which has none) must surface as a clean load failure, never
-// a crash.
+// corrupt bytes that slip past a checksum must surface as a clean load
+// failure, never a crash.
 func safeDecode(r io.Reader, v any) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -419,39 +408,6 @@ func safeDecode(r io.Reader, v any) (err error) {
 		}
 	}()
 	return gob.NewDecoder(r).Decode(v)
-}
-
-// loadLegacy decodes the pre-v4 formats by streaming from the reader.
-// The two legacy layouts are told apart from a bounded prefix: the gob
-// type-descriptor region of the struct format names its top-level type
-// ("cacheFile") within the first few hundred bytes, while the bare
-// entry map has no named top-level type. Decoding then streams the
-// whole file through gob directly — no full-file buffering.
-func (c *Cache) loadLegacy(br *bufio.Reader) (LoadReport, error) {
-	var rep LoadReport
-	prefix, _ := br.Peek(legacyProbeBytes)
-	var f cacheFile
-	// Case-insensitive: historical writers named the struct cacheFile;
-	// compatibility fixtures re-encode it under names like
-	// legacyCacheFile, which gob matches field-by-field regardless.
-	if bytes.Contains(bytes.ToLower(prefix), []byte("cachefile")) {
-		rep.Format = "legacy-struct"
-		if err := safeDecode(br, &f); err != nil {
-			return rep, fmt.Errorf("explore: loading simulation cache: %w", err)
-		}
-	} else {
-		rep.Format = "legacy-map"
-		if err := safeDecode(br, &f.Entries); err != nil {
-			return rep, fmt.Errorf("explore: loading simulation cache: %w", err)
-		}
-	}
-	c.mergeEntries(f.Entries)
-	c.mergeStreams(f.Streams)
-	c.mergeLanes(f.Lanes)
-	c.mergeScheds(f.Scheds)
-	c.mergeRProfiles(f.RProfiles)
-	rep.Sections = append(rep.Sections, "legacy")
-	return rep, nil
 }
 
 // mergeEntries merges loaded results, overwriting equal keys.

@@ -150,10 +150,10 @@ func (c *Cache) Checkpoint() (Checkpoint, bool) {
 	return ck, true
 }
 
-// ckptScope is the step-local context a collector threads into settled
+// ckptScope is the step-local context a step threads into settled
 // accounting: which methodology step is running and how to snapshot
 // its survivor front (and, for distributed campaigns, the coordinator
-// bookkeeping). Checkpoints fire on the step's collector goroutine, so
+// bookkeeping). Checkpoints fire on the goroutine that runs the step, so
 // front() needs no synchronization beyond the guard's.
 type ckptScope struct {
 	step  int
@@ -184,7 +184,7 @@ func (e *Engine) LastCheckpoint() (Checkpoint, bool) {
 
 // noteSettled advances the watermark by n settled jobs and fires a
 // checkpoint when the total crosses a multiple of
-// Options.CheckpointEvery. Called from collector goroutines only (one
+// Options.CheckpointEvery. Called from step goroutines only (one
 // per running step), so checkpoint assembly never races a guard
 // mutation from its own step.
 func (e *Engine) noteSettled(n int64, sc ckptScope) {

@@ -18,7 +18,9 @@ import (
 )
 
 // resumeModes are the three step-1 strategies a campaign can be
-// interrupted under; resumption must be front-identical for each.
+// interrupted under — the guarded flat scan, the branch-and-bound
+// search and two-phase screening; resumption must be front-identical
+// for each.
 func resumeModes() []struct {
 	name string
 	opts explore.Options
@@ -27,7 +29,7 @@ func resumeModes() []struct {
 		name string
 		opts explore.Options
 	}{
-		{"flat-bound-pruned", explore.Options{TracePackets: 200, BoundPrune: true, FlatPrune: true}},
+		{"flat-early-abort", explore.Options{TracePackets: 200, EarlyAbort: true}},
 		{"branch-and-bound", explore.Options{TracePackets: 200, BoundPrune: true}},
 		{"sampled-screening", explore.Options{TracePackets: 200, SampleRate: explore.DefaultSampleRate}},
 	}

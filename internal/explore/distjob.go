@@ -77,7 +77,7 @@ func (e *Engine) PlanStep1(ctx context.Context, ref Config) (dominant []string, 
 // bijection that lets a coordinator re-derive any job of the step-1
 // space from its index alone.
 func (e *Engine) AssignForCombo(dominant []string, combo int) apps.Assignment {
-	return e.assignFromCombo(dominant, combo)
+	return assignFor(dominant, combo)
 }
 
 // RemoteGuard is the worker-side dominance guard for a leased shard:
@@ -239,7 +239,7 @@ func (e *Engine) ResolveJobLive(spec JobSpec) JobOutcome {
 // SettleExternal advances the settled-job watermark for n jobs settled
 // by an external campaign driver (a distributed coordinator merging
 // remote results), firing periodic checkpoints exactly as the engine's
-// own collectors do. front snapshots the campaign's survivor front;
+// own steps do. front snapshots the campaign's survivor front;
 // dist snapshots the distributed bookkeeping carried in the
 // checkpoint. Either may be nil.
 func (e *Engine) SettleExternal(n int64, step int, front func() []pareto.Point, dist func() *DistState) {

@@ -1,11 +1,13 @@
 package explore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,9 +42,9 @@ type Job struct {
 	Assign apps.Assignment
 }
 
-// Outcome is one streamed simulation outcome. Index is the job's position
-// in the submission order, so callers can reassemble deterministic slices
-// from the completion-ordered stream.
+// Outcome is one resolved job. Index is the job's position in the draw
+// order, so steps can reassemble deterministic slices however the
+// outcomes land.
 type Outcome struct {
 	Index     int
 	Job       Job
@@ -90,7 +92,7 @@ type EngineStats struct {
 
 // Engine is the streaming exploration driver: it expands combination and
 // configuration spaces lazily, schedules simulations over a bounded worker
-// pool, streams results as they finish, maintains the step-1 survivor
+// pool, lands results as they finish, maintains the step-1 survivor
 // front incrementally, consults the simulation cache before running
 // anything, and (optionally) aborts simulations the front has already
 // dominated. One Engine serves one application; it is safe for concurrent
@@ -304,6 +306,51 @@ func CombinationSeq(k int) iter.Seq[[]ddt.Kind] {
 	}
 }
 
+// assignFor decodes combination index combo into the assignment of the
+// dominant slate: combo's base-10 digits, most significant on the first
+// role — CombinationSeq order. comboIndex is its inverse.
+func assignFor(dominant []string, combo int) apps.Assignment {
+	assign := make(apps.Assignment, len(dominant))
+	for i := len(dominant) - 1; i >= 0; i-- {
+		assign[dominant[i]] = ddt.Kind(combo % ddt.NumKinds)
+		combo /= ddt.NumKinds
+	}
+	return assign
+}
+
+// comboIndex recovers a job's combination index from its assignment.
+func comboIndex(assign apps.Assignment, dominant []string) int {
+	idx := 0
+	for _, role := range dominant {
+		idx = idx*ddt.NumKinds + int(apps.KindFor(assign, role))
+	}
+	return idx
+}
+
+// combos yields the combination indexes 0..total-1 that skip does not
+// mark, in order.
+func combos(total int, skip map[int]bool) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for c := range total {
+			if !skip[c] && !yield(c) {
+				return
+			}
+		}
+	}
+}
+
+// comboJobs yields the step-1 job on ref of every combination index
+// seq yields.
+func comboJobs(ref Config, dominant []string, seq iter.Seq[int]) iter.Seq[Job] {
+	return func(yield func(Job) bool) {
+		for c := range seq {
+			if !yield(Job{Cfg: ref, Assign: assignFor(dominant, c)}) {
+				return
+			}
+		}
+	}
+}
+
 // ConfigSeq yields the application's network configurations in Configs
 // order without materializing the trace x knob cross product.
 func ConfigSeq(a apps.App) iter.Seq[Config] {
@@ -320,7 +367,7 @@ func ConfigSeq(a apps.App) iter.Seq[Config] {
 }
 
 // frontGuard is the concurrency-safe wrapper around the incremental
-// Pareto front the streaming steps maintain: the collector adds finished
+// Pareto front the streaming steps maintain: landing adds finished
 // results, worker goroutines ask it whether a running simulation is
 // already hopeless.
 type frontGuard struct {
@@ -394,73 +441,116 @@ func (g *frontGuard) points() []pareto.Point {
 	return g.front.Points()
 }
 
-type indexedJob struct {
-	idx   int
-	job   Job
-	guard *frontGuard
-}
-
-// Stream schedules the jobs over the bounded worker pool and returns the
-// channel the outcomes arrive on, in completion order. The channel closes
-// once every scheduled job has reported or the context is cancelled;
-// after cancellation, jobs not yet started are dropped. Exactly
-// Options.Workers (default GOMAXPROCS) goroutines simulate at any moment,
-// however large the job space is.
-func (e *Engine) Stream(ctx context.Context, jobs iter.Seq[Job]) <-chan Outcome {
-	return e.stream(ctx, jobs, nil)
-}
-
-// stream is Stream plus the per-job early-abort guard hookup used by the
-// methodology steps. guardFor is called from the feeder goroutine only.
-func (e *Engine) stream(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job) *frontGuard) <-chan Outcome {
-	return e.streamMode(ctx, jobs, guardFor, false)
-}
-
-// streamMode is stream with the screening switch: screen routes every
-// job through the sampled phase-one path first (screenJob). The flag is
-// per-stream, not engine state, so a screening phase and an exact
-// verification phase of the same engine can overlap safely.
-func (e *Engine) streamMode(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job) *frontGuard, screen bool) <-chan Outcome {
-	out := make(chan Outcome)
-	feed := make(chan indexedJob)
-
-	go func() { // feeder: lazily expands the job space
-		defer close(feed)
-		i := 0
-		for jb := range jobs {
-			ij := indexedJob{idx: i, job: jb}
-			if guardFor != nil {
-				ij.guard = guardFor(jb)
-			}
-			select {
-			case feed <- ij:
-			case <-ctx.Done():
-				return
-			}
-			i++
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers(); w++ {
-		wg.Add(1)
+// run resolves the jobs over the bounded worker pool: exactly
+// Options.Workers (default GOMAXPROCS) goroutines resolve jobs, however
+// large the job space is. The job iterator, guardFor and land all run
+// on the calling goroutine only, so land — guard adds, the settled
+// watermark under sc, Progress — never races the iterator or itself.
+// Outcome.Index is the job's draw position. screen offers every job to
+// the sampled phase-one path first (see runJobMode).
+//
+// With guardFor set, jobs read fronts that landing grows, so the pool
+// advances in epochs: it draws at most Workers jobs, waits for all of
+// them, and lands them in draw order before it draws again. No front a
+// job reads changes while that job runs, so every prune, subtree cut
+// and abort is decided against the same front on every run. Without a
+// guard nothing reads the landing order: a job is drawn as soon as
+// another lands, and the pool stays full.
+//
+// The lowest-index error is returned. An error or a cancelled ctx stops
+// the draws; the jobs in flight still finish and land.
+func (e *Engine) run(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job) *frontGuard, screen bool, sc ckptScope, land func(Outcome)) error {
+	type task struct {
+		idx   int
+		job   Job
+		guard *frontGuard
+	}
+	workers := e.workers()
+	feed := make(chan task)
+	// done holds every job that can be in flight, so a worker never
+	// blocks on an outcome the caller is not yet waiting for.
+	done := make(chan Outcome, workers)
+	defer close(feed)
+	for range workers {
 		go func() {
-			defer wg.Done()
-			for ij := range feed {
-				o := e.runJobMode(ij.idx, ij.job, ij.guard, screen)
-				select {
-				case out <- o:
-				case <-ctx.Done():
-					return
-				}
+			for t := range feed {
+				done <- e.runJobMode(t.idx, t.job, t.guard, screen)
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
+	var (
+		firstErr error
+		errIdx   int
+		inFlight int
+		epoch    []Outcome
+	)
+	settle := func(o Outcome) {
+		if o.Err != nil {
+			if firstErr == nil || o.Index < errIdx {
+				firstErr, errIdx = o.Err, o.Index
+			}
+			return
+		}
+		land(o)
+		e.noteSettled(1, sc)
+	}
+	// wait receives outcomes until at most n jobs are in flight; in
+	// epoch mode it lands them in draw order once the pool is empty.
+	wait := func(n int) {
+		for ; inFlight > n; inFlight-- {
+			o := <-done
+			if guardFor == nil {
+				settle(o)
+				continue
+			}
+			epoch = append(epoch, o)
+		}
+		if inFlight == 0 {
+			slices.SortFunc(epoch, func(a, b Outcome) int { return cmp.Compare(a.Index, b.Index) })
+			for _, o := range epoch {
+				settle(o)
+			}
+			epoch = epoch[:0]
+		}
+	}
+	idx := 0
+	for jb := range jobs {
+		if ctx.Err() != nil || firstErr != nil {
+			break
+		}
+		t := task{idx: idx, job: jb}
+		if guardFor != nil {
+			t.guard = guardFor(jb)
+		}
+		feed <- t
+		idx++
+		if inFlight++; inFlight == workers {
+			if guardFor != nil {
+				wait(0)
+			} else {
+				wait(workers - 1)
+			}
+		}
+	}
+	wait(0)
+	return firstErr
+}
+
+// landAt returns the land callback of a step whose outcomes fill
+// results by index: each live (non-aborted) outcome also goes to add,
+// and Progress counts against len(results).
+func (e *Engine) landAt(results []Result, add func(Outcome)) func(Outcome) {
+	done := 0
+	return func(o Outcome) {
+		results[o.Index] = o.Result
+		if !o.Result.Aborted {
+			add(o)
+		}
+		done++
+		if e.opts.Progress != nil {
+			e.opts.Progress(done, len(results))
+		}
+	}
 }
 
 // runJob resolves one job along the cheapest sound path: exact-key cache
@@ -1129,37 +1219,6 @@ func (e *Engine) captureStream(cfg Config, assign apps.Assignment) (*astream.Str
 	return st, sum, nil
 }
 
-// collect drains a stream into an index-ordered result slice, feeding
-// each live result to sink (when non-nil) as it lands. It returns the
-// lowest-index error, if any; on error it cancels the stream's context
-// so unstarted jobs are dropped while in-flight ones drain. total is
-// only used for progress reporting. Every delivered outcome advances
-// the settled watermark under sc, which fires periodic checkpoints.
-func (e *Engine) collect(cancel context.CancelFunc, outcomes <-chan Outcome, results []Result, total int, sc ckptScope, sink func(Outcome)) error {
-	var firstErr error
-	firstErrIdx := len(results) + 1
-	done := 0
-	for o := range outcomes {
-		if o.Err != nil {
-			if o.Index < firstErrIdx {
-				firstErr, firstErrIdx = o.Err, o.Index
-			}
-			cancel() // stop feeding; in-flight simulations still drain
-			continue
-		}
-		results[o.Index] = o.Result
-		if sink != nil && !o.Result.Aborted {
-			sink(o)
-		}
-		done++
-		e.noteSettled(1, sc)
-		if e.opts.Progress != nil {
-			e.opts.Progress(done, total)
-		}
-	}
-	return firstErr
-}
-
 // Step1 performs the application-level DDT exploration as a stream:
 // profile for dominance, then push all 10^k combinations of the dominant
 // roles through the worker pool, maintaining the 4-metric survivor front
@@ -1167,15 +1226,17 @@ func (e *Engine) collect(cancel context.CancelFunc, outcomes <-chan Outcome, res
 // the running front has already dominated (beyond Options.AbortMargin)
 // are stopped mid-simulation; their entries in Results carry partial
 // vectors and Aborted set, and they are — provably — never survivors.
+// Guarded jobs run in epochs (see run), so the discard counts repeat
+// from run to run.
 //
-// With bound pruning active (and Options.FlatPrune off), the flat scan
-// is replaced by the best-first branch-and-bound search over lane
-// prefixes (see step1BranchBound): whole subtrees of the combination
-// tree are cut against the live front before enumeration, Results holds
-// only the materialized combinations (sorted by combination index), and
-// Pruned counts every discarded combination whether it was cut in bulk
-// or individually. Simulations, the survivor set and all fronts are
-// identical either way.
+// With bound pruning active, the flat scan is replaced by the
+// best-first branch-and-bound search over lane prefixes (see
+// step1BranchBound): whole subtrees of the combination tree are cut
+// against the front before enumeration, Results holds only the
+// materialized combinations (sorted by combination index), and Pruned
+// counts every discarded combination whether it was cut in bulk or
+// individually. The survivor set and all fronts are identical to the
+// flat scan's.
 func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, error) {
 	probes, err := e.Profile(ctx, reference)
 	if err != nil {
@@ -1191,44 +1252,29 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 		return e.step1Screened(ctx, reference, probes, dominant, total)
 	}
 
-	if e.boundPruneActive() && !e.opts.FlatPrune {
-		s1 := &Step1Result{
-			DominantRoles: dominant,
-			Profile:       probes,
-			Reference:     reference,
-			Simulations:   total,
-		}
+	s1 := &Step1Result{
+		DominantRoles: dominant,
+		Profile:       probes,
+		Reference:     reference,
+		Simulations:   total,
+	}
+	if e.boundPruneActive() {
 		if err := e.step1BranchBound(ctx, reference, s1); err != nil {
 			return nil, err
 		}
 		return s1, nil
 	}
 
-	jobs := func(yield func(Job) bool) {
-		for combo := range CombinationSeq(len(dominant)) {
-			assign := make(apps.Assignment, len(dominant))
-			for r, role := range dominant {
-				assign[role] = combo[r]
-			}
-			if !yield(Job{Cfg: reference, Assign: assign}) {
-				return
-			}
-		}
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	guard := newFrontGuard(e.opts.abortMargin())
 	var guardFor func(Job) *frontGuard
 	if e.guarded() {
 		guardFor = func(Job) *frontGuard { return guard }
 	}
-
 	sc := ckptScope{step: 1, front: guard.points}
 	results := make([]Result, total)
-	err = e.collect(cancel, e.stream(runCtx, jobs, guardFor), results, total, sc, func(o Outcome) {
+	err = e.run(ctx, comboJobs(reference, dominant, combos(total, nil)), guardFor, false, sc, e.landAt(results, func(o Outcome) {
 		guard.add(o.Result.Point(o.Index))
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -1237,13 +1283,7 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 		return nil, err
 	}
 
-	s1 := &Step1Result{
-		DominantRoles: dominant,
-		Profile:       probes,
-		Reference:     reference,
-		Results:       results,
-		Simulations:   total,
-	}
+	s1.Results = results
 	switch e.opts.Prune {
 	case PruneBestPerMetric:
 		s1.Survivors = pruneBestPerMetric(results)
@@ -1296,8 +1336,6 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 		}
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	var guardFor func(Job) *frontGuard
 	if e.guarded() {
 		guardFor = func(jb Job) *frontGuard { return guards[jb.Cfg.String()] }
@@ -1308,11 +1346,11 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 	// step-1 survivor front (see fireCheckpoint).
 	sc := ckptScope{step: 2}
 	results := make([]Result, total)
-	err := e.collect(cancel, e.stream(runCtx, jobs, guardFor), results, total, sc, func(o Outcome) {
+	err := e.run(ctx, jobs, guardFor, false, sc, e.landAt(results, func(o Outcome) {
 		if g := guards[o.Job.Cfg.String()]; g != nil {
 			g.add(o.Result.Point(o.Index))
 		}
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package explore_test
 import (
 	"bytes"
 	"context"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -245,38 +244,6 @@ func TestEngineCancellation(t *testing.T) {
 	}
 	if n := done.Load(); n >= 100 {
 		t.Fatalf("all %d simulations completed despite cancellation", n)
-	}
-}
-
-func TestEngineStreamDirect(t *testing.T) {
-	app := faultyApp{}
-	eng := explore.NewEngine(app, explore.Options{TracePackets: 50, Workers: 4})
-	cfgs := explore.Configs(app)
-	jobs := func(yield func(explore.Job) bool) {
-		for _, cfg := range cfgs {
-			for _, kind := range ddt.AllKinds() {
-				assign := apps.Assignment{"victim": kind, "bystander": apps.OriginalKind}
-				if !yield(explore.Job{Cfg: cfg, Assign: assign}) {
-					return
-				}
-			}
-		}
-	}
-	seen := make(map[int]bool)
-	var mu sync.Mutex
-	for o := range eng.Stream(context.Background(), jobs) {
-		if o.Err != nil {
-			t.Fatal(o.Err)
-		}
-		mu.Lock()
-		if seen[o.Index] {
-			t.Fatalf("index %d delivered twice", o.Index)
-		}
-		seen[o.Index] = true
-		mu.Unlock()
-	}
-	if len(seen) != len(cfgs)*ddt.NumKinds {
-		t.Fatalf("stream delivered %d outcomes, want %d", len(seen), len(cfgs)*ddt.NumKinds)
 	}
 }
 

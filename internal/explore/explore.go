@@ -14,7 +14,9 @@
 // The exploration runs on the Engine: combination and configuration
 // spaces are expanded lazily (CombinationSeq, ConfigSeq — nothing
 // materializes the 10^k table), simulations are scheduled over a bounded
-// worker pool, and results stream back in completion order. The step-1
+// worker pool, and results land on the step's own goroutine — in
+// epochs of Options.Workers jobs, in draw order, whenever a front
+// guards them, so no guarded job sees its front move while it runs. The step-1
 // survivor set is maintained as an incremental Pareto front
 // (pareto.OnlineFront) while results arrive, instead of being filtered at
 // a barrier afterwards; with Options.EarlyAbort the same running front
@@ -102,7 +104,9 @@ type Options struct {
 
 	// Workers bounds the Engine's simulation worker pool. Zero selects
 	// GOMAXPROCS. The pool size is the number of goroutines that exist,
-	// not merely the number allowed to run.
+	// not merely the number allowed to run. Guarded steps run in epochs
+	// of Workers jobs, so their discard counts depend on Workers;
+	// survivors and fronts do not.
 	Workers int
 	// Cache supplies a shared simulation cache; nil gives each Engine a
 	// private one. Share a Cache to carry results across methodology
@@ -165,16 +169,6 @@ type Options struct {
 	// cross-configuration averaged charts (it lacks full configuration
 	// coverage), while every step front stays exact.
 	BoundPrune bool
-	// FlatPrune forces the linear scan even when BoundPrune is active:
-	// every combination is enumerated and bound-checked individually
-	// against the live front, instead of the default best-first
-	// branch-and-bound search that cuts whole lane-prefix subtrees
-	// before enumeration. Survivors and fronts are identical either way;
-	// the flag exists as the benchmark baseline the searcher is measured
-	// against, and for consumers that need a per-combination Result for
-	// every point of the space (branch-and-bound compacts Results to the
-	// materialized combinations).
-	FlatPrune bool
 	// SampleRate, when in (0, 1), turns Step1 into a two-phase screening
 	// exploration (implies Compose, and so Arenas; requires a cache and
 	// the PruneFront survivor strategy — otherwise the run is exact).
@@ -227,9 +221,9 @@ type Options struct {
 	CheckpointEvery int
 	// Checkpoint, when set, receives every campaign snapshot the engine
 	// records — periodic, cancellation and terminal ones. It runs on the
-	// firing step's collector goroutine, so a slow callback (persisting
-	// the cache file is the typical one) back-pressures collection, not
-	// the simulation workers.
+	// goroutine that called the step, where results land, so a slow
+	// callback (persisting the cache file is the typical one) delays
+	// landing and the next draws, never a running simulation.
 	Checkpoint func(Checkpoint)
 }
 

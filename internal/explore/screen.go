@@ -52,7 +52,9 @@ func (e *Engine) screenSlack() float64 {
 	return math.Float64frombits(e.screenMaxCI.Load())
 }
 
-// noteScreenCI folds one estimate's half-width into the running max.
+// noteScreenCI folds one landed estimate's half-width into the running
+// max. Only landing calls it, so no job sees the slack move while it
+// runs.
 func (e *Engine) noteScreenCI(ci float64) {
 	for {
 		old := e.screenMaxCI.Load()
@@ -75,7 +77,6 @@ func (e *Engine) screenJob(idx int, jb Job, guard *frontGuard) (Outcome, bool) {
 	key := screenKey(e.jobKey(jb.Cfg, jb.Assign), e.sampleShift)
 	if r, ok := e.cache.lookup(key, guard != nil, e.screenCtx); ok {
 		e.cacheHits.Add(1)
-		e.noteScreenCI(r.RelCI)
 		o.Result, o.FromCache = r, true
 		o.Aborted, o.Pruned = r.Aborted, r.Pruned
 		return o, true
@@ -97,14 +98,12 @@ func (e *Engine) screenJob(idx int, jb Job, guard *frontGuard) (Outcome, bool) {
 		// phase two verifies it LAST, against the fully formed exact
 		// front, where a zero-replay bound cut or a completion-bound
 		// abort almost always disposes of it. Deferral is scheduling,
-		// not a discard — the bound never enters the front (collect
+		// not a discard — the bound never enters the front (landing
 		// skips aborted results), and phase two settles the combination
 		// with exact evidence either way. The marker IS cached (as a
 		// context-gated tombstone under the screen key) so a warm rerun
-		// replays this scheduling decision instead of re-deriving it
-		// from its own front — whose build-up lags the workers when
-		// every other job is an instant cache hit, which would send the
-		// combination to a fresh sampled replay the cold run never paid.
+		// answers the combination from the cache like every other
+		// phase-one job instead of re-deriving the decision.
 		if bound, sum, ok, dominated := e.jobBound(jb, guard.dominatesExact); ok && dominated {
 			o.Result = Result{
 				App:     e.app.Name(),
@@ -165,7 +164,6 @@ func (e *Engine) screenCompose(o *Outcome, jb Job) bool {
 
 func (e *Engine) finishScreen(o *Outcome, jb Job, cost astream.Cost, ci float64, sum apps.Summary) {
 	cfg := e.opts.platformConfig()
-	e.noteScreenCI(ci)
 	o.Result = Result{
 		App:      e.app.Name(),
 		Config:   jb.Cfg,
@@ -189,25 +187,13 @@ func (e *Engine) step1Screened(ctx context.Context, reference Config, probes *pr
 	guard := newFrontGuard(e.opts.abortMargin())
 	guard.memberSlack = e.screenSlack
 
-	jobs := func(yield func(Job) bool) {
-		for combo := range CombinationSeq(len(dominant)) {
-			assign := make(apps.Assignment, len(dominant))
-			for r, role := range dominant {
-				assign[role] = combo[r]
-			}
-			if !yield(Job{Cfg: reference, Assign: assign}) {
-				return
-			}
-		}
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	guardFor := func(Job) *frontGuard { return guard }
 	sc := ckptScope{step: 1, front: guard.points}
 	results := make([]Result, total)
-	err := e.collect(cancel, e.streamMode(runCtx, jobs, guardFor, true), results, total, sc, func(o Outcome) {
+	err := e.run(ctx, comboJobs(reference, dominant, combos(total, nil)), guardFor, true, sc, e.landAt(results, func(o Outcome) {
+		e.noteScreenCI(o.Result.RelCI)
 		guard.add(o.Result.Point(o.Index))
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -284,8 +270,6 @@ func (e *Engine) step1Screened(ctx context.Context, reference Config, probes *pr
 			}
 		}
 	}
-	vCtx, vCancel := context.WithCancel(ctx)
-	defer vCancel()
 	// The verification guard is margin-free: every form of evidence it
 	// rules on is an admissible lower bound — the per-lane bound vector
 	// in pruneJob, the completion-bound snapshots the guarded composed
@@ -297,9 +281,9 @@ func (e *Engine) step1Screened(ctx context.Context, reference Config, probes *pr
 	vguard := newFrontGuard(0)
 	vsc := ckptScope{step: 1, front: vguard.points}
 	vres := make([]Result, len(cands))
-	err = e.collect(vCancel, e.stream(vCtx, verifyJobs, func(Job) *frontGuard { return vguard }), vres, len(cands), vsc, func(o Outcome) {
+	err = e.run(ctx, verifyJobs, func(Job) *frontGuard { return vguard }, false, vsc, e.landAt(vres, func(o Outcome) {
 		vguard.add(o.Result.Point(o.Index))
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
