@@ -8,6 +8,7 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -108,25 +109,27 @@ func BenchmarkAblationPruning(b *testing.B) {
 	app := urlsw.App{}
 	configs := explore.Configs(app)
 	for _, mode := range []struct {
-		name string
-		mode explore.PruneMode
+		name      string
+		survivors func(*explore.Step1Result) []explore.Result
 	}{
-		{"pareto-front", explore.PruneFront},
-		{"best-per-metric", explore.PruneBestPerMetric},
+		{"pareto-front", func(s1 *explore.Step1Result) []explore.Result { return s1.Survivors }},
+		{"best-per-metric", func(s1 *explore.Step1Result) []explore.Result { return bestPerMetric(s1.Results) }},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			opts := explore.Options{TracePackets: 2000, Prune: mode.mode}
+			opts := explore.Options{TracePackets: 2000}
 			var survivors, sims, frontSize int
 			for i := 0; i < b.N; i++ {
 				s1, err := explore.Step1(app, configs[0], opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				s2, err := explore.Step2(app, s1, configs, opts)
+				kept := *s1
+				kept.Survivors = mode.survivors(s1)
+				s2, err := explore.Step2(app, &kept, configs, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
-				survivors = len(s1.Survivors)
+				survivors = len(kept.Survivors)
 				sims = s1.Simulations + s2.Simulations
 				pts := make([]pareto.Point, len(s2.Results))
 				for j, r := range s2.Results {
@@ -139,6 +142,27 @@ func BenchmarkAblationPruning(b *testing.B) {
 			b.ReportMetric(float64(frontSize), "final-front")
 		})
 	}
+}
+
+// bestPerMetric keeps each metric's best finished combination, once.
+func bestPerMetric(results []explore.Result) []explore.Result {
+	live := explore.Live(results)
+	if len(live) == 0 {
+		return nil
+	}
+	var out []explore.Result
+	for _, m := range metrics.AllMetrics() {
+		best := live[0]
+		for _, r := range live[1:] {
+			if r.Vec.Get(m) < best.Vec.Get(m) {
+				best = r
+			}
+		}
+		if !slices.ContainsFunc(out, func(r explore.Result) bool { return r.Label() == best.Label() }) {
+			out = append(out, best)
+		}
+	}
+	return out
 }
 
 // BenchmarkAblationBoundPrune ablates the bound-guided combination
@@ -165,7 +189,7 @@ func BenchmarkAblationBoundPrune(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var st explore.EngineStats
 			for i := 0; i < b.N; i++ {
-				opts := explore.Options{TracePackets: 400, DominantK: 3, Compose: true, BoundPrune: mode.prune}
+				opts := explore.Options{TracePackets: 400, DominantK: 3, Arenas: true, BoundPrune: mode.prune}
 				eng := explore.NewEngine(app, opts)
 				if _, err := eng.Step1(context.Background(), ref); err != nil {
 					b.Fatal(err)

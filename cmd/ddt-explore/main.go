@@ -118,10 +118,10 @@ func parseFlags(args []string) (cliConfig, error) {
 	fs.BoolVar(&c.earlyAbort, "early-abort", false, "stop simulations already dominated by the running front (fronts stay exact; full-space charts thin out)")
 	fs.Float64Var(&c.abortMargin, "abort-margin", 0, "early-abort safety margin (0 = default)")
 	fs.StringVar(&c.cachePath, "cache", "", "simulation cache file: loaded before the run, saved after")
-	fs.StringVar(&c.replayCache, "replay-cache", "", "like -cache, but also captures and persists access streams and the reuse profiles of platform evaluations, so later runs evaluate new platform configurations by replay — or by profile arithmetic with zero probe passes — instead of re-execution")
+	fs.StringVar(&c.replayCache, "replay-cache", "", "like -cache, but also persists the captured access streams, role lanes and the reuse profiles of platform evaluations, so later runs evaluate new platform configurations by replay — or by profile arithmetic with zero probe passes — instead of re-execution")
 	fs.BoolVar(&c.compose, "compose", false, "compositional capture: record one access sub-stream per container role (per-role heap arenas) and evaluate DDT combinations by interleaving cached sub-streams instead of re-executing — the 10^K cross-product costs ~10*K executions")
 	fs.BoolVar(&c.noprune, "noprune", false, "with -compose, disable bound-guided pruning: by default, combinations whose admissible per-lane lower bound (sum of isolated lane reuse-profile bounds) is already dominated by the running Pareto front are discarded with zero replays, and composed replays stop once their completion bound is dominated — fronts stay bit-identical either way")
-	fs.Float64Var(&c.sampleRate, "sample-rate", 0, "screen the combination space with SHARDS-sampled replays at this spatial rate (e.g. 0.015625 = 1/64) before re-running the surviving near-front combinations exactly — the reported front is identical in membership to an exact run; implies -compose (0 disables; rates round down to a power of two)")
+	fs.Float64Var(&c.sampleRate, "sample-rate", 0, "screen the combination space with SHARDS-sampled replays at this spatial rate (e.g. 0.015625 = 1/64) before re-running the surviving near-front combinations exactly — the reported front is identical in membership to an exact run; implies -compose and conflicts with -noprune (0 disables; must be below 1; rates round down to a power of two)")
 	fs.StringVar(&c.platforms, "platforms", "", "comma-separated platform points (or 'all') to evaluate the best-energy recommendation on: points sharing a cache line size are costed by one all-geometry replay pass (a cached reuse profile makes the sweep pure arithmetic); names from the default sweep set")
 	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "with -cache or -replay-cache, persist a resumable campaign checkpoint every N settled jobs (0 disables periodic checkpoints; an interrupt always writes a final one)")
 	fs.StringVar(&c.serve, "serve", "", "coordinate a distributed campaign on this TCP address (e.g. :9777): lease shards of the combination space to joining workers, merge their results and cache entries, and print the usual report from the merged cache; implies -compose")
@@ -184,15 +184,8 @@ func run(ctx context.Context, c cliConfig) error {
 	if c.cachePath != "" && c.replayCache != "" {
 		return fmt.Errorf("-cache and -replay-cache are mutually exclusive")
 	}
-	if c.sampleRate < 0 || c.sampleRate > 1 {
-		return fmt.Errorf("-sample-rate must be in [0, 1], got %v", c.sampleRate)
-	}
-	if c.sampleRate > 0 {
-		// Screening estimates combinations from composed per-role lanes,
-		// so it implies the compositional path (and, inside the engine,
-		// bound pruning and completion-bound aborts for the exact
-		// verification phase).
-		c.compose = true
+	if c.noprune && c.sampleRate > 0 {
+		return fmt.Errorf("-noprune conflicts with -sample-rate: screening verifies its candidates under bound pruning")
 	}
 	if c.serve != "" && c.join != "" {
 		return fmt.Errorf("-serve and -join are mutually exclusive")
@@ -220,6 +213,9 @@ func run(ctx context.Context, c cliConfig) error {
 		// sides must resolve jobs under identical semantics, and the
 		// content-addressed lanes/schedules are what workers stream back.
 		c.compose = true
+	}
+	if c.noprune && !c.compose {
+		return fmt.Errorf("-noprune applies only to -compose runs")
 	}
 	if c.cpuProfile != "" {
 		f, err := os.Create(c.cpuProfile)
@@ -256,24 +252,11 @@ func run(ctx context.Context, c cliConfig) error {
 	if c.replayCache != "" {
 		cachePath = c.replayCache
 	}
+	// Shared-heap runs capture whole-run streams into a persistent cache.
 	cache := loadCache(cachePath)
-	if cache == nil && c.platforms != "" {
-		// The platform evaluation replays captured streams; give the run
-		// an in-process cache to hold them.
-		cache = explore.NewCache()
-	}
-	if cache == nil && c.compose {
-		// Composition stores per-role sub-streams in the cache; give the
-		// run an in-process one when no persistent cache is configured.
-		cache = explore.NewCache()
-	}
 	opts.Cache = cache
-	// Capture streams whenever something can replay them later: a
-	// persistent replay cache or an in-run platform evaluation.
-	// Composition replaces whole-run capture entirely.
-	opts.Compose = c.compose
+	opts.Arenas = c.compose
 	opts.BoundPrune = c.compose && !c.noprune
-	opts.CaptureStreams = !c.compose && (c.replayCache != "" || c.platforms != "")
 	if c.checkpointEvery > 0 {
 		opts.CheckpointEvery = c.checkpointEvery
 		withStreams := c.replayCache != ""
@@ -288,6 +271,12 @@ func run(ctx context.Context, c cliConfig) error {
 		}
 	}
 	eng := explore.NewEngine(a, opts)
+	if err := eng.Err(); err != nil {
+		return err
+	}
+	if boundPruneOff(opts, eng) {
+		fmt.Fprintln(os.Stderr, "ddt-explore: bound pruning is off: the platform's level latencies are not monotone, so the arena run is exhaustive")
+	}
 	if cache != nil {
 		if ck, ok := cache.Checkpoint(); ok && ck.App == a.Name() && ck.Ctx == eng.ExploreContext() {
 			if ck.Done {
@@ -452,6 +441,12 @@ func run(ctx context.Context, c cliConfig) error {
 		}
 	}
 	return saveCache(cachePath, cache, c.replayCache != "")
+}
+
+// boundPruneOff reports whether the engine's platform, being outside
+// memsim.BoundEligible, turned the requested bound pruning off.
+func boundPruneOff(requested explore.Options, eng *explore.Engine) bool {
+	return (requested.BoundPrune || requested.SampleRate > 0) && !eng.Options().BoundPrune
 }
 
 // runWorker joins a coordinator as a distributed worker: resolve

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/apps/netapps"
+	"repro/internal/explore"
+	"repro/internal/memsim"
 	"repro/internal/report"
 )
 
@@ -197,5 +200,50 @@ func TestRunWritesProfiles(t *testing.T) {
 	}
 	if info.Size() == 0 {
 		t.Fatal("heap profile empty")
+	}
+}
+
+// TestRunRejectsIgnoredFlags pins that flag combinations the engine
+// would ignore or override are refused up front instead.
+func TestRunRejectsIgnoredFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*cliConfig)
+	}{
+		{"noprune without compose", func(c *cliConfig) { c.noprune = true }},
+		{"noprune with sample-rate", func(c *cliConfig) { c.noprune = true; c.compose = true; c.sampleRate = 0.5 }},
+		{"sample-rate 1", func(c *cliConfig) { c.sampleRate = 1 }},
+		{"negative abort margin", func(c *cliConfig) { c.earlyAbort = true; c.abortMargin = -0.5 }},
+	} {
+		c := base("URL")
+		tc.set(&c)
+		if err := run(context.Background(), c); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestBoundPruneOff pins when the CLI tells a user that bound pruning
+// is off because the platform is outside memsim.BoundEligible.
+func TestBoundPruneOff(t *testing.T) {
+	a, err := netapps.ByName("DRR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inverted := memsim.DefaultConfig()
+	inverted.L1HitCycles = inverted.L2HitCycles + 1
+	for _, tc := range []struct {
+		name string
+		opts explore.Options
+		want bool
+	}{
+		{"eligible", explore.Options{BoundPrune: true}, false},
+		{"ineligible", explore.Options{BoundPrune: true, Platform: &inverted}, true},
+		{"ineligible screened", explore.Options{SampleRate: 0.5, Platform: &inverted}, true},
+		{"ineligible exhaustive", explore.Options{Arenas: true, Platform: &inverted}, false},
+	} {
+		if got := boundPruneOff(tc.opts, explore.NewEngine(a, tc.opts)); got != tc.want {
+			t.Errorf("%s: boundPruneOff %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

@@ -55,7 +55,7 @@ func BenchmarkBoundPrunedExploration(b *testing.B) {
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			composed, _ := run(b, explore.Options{TracePackets: packets, DominantK: 3, Compose: true})
+			composed, _ := run(b, explore.Options{TracePackets: packets, DominantK: 3, Arenas: true})
 			pruned, st := run(b, explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true})
 			if st.Pruned == 0 {
 				b.Fatal("bound-guided arm pruned nothing")
@@ -92,7 +92,7 @@ func BenchmarkBoundPrunedExploration(b *testing.B) {
 			return c
 		}
 		for i := 0; i < b.N; i++ {
-			composed, cst := run(b, explore.Options{TracePackets: packets, DominantK: 3, Compose: true,
+			composed, cst := run(b, explore.Options{TracePackets: packets, DominantK: 3, Arenas: true,
 				Cache: load(b), Platform: &other})
 			pruned, st := run(b, explore.Options{TracePackets: packets, DominantK: 3, BoundPrune: true,
 				Cache: load(b), Platform: &other})
@@ -142,7 +142,7 @@ func BenchmarkBranchBoundExploration(b *testing.B) {
 		}
 		ref := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 		base := explore.Options{TracePackets: c.packets, DominantK: c.k, BoundPrune: true}
-		exhaustive := explore.Options{TracePackets: c.packets, DominantK: c.k, Compose: true}
+		exhaustive := explore.Options{TracePackets: c.packets, DominantK: c.k, Arenas: true}
 
 		run := func(b *testing.B, opts explore.Options) (time.Duration, explore.EngineStats, *explore.Step1Result) {
 			b.Helper()

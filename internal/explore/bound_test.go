@@ -337,7 +337,7 @@ func TestBoundPrunedFrontMatchesExhaustive(t *testing.T) {
 		a := a
 		t.Run(a.Name(), func(t *testing.T) {
 			t.Parallel()
-			exhaustive := explore.Options{TracePackets: 300, Compose: true}
+			exhaustive := explore.Options{TracePackets: 300, Arenas: true}
 			exEng := explore.NewEngine(a, exhaustive)
 			exS1, exS2, err := exEng.Explore(ctx)
 			if err != nil {
@@ -418,7 +418,7 @@ func TestBoundPrunedDRRGrid(t *testing.T) {
 	ref := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 	ctx := context.Background()
 
-	exEng := explore.NewEngine(a, explore.Options{TracePackets: 200, DominantK: 3, Compose: true})
+	exEng := explore.NewEngine(a, explore.Options{TracePackets: 200, DominantK: 3, Arenas: true})
 	exS1, err := exEng.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +486,7 @@ func TestBoundPruneWarmExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := explore.NewEngine(a, explore.Options{TracePackets: 200, DominantK: 3, Compose: true})
+	exact := explore.NewEngine(a, explore.Options{TracePackets: 200, DominantK: 3, Arenas: true})
 	exS1, err := exact.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -528,7 +528,7 @@ func TestBranchBoundK5FrontIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exEng := explore.NewEngine(a, explore.Options{TracePackets: 100, DominantK: 5, Compose: true})
+	exEng := explore.NewEngine(a, explore.Options{TracePackets: 100, DominantK: 5, Arenas: true})
 	exS1, err := exEng.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,7 @@ import (
 //   - Profiles: dominance profiling attributes accesses per container
 //     role, which is platform-invariant, so a sweep profiles each
 //     network configuration once rather than once per platform point.
-//   - Compositional stores (Options.Compose): per-(role, kind) lane
+//   - Compositional stores (arena-model engines): per-(role, kind) lane
 //     sub-streams and per-configuration operation schedules, keyed by
 //     the DDT-invariant run identity. Any combination whose K lanes are
 //     all present is served by composed replay; ~10·K lanes stand in
@@ -108,7 +108,7 @@ type Cache struct {
 }
 
 // cacheEntry is one memoized simulation. Ctx tags tombstones with the
-// exploration semantics (prune mode, dominant-k, abort margin, bound
+// exploration semantics (dominant-k, abort margin, bound
 // pruning) that proved the point dominated: a tombstone is only a valid
 // answer for an engine exploring the same job space under the same
 // discard rules, while finished results are valid for everyone.
@@ -537,6 +537,24 @@ func (c *Cache) lookupSchedule(key string) (*astream.Schedule, *astream.SubStrea
 	}
 	c.laneHits.Add(1)
 	return e.Sched, e.Ambient, cloneSummary(e.Summary), true
+}
+
+// hasLanes reports whether the schedule under ck and every lane
+// assign composes from are held complete, without touching the
+// hit/miss counters.
+func (c *Cache) hasLanes(ck *cfgKeys, assign apps.Assignment) bool {
+	c.sm.RLock()
+	defer c.sm.RUnlock()
+	e, ok := c.scheds[ck.sched]
+	if !ok || e.Ambient.Partial {
+		return false
+	}
+	for _, role := range e.Sched.Roles {
+		if s, ok := c.lanes[ck.lane(role, apps.KindFor(assign, role))]; !ok || s.Partial {
+			return false
+		}
+	}
+	return true
 }
 
 // storeSchedule retains a configuration's schedule entry. The schedule

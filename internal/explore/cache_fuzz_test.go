@@ -44,7 +44,7 @@ func fuzzSeedImages(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	eng := NewEngine(a, Options{TracePackets: 4, Compose: true})
+	eng := NewEngine(a, Options{TracePackets: 4, Arenas: true})
 	if _, err := eng.Simulate(context.Background(), Configs(a)[0], nil); err != nil {
 		tb.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // rules is a cold run by design, exactly as tombstone reuse is gated.
 type Checkpoint struct {
 	// App and Ctx identify the campaign: the application name and the
-	// engine's exploration context (prune mode, dominant-k, abort
+	// engine's exploration context (dominant-k, abort
 	// margin, bound pruning). A checkpoint only describes resumption
 	// for an engine with the identical context.
 	App string

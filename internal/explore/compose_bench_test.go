@@ -53,7 +53,7 @@ func BenchmarkComposedExploration(b *testing.B) {
 			live := liveStep1(b, nil)
 
 			t1 := time.Now()
-			compOpts := explore.Options{TracePackets: packets, DominantK: 3, Compose: true}
+			compOpts := explore.Options{TracePackets: packets, DominantK: 3, Arenas: true}
 			compEng := explore.NewEngine(a, compOpts)
 			s1, err := compEng.Step1(context.Background(), ref)
 			if err != nil {
@@ -77,7 +77,7 @@ func BenchmarkComposedExploration(b *testing.B) {
 		// snapshot them so every iteration starts from the same warm
 		// lanes with no memoized platform-B results.
 		prep := explore.NewCache()
-		warm := explore.Options{TracePackets: packets, DominantK: 3, Compose: true, Cache: prep}
+		warm := explore.Options{TracePackets: packets, DominantK: 3, Arenas: true, Cache: prep}
 		if _, err := explore.NewEngine(a, warm).Step1(context.Background(), ref); err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkComposedExploration(b *testing.B) {
 				b.Fatal(err)
 			}
 			t1 := time.Now()
-			compOpts := explore.Options{TracePackets: packets, DominantK: 3, Compose: true, Cache: cache, Platform: &other}
+			compOpts := explore.Options{TracePackets: packets, DominantK: 3, Arenas: true, Cache: cache, Platform: &other}
 			compEng := explore.NewEngine(a, compOpts)
 			if _, err := compEng.Step1(context.Background(), ref); err != nil {
 				b.Fatal(err)

@@ -177,7 +177,7 @@ func TestEngineComposeMatchesArenaLive(t *testing.T) {
 	}
 
 	compOpts := base
-	compOpts.Compose = true
+	compOpts.Arenas = true
 	compEng := explore.NewEngine(a, compOpts)
 	compS1, err := compEng.Step1(context.Background(), ref)
 	if err != nil {
@@ -224,7 +224,7 @@ func TestCacheComposedRoundTrip(t *testing.T) {
 	}
 	ref := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 
-	warm := explore.Options{TracePackets: composePackets, DominantK: 2, Compose: true}
+	warm := explore.Options{TracePackets: composePackets, DominantK: 2, Arenas: true}
 	warmEng := explore.NewEngine(a, warm)
 	if _, err := warmEng.Step1(context.Background(), ref); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestCacheComposedRoundTrip(t *testing.T) {
 	// composition from the loaded lanes, with zero executions.
 	other := memsim.DefaultConfig()
 	other.L1.SizeBytes = 16 << 10
-	cold := explore.Options{TracePackets: composePackets, DominantK: 2, Compose: true, Platform: &other, Cache: loaded}
+	cold := explore.Options{TracePackets: composePackets, DominantK: 2, Arenas: true, Platform: &other, Cache: loaded}
 	coldEng := explore.NewEngine(a, cold)
 	s1, err := coldEng.Step1(context.Background(), ref)
 	if err != nil {

@@ -87,7 +87,7 @@ func TestGuardedStep1Deterministic(t *testing.T) {
 		{"flowmon-k5-branch-and-bound", []int{1, 2}, func(w int) (*explore.Engine, error) {
 			return explore.NewEngine(flowmon, explore.Options{TracePackets: 300, DominantK: 5, BoundPrune: true, Workers: w}), nil
 		}},
-		{"ipchains-k3-screened-cold", []int{1}, func(w int) (*explore.Engine, error) {
+		{"ipchains-k3-screened-cold", []int{1, 2}, func(w int) (*explore.Engine, error) {
 			return explore.NewEngine(ipchains, screened(w, nil)), nil
 		}},
 		{"ipchains-k3-screened-warm", []int{2}, func(w int) (*explore.Engine, error) {

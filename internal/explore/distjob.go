@@ -46,7 +46,7 @@ type JobOutcome struct {
 
 // CampaignID renders everything two engines must agree on before one
 // may resolve jobs for the other: the application, the exploration
-// semantics (prune mode, dominant-k, guard rules), the trace length,
+// semantics (dominant-k, guard rules), the trace length,
 // the platform and the address model. The simulation is deterministic,
 // so matching IDs make remote results bit-identical to local ones.
 func (e *Engine) CampaignID() string {

@@ -3,6 +3,7 @@ package explore
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -104,7 +105,7 @@ type Engine struct {
 
 	cache *Cache
 	// exploreCtx tags this engine's exploration semantics for dominance
-	// tombstones: a tombstone proven under one prune mode / dominant-k is
+	// tombstones: a tombstone proven under one guard rule / dominant-k is
 	// only reused by engines exploring the identical job space.
 	exploreCtx string
 
@@ -114,11 +115,12 @@ type Engine struct {
 	profMu   sync.Mutex
 	profiles map[string]*profiler.Set
 
-	// Bound pruning state: pruneOK gates on the engine's (single)
-	// platform being memsim.BoundEligible, model is that platform's
+	// err is why the options cannot run (see NewEngine); nil otherwise.
+	err error
+
+	// Bound pruning state: model is the engine's (single) platform's
 	// energy model, and laneBounds memoizes each lane's derived
 	// memsim.LaneBound so the 10^K bound checks pay map reads per lane.
-	pruneOK    bool
 	model      energy.Model
 	laneBounds sync.Map // lane or schedule key -> memsim.LaneBound
 	laneLocks  sync.Map // lane or schedule key -> *sync.Mutex, dedupes slow-path computes per lane
@@ -160,51 +162,49 @@ type Engine struct {
 	sampled      atomic.Int64
 }
 
-// NewEngine builds an Engine for the application. Unless
-// Options.DisableCache is set, the engine uses Options.Cache or, when that
-// is nil, a fresh private cache.
+// NewEngine builds an Engine for the application and resolves its
+// options once into the plan it runs (see Options): SampleRate implies
+// BoundPrune and EarlyAbort, BoundPrune implies Arenas, and BoundPrune
+// is cleared on a platform outside memsim.BoundEligible. Unless
+// Options.DisableCache is set, the engine uses Options.Cache or, when
+// that is nil, a fresh private cache. Options it cannot run are not
+// replaced by another strategy: Err reports them, and every step call
+// returns the error before doing any work.
 func NewEngine(a apps.App, opts Options) *Engine {
-	if opts.SampleRate > 0 && opts.SampleRate < 1 {
-		opts.Compose = true    // screening replays compose cached lanes
-		opts.BoundPrune = true // the verification phase cuts on exact bounds
-		opts.EarlyAbort = true // ... and stops replays whose completion bound is dominated
-	}
-	if opts.BoundPrune {
-		opts.Compose = true // the bound is defined on composed lanes
-	}
-	if opts.Compose {
-		opts.Arenas = true // composition is defined on the arena address model
+	plan, err := resolve(opts)
+	if err != nil {
+		return &Engine{app: a, opts: opts, err: err}
 	}
 	// The exploration context tags dominance tombstones with everything
-	// that decides which points a run may discard: the survivor
-	// strategy and dominant-k (the job space), plus the guard semantics
-	// (abort margin, bound pruning). A tombstone is only reused by an
-	// engine whose exploration would have discarded the point the same
-	// way — so a -noprune run on a shared cache never inherits
-	// bound-pruned entries, and vice versa.
-	ctx := fmt.Sprintf("prune=%d k=%d", opts.Prune, opts.dominantK())
-	if opts.EarlyAbort {
-		ctx += fmt.Sprintf(" abort=%g", opts.abortMargin())
+	// that decides which points a run may discard: dominant-k (the job
+	// space) and the guard semantics as requested (abort margin, bound
+	// pruning). A tombstone is only reused by an engine whose
+	// exploration would have discarded the point the same way. The
+	// "prune=0" head keeps persisted tombstones, checkpoints and
+	// campaign IDs of earlier releases matching.
+	ctx := fmt.Sprintf("prune=0 k=%d", plan.dominantK())
+	if plan.EarlyAbort {
+		ctx += fmt.Sprintf(" abort=%g", plan.abortMargin())
 	}
-	if opts.BoundPrune {
+	if plan.BoundPrune {
 		ctx += " bound"
+		plan.BoundPrune = memsim.BoundEligible(plan.platformConfig()) // where the bound is sound
 	}
 	e := &Engine{
 		app:        a,
-		opts:       opts,
+		opts:       plan,
 		exploreCtx: ctx,
-		pruneOK:    memsim.BoundEligible(opts.platformConfig()),
-		model:      energy.CACTILike(opts.platformConfig()),
+		model:      energy.CACTILike(plan.platformConfig()),
 	}
-	if e.sampleShift = opts.sampleShift(); e.sampleShift != 0 {
+	if e.sampleShift = plan.sampleShift(); e.sampleShift != 0 {
 		// Screening artifacts (estimates, widened-bound tombstones) are
 		// rate-specific: tag their context so a run at another rate — or
 		// an exact one — never inherits them.
 		e.screenCtx = fmt.Sprintf("%s sample=%d", ctx, e.sampleShift)
 	}
-	if !opts.DisableCache {
-		if opts.Cache != nil {
-			e.cache = opts.Cache
+	if !plan.DisableCache {
+		if plan.Cache != nil {
+			e.cache = plan.Cache
 		} else {
 			e.cache = NewCache()
 		}
@@ -212,10 +212,35 @@ func NewEngine(a apps.App, opts Options) *Engine {
 	return e
 }
 
+// resolve validates opts and applies the implications between them.
+func resolve(opts Options) (Options, error) {
+	if r := opts.SampleRate; math.IsNaN(r) || r < 0 || r >= 1 {
+		return opts, fmt.Errorf("explore: SampleRate %v outside [0, 1)", r)
+	}
+	if m := opts.AbortMargin; math.IsNaN(m) || m < 0 {
+		return opts, fmt.Errorf("explore: AbortMargin %v is negative or NaN", m)
+	}
+	if opts.SampleRate > 0 {
+		opts.BoundPrune = true // the verification phase cuts on exact bounds
+		opts.EarlyAbort = true // ... and stops replays whose completion bound is dominated
+	}
+	if opts.BoundPrune {
+		if opts.DisableCache {
+			return opts, errors.New("explore: BoundPrune and SampleRate need the cache that DisableCache turns off")
+		}
+		opts.Arenas = true // lanes and their bounds are defined on the arena address model
+	}
+	return opts, nil
+}
+
+// Err reports why the engine's options cannot run, or nil.
+func (e *Engine) Err() error { return e.err }
+
 // App returns the application the engine explores.
 func (e *Engine) App() apps.App { return e.app }
 
-// Options returns the engine's options.
+// Options returns the resolved plan the engine runs (see NewEngine);
+// with an error, the options as given.
 func (e *Engine) Options() Options { return e.opts }
 
 // Cache returns the engine's simulation cache (nil when caching is off).
@@ -238,32 +263,16 @@ func (e *Engine) Stats() EngineStats {
 	}
 }
 
-// boundPruneActive reports whether bound-guided pruning can run: opted
-// in, a cache to hold lanes and profiles, a platform the bound
-// construction is sound on, and the PruneFront survivor strategy —
-// pruning only guarantees an unchanged survivor set for the Pareto
-// filter (a dominated point can never enter the front, but
-// PruneBestPerMetric's per-axis argmin can select a dominated point on
-// an exact tie, which a pruned run would have discarded).
-func (e *Engine) boundPruneActive() bool {
-	return e.opts.BoundPrune && e.cache != nil && e.pruneOK && e.opts.Prune == PruneFront
-}
-
-// screeningActive reports whether Step1 runs as the two-phase sampled
-// screening: a rate was requested, composition can serve the sampled
-// replays (Compose + cache), and the survivor strategy is the Pareto
-// filter — screening estimates can only stand in for exact vectors
-// under dominance reasoning, which PruneBestPerMetric's per-axis argmin
-// does not use. Anything else silently runs exactly.
-func (e *Engine) screeningActive() bool {
-	return e.sampleShift != 0 && e.opts.Compose && e.cache != nil &&
-		e.opts.Prune == PruneFront
-}
-
 // guarded reports whether the streaming steps should attach front
 // guards to jobs — for early abort, bound pruning, or both.
 func (e *Engine) guarded() bool {
-	return e.opts.EarlyAbort || e.boundPruneActive()
+	return e.opts.EarlyAbort || e.opts.BoundPrune
+}
+
+// composing reports whether the engine captures and composes per-role
+// lanes: the arena model with a cache to hold them.
+func (e *Engine) composing() bool {
+	return e.opts.Arenas && e.cache != nil
 }
 
 func (e *Engine) workers() int {
@@ -513,8 +522,18 @@ func (e *Engine) run(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job)
 			epoch = epoch[:0]
 		}
 	}
+	// A guarded composing job whose lanes are missing captures them live;
+	// two such jobs in one epoch would race to capture a lane they share,
+	// and which of them composes would vary. Such a job runs as an epoch
+	// of its own, so every job draws against the lanes its predecessors
+	// left. One worker never races, so it skips the check.
+	isolate := guardFor != nil && workers > 1 && e.composing()
 	idx := 0
 	for jb := range jobs {
+		alone := isolate && !e.cache.hasLanes(e.keysFor(jb.Cfg), jb.Assign)
+		if alone && inFlight > 0 {
+			wait(0)
+		}
 		if ctx.Err() != nil || firstErr != nil {
 			break
 		}
@@ -524,7 +543,7 @@ func (e *Engine) run(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job)
 		}
 		feed <- t
 		idx++
-		if inFlight++; inFlight == workers {
+		if inFlight++; inFlight == workers || alone {
 			if guardFor != nil {
 				wait(0)
 			} else {
@@ -556,12 +575,16 @@ func (e *Engine) landAt(results []Result, add func(Outcome)) func(Outcome) {
 // runJob resolves one job along the cheapest sound path: exact-key cache
 // lookup, then the bound-guided prune check (BoundPrune: zero replays
 // when the front already dominates the combination's admissible lower
-// bound), then composition of cached per-role sub-streams (Compose),
-// then replay of a captured whole-run access stream for the same
-// platform-invariant identity, then a (possibly guarded) live simulation
-// — which records whatever capture mode is on, so later jobs take a
-// cheaper path. All paths fill the cache.
+// bound), then composition of cached per-role sub-streams (arena
+// model), then replay of a captured whole-run access stream for the
+// same platform-invariant identity (shared heap, caller's cache), then a
+// (possibly guarded) live simulation — which records whatever capture
+// the plan runs, so later jobs take a cheaper path. All paths fill the
+// cache.
 func (e *Engine) runJob(idx int, jb Job, guard *frontGuard) Outcome {
+	if e.err != nil {
+		return Outcome{Index: idx, Job: jb, Err: e.err}
+	}
 	return e.runJobMode(idx, jb, guard, false)
 }
 
@@ -591,7 +614,7 @@ func (e *Engine) runJobMode(idx int, jb Job, guard *frontGuard, screen bool) Out
 func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 	o := Outcome{Index: idx, Job: jb}
 	var key, skey string
-	compose := e.opts.Compose && e.cache != nil
+	compose := e.composing()
 	// The guard serves two roles: early abort polls it mid-simulation
 	// (EarlyAbort only), the bound-guided search consults it before any
 	// replay and during composed replays (BoundPrune). aguard is the
@@ -613,7 +636,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 			o.Pruned = r.Pruned
 			return o
 		}
-		if guard != nil && e.boundPruneActive() && e.pruneJob(&o, jb, guard) {
+		if guard != nil && e.opts.BoundPrune && e.pruneJob(&o, jb, guard) {
 			e.cache.store(key, o.Result, e.exploreCtx) // a tombstone, like aborted results
 			return o
 		}
@@ -621,7 +644,8 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 			e.cache.store(key, o.Result, e.exploreCtx)
 			return o
 		}
-		if e.opts.CaptureStreams && !compose {
+		// Whole-run streams outlive the engine only in a caller's cache.
+		if !compose && e.opts.Cache != nil {
 			skey = streamKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.Arenas)
 			if st, sum, ok := e.cache.lookupStream(skey); ok && e.replayJob(&o, st, sum, jb, aguard) {
 				e.cache.store(key, o.Result, e.exploreCtx)
@@ -1041,6 +1065,9 @@ func (e *Engine) Simulate(ctx context.Context, cfg Config, assign apps.Assignmen
 // invariant — shared through the simulation cache across engines, so a
 // platform sweep profiles each network configuration exactly once.
 func (e *Engine) Profile(ctx context.Context, cfg Config) (*profiler.Set, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1081,15 +1108,18 @@ func (e *Engine) Profile(ctx context.Context, cfg Config) (*profiler.Set, error)
 // into line-size geometry families (platform.LineFamilies); a family
 // whose cached reuse profile covers every member is answered by pure
 // arithmetic — zero probe passes — and the remaining families share
-// one all-geometry probe pass (see evalFamilies). Under Compose the
-// pass replays the point's cached composition; without one — or
-// without Compose — it replays the point's access stream, taken from
+// one all-geometry probe pass (see evalFamilies). On the arena model
+// the pass replays the point's cached composition; without one — or
+// on the shared heap — it replays the point's access stream, taken from
 // the cache or captured by a single execution. Either pass leaves its
 // reuse profiles in the cache for the next sweep. Results are exact —
 // identical to live simulation on each platform — and are stored in the
 // cache under their full identities. Without a cache to hold the stream
 // it falls back to one live simulation per platform.
 func (e *Engine) EvaluatePlatforms(ctx context.Context, cfg Config, assign apps.Assignment, platforms []memsim.Config) ([]metrics.Vector, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -1112,7 +1142,7 @@ func (e *Engine) EvaluatePlatforms(ctx context.Context, cfg Config, assign apps.
 	}
 	// A composed pass that finds no cached composition (or fails) leaves
 	// no trace, so the stream pass below cannot double-count.
-	if e.opts.Compose {
+	if e.opts.Arenas {
 		if vecs, ok, err := e.evalPlatforms(cfg, assign, platforms, true); ok && err == nil {
 			return vecs, nil
 		}
@@ -1166,7 +1196,7 @@ func (e *Engine) evalPlatforms(cfg Config, assign apps.Assignment, platforms []m
 		}
 		if !settled {
 			settled = true
-			if e.opts.Compose {
+			if e.opts.Arenas {
 				_, _, sum, haveSum = e.cache.lookupSchedule(e.keysFor(cfg).sched)
 			} else {
 				_, sum, haveSum = e.cache.lookupStream(skey)
@@ -1183,12 +1213,8 @@ func (e *Engine) evalPlatforms(cfg Config, assign apps.Assignment, platforms []m
 }
 
 // captureStream returns the complete access stream for the point, from
-// the cache or by executing once with capture attached. A nil stream
-// (without error) means capture is unavailable (no cache to retain it).
+// the engine's cache or by executing once with capture attached.
 func (e *Engine) captureStream(cfg Config, assign apps.Assignment) (*astream.Stream, apps.Summary, error) {
-	if e.cache == nil {
-		return nil, apps.Summary{}, nil
-	}
 	skey := streamKey(e.app.Name(), cfg, assign, e.opts.packets(), e.opts.Arenas)
 	if st, sum, ok := e.cache.lookupStream(skey); ok {
 		return st, sum, nil
@@ -1248,7 +1274,7 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 		total *= ddt.NumKinds
 	}
 
-	if e.screeningActive() {
+	if e.sampleShift != 0 {
 		return e.step1Screened(ctx, reference, probes, dominant, total)
 	}
 
@@ -1258,7 +1284,7 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 		Reference:     reference,
 		Simulations:   total,
 	}
-	if e.boundPruneActive() {
+	if e.opts.BoundPrune {
 		if err := e.step1BranchBound(ctx, reference, s1); err != nil {
 			return nil, err
 		}
@@ -1284,15 +1310,10 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 	}
 
 	s1.Results = results
-	switch e.opts.Prune {
-	case PruneBestPerMetric:
-		s1.Survivors = pruneBestPerMetric(results)
-	default:
-		front := guard.points()
-		s1.Survivors = make([]Result, len(front))
-		for i, p := range front {
-			s1.Survivors[i] = results[p.Tag]
-		}
+	front := guard.points()
+	s1.Survivors = make([]Result, len(front))
+	for i, p := range front {
+		s1.Survivors[i] = results[p.Tag]
 	}
 	for _, r := range results {
 		switch {
@@ -1312,6 +1333,9 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 // Reference-configuration results propagate from step 1 — via the cache
 // when it is warm, and by construction here regardless.
 func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (*Step2Result, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
 	ref := s1.Reference.String()
 	var streamed []Config
 	guards := make(map[string]*frontGuard)

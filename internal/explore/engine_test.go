@@ -293,7 +293,7 @@ func TestEngineStep2SharedEngineReusesStep1Cache(t *testing.T) {
 	}
 }
 
-func TestTombstoneNotReusedAcrossPruneModes(t *testing.T) {
+func TestTombstoneNotReusedAcrossExplorations(t *testing.T) {
 	app := route.App{}
 	cache := explore.NewCache()
 	ref := explore.Configs(app)[0]
@@ -307,18 +307,19 @@ func TestTombstoneNotReusedAcrossPruneModes(t *testing.T) {
 		t.Fatal("no aborts at this scale; tombstone path not exercised")
 	}
 
-	// A different prune mode explores a different job space downstream,
-	// so the second engine must not trust the first engine's tombstones:
-	// every point must come back with a finished (non-aborted) vector.
+	// An abort margin no partial vector reaches discards nothing, so the
+	// second engine must not trust the first engine's tombstones even
+	// though both guard the same job space: every point must come back
+	// with a finished (non-aborted) vector.
 	second := explore.NewEngine(app, explore.Options{
-		TracePackets: 300, Cache: cache, Prune: explore.PruneBestPerMetric,
+		TracePackets: 300, Cache: cache, EarlyAbort: true, AbortMargin: 1e9,
 	})
 	s1b, err := second.Step1(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s1b.Aborted != 0 {
-		t.Fatalf("engine with different prune mode inherited %d tombstones", s1b.Aborted)
+		t.Fatalf("engine with a different abort margin inherited %d tombstones", s1b.Aborted)
 	}
 	if st := second.Stats(); st.Simulated != s1.Aborted {
 		t.Fatalf("second engine simulated %d, want exactly the %d tombstoned points", st.Simulated, s1.Aborted)

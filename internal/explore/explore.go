@@ -24,19 +24,23 @@
 // vector is dominated beyond Options.AbortMargin. Finished results are
 // memoized in a Cache keyed by the complete simulation identity, so the
 // network level, platform sweeps and repeated runs never re-simulate a
-// point. With Options.CaptureStreams the Cache additionally retains each
-// executed simulation's platform-invariant word-access stream
-// (internal/astream), and any job differing only in platform
-// configuration is served by replaying the stream — exact counts, cycles
-// and energy without re-running the application; ReplayPlatforms and
-// Engine.EvaluatePlatforms batch this across many platforms with one
-// decode per stream. With Options.Compose the engine goes further:
-// every executed simulation runs on per-role heap arenas and records
-// one access sub-stream per container role plus the DDT-invariant
-// operation schedule, and any combination whose per-(role, kind)
-// sub-streams are cached is evaluated by interleaving them through the
-// replay kernel — so the 10^k combination space costs ~10·k executions
-// instead of 10^k. Cancellation and deadlines propagate through
+// point.
+//
+// NewEngine resolves Options once into the plan the engine runs; each
+// strategy refines the one exhaustive exploration. On the shared heap
+// (the paper's address model) every point is a live simulation, and a
+// caller-supplied Cache also keeps each run's platform-invariant
+// word-access stream (internal/astream), so a job differing only in
+// platform is replayed instead — exact, without re-running the
+// application; ReplayPlatforms and Engine.EvaluatePlatforms batch this
+// with one decode per stream. On per-role arenas (Arenas, implied by
+// BoundPrune and SampleRate) every execution records one sub-stream per
+// container role plus the DDT-invariant schedule, and any combination
+// whose lanes are cached is composed by the replay kernel — the 10^k
+// space costs ~10·k executions. BoundPrune adds the branch-and-bound
+// search over admissible lane bounds, SampleRate the sampled screening
+// on top of it. Options the plan cannot run are errors, never another
+// strategy. Cancellation and deadlines propagate through
 // context.Context.
 //
 // Step1, Step2 and Simulate remain as thin wrappers over a fresh Engine
@@ -73,21 +77,6 @@ func (c Config) String() string {
 	return c.TraceName + " " + c.Knobs.String()
 }
 
-// PruneMode selects how step 1 narrows the combination space.
-type PruneMode int
-
-const (
-	// PruneFront keeps the full 4-metric non-dominated set — the paper's
-	// strategy ("we automatically keep the combinations, which have the
-	// lowest energy consumption, shortest execution time, lowest memory
-	// footprint and lower memory accesses").
-	PruneFront PruneMode = iota
-	// PruneBestPerMetric keeps only the single best combination per
-	// metric (at most 4 survivors) — a cheaper, lossy alternative used by
-	// the ablation benchmarks to show what the Pareto filter buys.
-	PruneBestPerMetric
-)
-
 // Options tune an exploration run.
 type Options struct {
 	// TracePackets is the per-simulation trace length. Zero selects
@@ -99,8 +88,6 @@ type Options struct {
 	// Platform overrides the simulated memory subsystem. Nil selects
 	// memsim.DefaultConfig.
 	Platform *memsim.Config
-	// Prune selects the step-1 survivor strategy (default PruneFront).
-	Prune PruneMode
 
 	// Workers bounds the Engine's simulation worker pool. Zero selects
 	// GOMAXPROCS. The pool size is the number of goroutines that exist,
@@ -110,42 +97,30 @@ type Options struct {
 	Workers int
 	// Cache supplies a shared simulation cache; nil gives each Engine a
 	// private one. Share a Cache to carry results across methodology
-	// runs, sweeps or processes (Cache.Save/Load).
+	// runs, sweeps or processes (Cache.Save/Load). On the shared heap a
+	// supplied Cache also keeps every executed simulation's access
+	// stream, so a later job differing only in platform is replayed,
+	// not re-run; a private cache dies with its engine and keeps none.
 	Cache *Cache
 	// DisableCache turns result memoization off entirely — for benchmarks
-	// that must measure raw simulation cost.
+	// that must measure raw simulation cost, and for live oracles.
+	// BoundPrune and SampleRate need a cache and are an error with it.
 	DisableCache bool
-	// CaptureStreams enables access-stream capture and replay (requires
-	// a cache). Every executed simulation then records its platform-
-	// invariant word-access stream, and any later job with the same
-	// (app, config, packets, assignment) identity on a *different*
-	// platform configuration is served by replaying the stream — exact
-	// counts, cycles and energy without re-running the application.
-	// Platform sweeps (sweep.Run, Engine.EvaluatePlatforms) enable it
-	// automatically; single-platform explorations leave it off, since
-	// capture costs live-simulation overhead and stream memory without a
-	// second platform to pay it back.
-	CaptureStreams bool
-	// Arenas runs live simulations on the per-role-arena address model:
+	// Arenas runs the exploration on the per-role-arena address model:
 	// each container role allocates from a private region of the virtual
 	// address space, so one role's addresses never depend on another
 	// role's DDT choice. Footprint is unchanged; cache behaviour (and so
 	// cycles and energy) differs from the shared-heap model, and results
-	// from the two models are cached under distinct keys. Compose
-	// implies it.
+	// from the two models are cached under distinct keys. With a cache,
+	// arena runs compose: every execution records one access sub-stream
+	// per container role plus the DDT-invariant operation schedule, and
+	// any combination whose per-(role, kind) sub-streams are cached is
+	// evaluated by interleaving them through the replay kernel — exact,
+	// and ~10·K captures for the 10^K combinations. With DisableCache
+	// every arena point is a live simulation.
 	Arenas bool
-	// Compose enables compositional capture and replay (implies Arenas;
-	// requires a cache): every executed simulation records one access
-	// sub-stream per container role plus the DDT-invariant operation
-	// schedule, and any combination whose per-(role, kind) sub-streams
-	// are all cached is evaluated by deterministically interleaving them
-	// through the replay kernel — exact arena-model results without
-	// re-running the application. This collapses the 10^K combination
-	// cross-product to ~10·K captures: a full exploration executes each
-	// library kind roughly once per role and composes everything else.
-	Compose bool
 	// BoundPrune enables bound-guided combination pruning (implies
-	// Compose, and so Arenas; requires a cache): before composing a
+	// Arenas; needs a cache): before composing a
 	// combination, the engine sums the admissible per-lane lower bounds
 	// derived from each lane's ISOLATED probe outcomes (astream.LaneBound:
 	// one LineSim pass per lane and L1 geometry, ~10·K cheap passes
@@ -160,18 +135,19 @@ type Options struct {
 	// bit-identical to the exhaustive path (the bound never exceeds the
 	// exact cost on any objective, and dominance is transitive); pruned
 	// entries carry the bound vector with Result.Aborted and
-	// Result.Pruned set. Pruning is skipped on platforms outside
-	// memsim.BoundEligible, and under PruneBestPerMetric (whose per-axis
-	// argmin can select a dominated point on an exact tie, which a
-	// pruned run would have discarded). As with EarlyAbort, discarded
+	// Result.Pruned set. The bound is only sound on platforms in
+	// memsim.BoundEligible: elsewhere the resolved plan
+	// (Engine.Options) has BoundPrune cleared and the arena run is
+	// exhaustive. As with EarlyAbort, discarded
 	// points are excluded from full-space analyses: a step-1 survivor
 	// pruned under some step-2 configuration drops out of the
 	// cross-configuration averaged charts (it lacks full configuration
 	// coverage), while every step front stays exact.
 	BoundPrune bool
 	// SampleRate, when in (0, 1), turns Step1 into a two-phase screening
-	// exploration (implies Compose, and so Arenas; requires a cache and
-	// the PruneFront survivor strategy — otherwise the run is exact).
+	// exploration (implies Arenas, BoundPrune and EarlyAbort; needs a
+	// cache). Zero runs exactly; NaN, negative rates and rates >= 1 are
+	// an error.
 	// Phase one replays every combination through the SHARDS-sampled
 	// kernel at the nearest power-of-two rate at or below SampleRate
 	// (R = 2^-shift, shift <= memsim.MaxSampleShift): hash-selected
@@ -183,15 +159,15 @@ type Options struct {
 	// (pareto.OnlineFront.DominatedInterval — this also widens the
 	// BoundPrune cut test), and everything not provably dominated is
 	// verified EXACTLY in phase two, most-promising-first by the
-	// estimated ranking, under the exact guard (implies BoundPrune:
-	// admissible bound cuts and mid-replay aborts dispose of estimated-
+	// estimated ranking, under the exact guard (admissible bound cuts
+	// and mid-replay aborts dispose of estimated-
 	// dominated candidates on exact evidence, with the estimate order
 	// filling the exact front early so the cuts fire at their maximal
 	// rate). The reported front therefore contains only exact vectors
 	// and is bit-identical in membership to the exhaustive run's (pinned
 	// by TestScreenedFrontMatchesExact); combinations discarded on
 	// sampled evidence keep their estimates in Results with Screened and
-	// Aborted set. Zero (or >= 1) disables screening.
+	// Aborted set.
 	SampleRate float64
 	// EarlyAbort stops a running simulation once its cost vector is
 	// dominated by the incremental front beyond AbortMargin. Live runs
@@ -204,7 +180,8 @@ type Options struct {
 	// charts thin out — step fronts stay exact.
 	EarlyAbort bool
 	// AbortMargin is the relative safety margin of the early-abort
-	// dominance test. Zero selects DefaultAbortMargin.
+	// dominance test. Zero selects DefaultAbortMargin; NaN and negative
+	// margins are an error.
 	AbortMargin float64
 	// Progress, when set, is called after every completed simulation of a
 	// streaming step with the number done and the step's total. It runs
@@ -420,10 +397,10 @@ func loadTrace(name string, packets int) (*trace.Trace, error) {
 }
 
 // newPlatform builds the platform a simulation of a runs on, applying
-// the options' address model (per-role arenas when Arenas/Compose).
+// the options' address model (per-role arenas when Arenas).
 func newPlatform(a apps.App, opts Options) *platform.Platform {
 	p := platform.New(opts.platformConfig())
-	if opts.Arenas || opts.Compose {
+	if opts.Arenas {
 		p.UseArenas(apps.RoleNames(a))
 	}
 	return p
@@ -519,30 +496,6 @@ func (s Step1Result) SurvivorFraction() float64 {
 // combinations that are non-dominated in the four metrics.
 func Step1(a apps.App, reference Config, opts Options) (*Step1Result, error) {
 	return NewEngine(a, opts).Step1(context.Background(), reference)
-}
-
-// pruneBestPerMetric keeps each metric's best finished combination.
-func pruneBestPerMetric(results []Result) []Result {
-	live := Live(results)
-	if len(live) == 0 {
-		return nil
-	}
-	chosen := make(map[string]bool)
-	out := make([]Result, 0, len(metrics.AllMetrics()))
-	for _, m := range metrics.AllMetrics() {
-		best := 0
-		for i := 1; i < len(live); i++ {
-			if live[i].Vec.Get(m) < live[best].Vec.Get(m) {
-				best = i
-			}
-		}
-		key := live[best].Label()
-		if !chosen[key] {
-			chosen[key] = true
-			out = append(out, live[best])
-		}
-	}
-	return out
 }
 
 // Step2Result is the outcome of the network-level exploration.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/apps/urlsw"
 	"repro/internal/ddt"
 	"repro/internal/explore"
-	"repro/internal/metrics"
 	"repro/internal/pareto"
 )
 
@@ -169,49 +168,6 @@ func TestSimulateUnknownTrace(t *testing.T) {
 	_, err := explore.Simulate(a, explore.Config{TraceName: "nope", Knobs: a.DefaultKnobs()}, apps.Original(a), testOpts)
 	if err == nil {
 		t.Fatal("unknown trace accepted")
-	}
-}
-
-func TestPruneBestPerMetric(t *testing.T) {
-	a := urlsw.App{}
-	ref := explore.Configs(a)[0]
-	opts := testOpts
-	opts.Prune = explore.PruneBestPerMetric
-	s1, err := explore.Step1(a, ref, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s1.Survivors) < 1 || len(s1.Survivors) > 4 {
-		t.Fatalf("best-per-metric survivors = %d, want 1..4", len(s1.Survivors))
-	}
-	// The per-metric minima must be present.
-	for _, m := range metrics.AllMetrics() {
-		best := s1.Results[0].Vec.Get(m)
-		for _, r := range s1.Results {
-			if v := r.Vec.Get(m); v < best {
-				best = v
-			}
-		}
-		found := false
-		for _, sv := range s1.Survivors {
-			if sv.Vec.Get(m) == best {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("metric %v minimum missing from survivors", m)
-		}
-	}
-
-	// The default Pareto filter keeps at least as many solutions.
-	s1Front, err := explore.Step1(a, ref, testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s1Front.Survivors) < len(s1.Survivors) {
-		t.Errorf("front survivors (%d) fewer than best-per-metric (%d)",
-			len(s1Front.Survivors), len(s1.Survivors))
 	}
 }
 

@@ -170,7 +170,7 @@ func TestGeomReplayMatchesLiveAllApps(t *testing.T) {
 func TestEvaluatePlatformsProfileWarm(t *testing.T) {
 	a, ref, assign := geomTestApp(t)
 	cache := explore.NewCache()
-	opts := explore.Options{TracePackets: geomPackets, Cache: cache, CaptureStreams: true}
+	opts := explore.Options{TracePackets: geomPackets, Cache: cache}
 	eng := explore.NewEngine(a, opts)
 
 	cfgs := defaultSweepConfigs()
@@ -244,7 +244,7 @@ func TestEvaluatePlatformsProfileWarm(t *testing.T) {
 func TestReplayPlatformsProfileServed(t *testing.T) {
 	a, ref, assign := geomTestApp(t)
 	cache := explore.NewCache()
-	opts := explore.Options{TracePackets: geomPackets, Cache: cache, CaptureStreams: true}
+	opts := explore.Options{TracePackets: geomPackets, Cache: cache}
 	eng := explore.NewEngine(a, opts)
 	if _, err := eng.Simulate(context.Background(), ref, assign); err != nil {
 		t.Fatal(err)
@@ -315,7 +315,7 @@ func TestComposePlatformsProfileWarm(t *testing.T) {
 	}
 	ref := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 	cache := explore.NewCache()
-	opts := explore.Options{TracePackets: geomPackets, DominantK: 2, Compose: true, Cache: cache}
+	opts := explore.Options{TracePackets: geomPackets, DominantK: 2, Arenas: true, Cache: cache}
 	eng := explore.NewEngine(a, opts)
 	s1, err := eng.Step1(context.Background(), ref)
 	if err != nil {

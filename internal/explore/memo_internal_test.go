@@ -38,7 +38,7 @@ func memoPlatforms() []memsim.Config {
 func TestEngineKeysMatchFormatters(t *testing.T) {
 	pc := memoPlatforms()[2]
 	for _, a := range append(netapps.All(), netapps.Extensions()...) {
-		for _, opts := range []Options{{}, {Arenas: true, TracePackets: 77}, {Compose: true, Platform: &pc}} {
+		for _, opts := range []Options{{}, {Arenas: true, TracePackets: 77}, {Arenas: true, Platform: &pc}} {
 			e := NewEngine(a, opts)
 			app, packets := a.Name(), e.opts.packets()
 			for pass := 0; pass < 2; pass++ {

@@ -28,7 +28,7 @@ func TestEngineReplayMatchesLive(t *testing.T) {
 	ref := explore.Configs(app)[0]
 	cache := explore.NewCache()
 
-	engA := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true})
+	engA := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache})
 	if _, err := engA.Step1(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestEngineReplayMatchesLive(t *testing.T) {
 	}
 
 	alt := altPlatform()
-	engB := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true, Platform: &alt})
+	engB := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, Platform: &alt})
 	s1b, err := engB.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestStreamPersistence(t *testing.T) {
 	ctx := context.Background()
 	ref := explore.Configs(app)[0]
 	cache := explore.NewCache()
-	engA := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true})
+	engA := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache})
 	if _, err := engA.Step1(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestStreamPersistence(t *testing.T) {
 	}
 
 	alt := altPlatform()
-	eng := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: restored, CaptureStreams: true, Platform: &alt})
+	eng := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: restored, Platform: &alt})
 	if _, err := eng.Step1(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestStreamBudgetEviction(t *testing.T) {
 	ref := explore.Configs(app)[0]
 	cache := explore.NewCache()
 	cache.SetStreamBudget(64 << 10) // far below a full step-1 capture
-	eng := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true})
+	eng := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache})
 	if _, err := eng.Step1(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestStreamBudgetEviction(t *testing.T) {
 
 	// A later platform still works; evicted identities re-execute.
 	alt := altPlatform()
-	engB := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true, Platform: &alt})
+	engB := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, Platform: &alt})
 	s1, err := engB.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestReplayPlatformsWarm(t *testing.T) {
 	ctx := context.Background()
 	ref := explore.Configs(app)[0]
 	cache := explore.NewCache()
-	engA := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true})
+	engA := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache})
 	if _, err := engA.Step1(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestReplayPlatformsWarm(t *testing.T) {
 		t.Fatalf("second warm pass re-evaluated %d entries", again)
 	}
 
-	engB := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, CaptureStreams: true, Platform: &alt})
+	engB := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, Platform: &alt})
 	if _, err := engB.Step1(ctx, ref); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestEvaluatePlatformsExact(t *testing.T) {
 	app := urlsw.App{}
 	ctx := context.Background()
 	ref := explore.Configs(app)[0]
-	eng := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: explore.NewCache(), CaptureStreams: true})
+	eng := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: explore.NewCache()})
 
 	probes, err := eng.Profile(ctx, ref)
 	if err != nil {

@@ -100,7 +100,7 @@ func BenchmarkSampledExploration(b *testing.B) {
 		screened, sst, ss1 := run(b, explore.Options{TracePackets: packets, DominantK: 3, SampleRate: rate,
 			Cache: load(b), Platform: &other})
 		runtime.GC() // the screened arm's cache is garbage now; don't bill the exact arm for it
-		exact, est, es1 := run(b, explore.Options{TracePackets: packets, DominantK: 3, Compose: true,
+		exact, est, es1 := run(b, explore.Options{TracePackets: packets, DominantK: 3, Arenas: true,
 			Cache: load(b), Platform: &other})
 		if est.Simulated != 0 || sst.Simulated != 0 {
 			b.Fatalf("warm arms executed %d/%d simulations", est.Simulated, sst.Simulated)

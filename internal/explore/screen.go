@@ -86,7 +86,7 @@ func (e *Engine) screenJob(idx int, jb Job, guard *frontGuard) (Outcome, bool) {
 	// widens the cut test to their pessimistic interval ends, so a
 	// screening prune discards strictly fewer combinations than an exact
 	// one would — never more.
-	if guard != nil && e.boundPruneActive() {
+	if guard != nil && e.opts.BoundPrune {
 		if e.pruneJob(&o, jb, guard) {
 			e.cache.store(key, o.Result, e.screenCtx)
 			return o, true

@@ -22,7 +22,7 @@ func TestScreenedFrontMatchesExact(t *testing.T) {
 			t.Parallel()
 			ref := explore.Configs(a)[0]
 
-			exEng := explore.NewEngine(a, explore.Options{TracePackets: 300, Compose: true})
+			exEng := explore.NewEngine(a, explore.Options{TracePackets: 300, Arenas: true})
 			exS1, err := exEng.Step1(ctx, ref)
 			if err != nil {
 				t.Fatal(err)
@@ -89,7 +89,7 @@ func TestScreenedDRRGrid(t *testing.T) {
 	ctx := context.Background()
 	ref := explore.Configs(a)[0]
 
-	exEng := explore.NewEngine(a, explore.Options{TracePackets: 2000, DominantK: 3, Compose: true})
+	exEng := explore.NewEngine(a, explore.Options{TracePackets: 2000, DominantK: 3, Arenas: true})
 	exS1, err := exEng.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestScreenedWarmCacheServesEstimates(t *testing.T) {
 	}
 
 	// An exact engine on the same cache must not see the estimates.
-	exact := explore.NewEngine(a, explore.Options{TracePackets: 200, Compose: true, Cache: cache})
+	exact := explore.NewEngine(a, explore.Options{TracePackets: 200, Arenas: true, Cache: cache})
 	exS1, err := exact.Step1(ctx, ref)
 	if err != nil {
 		t.Fatal(err)

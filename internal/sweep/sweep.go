@@ -74,37 +74,31 @@ type Result struct {
 // opts.Platform is overridden per point; everything else applies as is.
 //
 // Unless caching is disabled, the platform points share one simulation
-// cache with access-stream capture enabled: the first methodology
-// executes every simulation once and records its platform-invariant
-// word-access stream, and every later platform point is evaluated by
-// replaying those streams — identical results (the replay-equivalence
-// property tests pin counts, cycles and energy bit-for-bit) at a
-// fraction of the execution cost. The warm pass groups the platform
-// points by cache line size (platform.LineFamilies) and costs each
-// family with a single all-geometry probe pass per stream
-// (memsim.GeomSim), leaving per-identity reuse profiles in the cache —
-// a later sweep over covered geometries is pure arithmetic, zero probe
-// passes. Profiling runs are likewise shared across platforms, since
+// cache (opts.Cache, or a fresh one), and a shared-heap engine captures
+// into it: the first methodology executes every simulation once and
+// records its platform-invariant word-access stream, and every later
+// platform point is evaluated by replaying those streams — identical
+// results (the replay-equivalence property tests pin counts, cycles and
+// energy bit-for-bit) at a fraction of the execution cost. The warm
+// pass groups the platform points by cache line size
+// (platform.LineFamilies) and costs each family with a single
+// all-geometry probe pass per stream (memsim.GeomSim), leaving
+// per-identity reuse profiles in the cache — a later sweep over covered
+// geometries is pure arithmetic, zero probe passes. Profiling runs are likewise shared across platforms, since
 // per-role access attribution is platform-invariant.
 //
-// With opts.Compose the sweep runs on compositional capture instead:
+// On the arena model (opts.Arenas, or implied by BoundPrune and
+// SampleRate) the sweep runs on compositional capture instead:
 // per-role sub-streams (platform- AND combination-invariant) replace
 // whole-run streams, so the first platform's methodology already runs
 // mostly on composed replays, later platforms compose from the same
-// ~10·K lanes, and the warm pass is unnecessary. Results then use the
-// per-role-arena address model throughout.
+// ~10·K lanes, and the warm pass is unnecessary.
 func Run(app apps.App, platforms []PlatformPoint, opts explore.Options) ([]Result, error) {
 	if len(platforms) == 0 {
 		return nil, fmt.Errorf("sweep: no platform points")
 	}
-	if !opts.DisableCache {
-		if opts.Cache == nil {
-			opts.Cache = explore.NewCache()
-		}
-		// Composition subsumes whole-run capture: lanes serve platform
-		// changes and combination changes alike. BoundPrune implies
-		// composition (the engine promotes it), so it counts too.
-		opts.CaptureStreams = !opts.Compose && !opts.BoundPrune
+	if !opts.DisableCache && opts.Cache == nil {
+		opts.Cache = explore.NewCache()
 	}
 	out := make([]Result, 0, len(platforms))
 	for i, pp := range platforms {
@@ -112,7 +106,8 @@ func Run(app apps.App, platforms []PlatformPoint, opts explore.Options) ([]Resul
 		o := opts
 		o.Platform = &cfg
 		res := Result{Platform: pp}
-		if o.CaptureStreams {
+		eng := explore.NewEngine(app, o)
+		if !eng.Options().Arenas && eng.Cache() != nil {
 			// Warm pass: every stream captured so far — by earlier
 			// platforms of this sweep, or by whatever exploration
 			// previously filled the shared cache — is decoded once and
@@ -124,7 +119,6 @@ func Run(app apps.App, platforms []PlatformPoint, opts explore.Options) ([]Resul
 			}
 			res.Warmed = explore.ReplayPlatforms(opts.Cache, pending)
 		}
-		eng := explore.NewEngine(app, o)
 		rep, err := (core.Methodology{App: app, Opts: o, Engine: eng}).Run()
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %s on %s: %w", app.Name(), pp.Name, err)

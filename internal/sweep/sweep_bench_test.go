@@ -126,7 +126,7 @@ func BenchmarkSweepBestComboPlatforms(b *testing.B) {
 	// The exploration that recommends the combination and, as a side
 	// effect of capture, leaves its access stream in the cache (untimed).
 	cache := explore.NewCache()
-	opts := explore.Options{TracePackets: packets, Cache: cache, CaptureStreams: true}
+	opts := explore.Options{TracePackets: packets, Cache: cache}
 	eng := explore.NewEngine(app, opts)
 	rep, err := (core.Methodology{App: app, Opts: opts, Engine: eng}).Run()
 	if err != nil {
