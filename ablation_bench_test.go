@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design decisions DESIGN.md calls out:
+// Ablation benchmarks for three design decisions:
 // the embedded cache geometry (what a desktop-sized L1 would hide), the
 // chunk capacity of the (AR) DDT variants, and the step-1 pruning
 // strategy (what the 4-metric Pareto filter buys over keeping only each
@@ -119,13 +119,13 @@ func BenchmarkAblationPruning(b *testing.B) {
 			opts := explore.Options{TracePackets: 2000}
 			var survivors, sims, frontSize int
 			for i := 0; i < b.N; i++ {
-				s1, err := explore.Step1(app, configs[0], opts)
+				s1, err := explore.NewEngine(app, opts).Step1(context.Background(), configs[0])
 				if err != nil {
 					b.Fatal(err)
 				}
 				kept := *s1
 				kept.Survivors = mode.survivors(s1)
-				s2, err := explore.Step2(app, &kept, configs, opts)
+				s2, err := explore.NewEngine(app, opts).Step2(context.Background(), &kept, configs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,5 +1,6 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (see DESIGN.md's experiment index E-T1..E-S1).
+// evaluation, the same set the ddt-paper command regenerates (README,
+// Commands).
 //
 // The headline experiment benches share one methodology suite at
 // paper.BenchPackets scale, built once outside the timed regions; each
@@ -9,7 +10,7 @@
 //
 // BenchmarkDDT and BenchmarkSimulation measure real wall-clock costs of
 // the library and of single simulations (the paper's "0.8 up to 64
-// seconds per simulation" figure, E-S1).
+// seconds per simulation" figure).
 package repro_test
 
 import (
@@ -105,7 +106,7 @@ func BenchmarkDDT(b *testing.B) {
 
 // BenchmarkSimulation measures one full simulation per iteration for each
 // case study with the original assignment — the unit of design-time cost
-// the paper quotes as 0.8-64 s on its tooling (E-S1). The engine's cache
+// the paper quotes as 0.8-64 s on its tooling. The engine's cache
 // is disabled so every iteration pays the real simulation.
 func BenchmarkSimulation(b *testing.B) {
 	ctx := context.Background()
@@ -172,7 +173,7 @@ func BenchmarkMethodology(b *testing.B) {
 	}
 }
 
-// BenchmarkTable1SimulationReduction regenerates Table 1 (E-T1): the
+// BenchmarkTable1SimulationReduction regenerates Table 1: the
 // simulation budget of the staged flow vs exhaustive exploration, and the
 // size of the final Pareto-optimal set.
 func BenchmarkTable1SimulationReduction(b *testing.B) {

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,38 +16,46 @@ import (
 )
 
 // TestRunSurvivesCorruptCache pins graceful degradation: a cache file
-// that is not a cache at all must never kill the run — it is warned
-// about, preserved aside as <path>.corrupt, and the campaign runs cold
-// and saves a fresh cache at the original path.
+// that is not a cache at all, or a cache of an older format version,
+// must never kill the run — it is warned about, preserved aside as
+// <path>.corrupt, and the campaign runs cold and saves a fresh cache at
+// the original path.
 func TestRunSurvivesCorruptCache(t *testing.T) {
-	for _, mode := range []string{"cache", "replay-cache"} {
-		t.Run(mode, func(t *testing.T) {
+	garbage := []byte("this is not a simulation cache at all")
+	for _, tc := range []struct {
+		name, mode string
+		content    []byte
+	}{
+		{"cache", "cache", garbage},
+		{"replay-cache", "replay-cache", garbage},
+		{"v4-cache", "cache", v4CacheFile()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "url.simcache")
-			garbage := []byte("this is not a simulation cache at all")
-			if err := os.WriteFile(path, garbage, 0o644); err != nil {
+			if err := os.WriteFile(path, tc.content, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			c := base("URL")
-			if mode == "cache" {
+			if tc.mode == "cache" {
 				c.cachePath = path
 			} else {
 				c.replayCache = path
 			}
 			if err := run(context.Background(), c); err != nil {
-				t.Fatalf("corrupt %s killed the run: %v", mode, err)
+				t.Fatalf("unusable %s killed the run: %v", tc.mode, err)
 			}
 			aside, err := os.ReadFile(path + ".corrupt")
 			if err != nil {
 				t.Fatalf("unusable cache not preserved aside: %v", err)
 			}
-			if !bytes.Equal(aside, garbage) {
+			if !bytes.Equal(aside, tc.content) {
 				t.Fatal("preserved .corrupt file does not hold the original bytes")
 			}
-			// The run replaced the corrupt file with a fresh, loadable cache.
+			// The run replaced the unusable file with a fresh, loadable cache.
 			f, err := os.Open(path)
 			if err != nil {
-				t.Fatalf("fresh cache not written over the corrupt path: %v", err)
+				t.Fatalf("fresh cache not written over the unusable path: %v", err)
 			}
 			defer f.Close()
 			head := make([]byte, 8)
@@ -54,6 +64,18 @@ func TestRunSurvivesCorruptCache(t *testing.T) {
 			}
 		})
 	}
+}
+
+// v4CacheFile returns a well-formed, empty cache file of format version
+// 4: the magic, the version, and a checksummed end marker.
+func v4CacheFile() []byte {
+	b := append([]byte("DDTCACHE"), 4, 0, 0, 0)
+	hdr := make([]byte, 9, 13)
+	hdr[0] = 0xFF // end marker, zero length
+	tab := crc32.MakeTable(crc32.Castagnoli)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(hdr, tab))
+	b = append(b, hdr...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(nil, tab))
 }
 
 // TestRepeatedCorruptionNumbersAside pins the evidence-preservation

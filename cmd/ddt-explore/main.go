@@ -229,49 +229,13 @@ func run(ctx context.Context, c cliConfig) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	opts := explore.Options{
-		TracePackets: c.packets,
-		Workers:      c.workers,
-		EarlyAbort:   c.earlyAbort,
-		AbortMargin:  c.abortMargin,
-		SampleRate:   c.sampleRate,
-	}
-	if c.progress {
-		var lastPct int = -1
-		opts.Progress = func(done, total int) {
-			if pct := 100 * done / total; pct != lastPct {
-				lastPct = pct
-				fmt.Fprintf(os.Stderr, "\rstreaming %d/%d simulations (%d%%)", done, total, pct)
-				if done == total {
-					fmt.Fprintln(os.Stderr)
-				}
-			}
-		}
-	}
 	cachePath := c.cachePath
 	if c.replayCache != "" {
 		cachePath = c.replayCache
 	}
-	// Shared-heap runs capture whole-run streams into a persistent cache.
 	cache := loadCache(cachePath)
-	opts.Cache = cache
-	opts.Arenas = c.compose
-	opts.BoundPrune = c.compose && !c.noprune
-	if c.checkpointEvery > 0 {
-		opts.CheckpointEvery = c.checkpointEvery
-		withStreams := c.replayCache != ""
-		opts.Checkpoint = func(ck explore.Checkpoint) {
-			if cachePath != "" {
-				if err := cache.SaveFile(cachePath, withStreams); err != nil {
-					fmt.Fprintln(os.Stderr, "ddt-explore: checkpoint save failed:", err)
-					return
-				}
-			}
-			fmt.Fprintf(os.Stderr, "checkpoint: %d jobs settled (step %d)\n", ck.Settled, ck.Step)
-		}
-	}
-	eng := explore.NewEngine(a, opts)
-	if err := eng.Err(); err != nil {
+	eng, opts, err := newEngine(c, a, cache, cachePath)
+	if err != nil {
 		return err
 	}
 	if boundPruneOff(opts, eng) {
@@ -441,6 +405,59 @@ func run(ctx context.Context, c cliConfig) error {
 		}
 	}
 	return saveCache(cachePath, cache, c.replayCache != "")
+}
+
+// newEngine resolves the command's flags into the exploration engine
+// over cache, the persistent cache loaded from cachePath (nil without
+// -cache or -replay-cache), and returns it with the options it was
+// built from.
+func newEngine(c cliConfig, a apps.App, cache *explore.Cache, cachePath string) (*explore.Engine, explore.Options, error) {
+	opts := explore.Options{
+		TracePackets: c.packets,
+		Workers:      c.workers,
+		EarlyAbort:   c.earlyAbort,
+		AbortMargin:  c.abortMargin,
+		SampleRate:   c.sampleRate,
+		Cache:        cache,
+		Arenas:       c.compose,
+		BoundPrune:   c.compose && !c.noprune,
+	}
+	if c.progress {
+		var lastPct int = -1
+		opts.Progress = func(done, total int) {
+			if pct := 100 * done / total; pct != lastPct {
+				lastPct = pct
+				fmt.Fprintf(os.Stderr, "\rstreaming %d/%d simulations (%d%%)", done, total, pct)
+				if done == total {
+					fmt.Fprintln(os.Stderr)
+				}
+			}
+		}
+	}
+	if c.checkpointEvery > 0 {
+		opts.CheckpointEvery = c.checkpointEvery
+		withStreams := c.replayCache != ""
+		opts.Checkpoint = func(ck explore.Checkpoint) {
+			if cachePath != "" {
+				if err := cache.SaveFile(cachePath, withStreams); err != nil {
+					fmt.Fprintln(os.Stderr, "ddt-explore: checkpoint save failed:", err)
+					return
+				}
+			}
+			fmt.Fprintf(os.Stderr, "checkpoint: %d jobs settled (step %d)\n", ck.Settled, ck.Step)
+		}
+	}
+	eng := explore.NewEngine(a, opts)
+	if err := eng.Err(); err != nil {
+		return nil, opts, err
+	}
+	if c.cachePath != "" && !eng.Options().Arenas {
+		// A results-only file persists no streams and a shared-heap run
+		// replays none of its own, so capturing them would only cost
+		// memory. Arena runs keep the budget: it also holds their lanes.
+		cache.SetStreamBudget(0)
+	}
+	return eng, opts, nil
 }
 
 // boundPruneOff reports whether the engine's platform, being outside

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/apps/netapps"
+	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/memsim"
 	"repro/internal/report"
@@ -154,6 +155,53 @@ func TestRunReplayCachePersistsStreams(t *testing.T) {
 	// Reloading the replay cache must work.
 	if err := run(context.Background(), c); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunCacheCapturesNoStreams pins which cache runs keep access
+// streams: a shared-heap -cache run persists none and replays none of
+// its own, so it captures none; a -replay-cache run keeps them; and a
+// -compose -cache run keeps the stream budget its lanes live in, so it
+// still composes.
+func TestRunCacheCapturesNoStreams(t *testing.T) {
+	a, err := netapps.ByName("URL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		replay      bool
+		compose     bool
+		wantStreams bool
+	}{
+		{"cache", false, false, false},
+		{"replay-cache", true, false, true},
+		{"compose cache", false, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := base("URL")
+			path := filepath.Join(t.TempDir(), "url.cache")
+			if tc.replay {
+				c.replayCache = path
+			} else {
+				c.cachePath = path
+			}
+			c.compose = tc.compose
+			cache := explore.NewCache()
+			eng, opts, err := newEngine(c, a, cache, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := (core.Methodology{App: a, Opts: opts, Engine: eng}).RunContext(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := cache.Stats().Streams; (got > 0) != tc.wantStreams {
+				t.Errorf("%d streams retained, want streams: %v", got, tc.wantStreams)
+			}
+			if tc.compose && eng.Stats().Composed == 0 {
+				t.Error("-compose -cache run composed nothing")
+			}
+		})
 	}
 }
 

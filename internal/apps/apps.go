@@ -211,13 +211,3 @@ func ValidateAssignment(a App, assign Assignment) error {
 	}
 	return nil
 }
-
-// RoleByName returns the Role definition with the given name.
-func RoleByName(a App, name string) (Role, error) {
-	for _, r := range a.Roles() {
-		if r.Name == name {
-			return r, nil
-		}
-	}
-	return Role{}, fmt.Errorf("apps: %s has no container role %q", a.Name(), name)
-}

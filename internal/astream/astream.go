@@ -81,9 +81,10 @@ type Stream struct {
 	// platform-invariant part of the cost vector the heap contributes.
 	Peak uint64
 	// Partial marks a stream whose capture was stopped early (the run was
-	// aborted by the dominance guard). Partial streams are kept for
-	// inspection but must never be replayed across configurations: they
-	// prove nothing about how the full run would have behaved.
+	// aborted by the dominance guard). Partial streams must never be
+	// replayed across configurations (Replay refuses them with
+	// ErrPartial): they prove nothing about how the full run would have
+	// behaved.
 	Partial bool
 }
 

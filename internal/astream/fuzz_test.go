@@ -198,7 +198,7 @@ func FuzzReuseProfileDecode(f *testing.F) {
 	mut[len(mut)/3] ^= 0xff
 	f.Add(mut)
 
-	// A sampled (v3 descriptor + variance arrays) profile, its
+	// A sampled (descriptor + variance arrays) profile, its
 	// truncations and corruptions: the sampling fields are validated as
 	// hard as the histograms.
 	sgs, err := memsim.NewGeomSimSampled(family, 2)

@@ -48,10 +48,15 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 const frameHeaderLen = 1 + 8 + 4
 
 // maxFrameBytes bounds a frame a peer will accept. Shard results with
-// compositional deltas are the largest messages; a corrupted length
-// that passes the header CRC is astronomically unlikely, but the bound
-// keeps a hostile or broken peer from forcing a huge allocation.
+// compositional deltas are the largest messages. Anyone can compute a
+// header CRC, so a declared length is trusted only this far, and the
+// reader buffers a payload as its bytes arrive rather than allocating
+// the declared length up front.
 const maxFrameBytes = 1 << 31
+
+// initialFrameBuffer is the payload buffer a frame read starts with;
+// it grows from there only as payload bytes arrive.
+const initialFrameBuffer = 64 << 10
 
 // maxHelloBytes bounds the first frame of a connection. Until the
 // hello is checked (protocol, campaign, token), the peer is untrusted
@@ -217,10 +222,18 @@ func readFrameN(r *bufio.Reader, maxLen int64) (byte, []byte, error) {
 	if ln < 0 || ln > maxLen {
 		return 0, nil, fmt.Errorf("distrib: frame length %d out of range", ln)
 	}
-	payload := make([]byte, ln)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// The declared length is only an upper bound until the bytes
+	// arrive: the buffer grows with what is actually received, so a
+	// forged header cannot make the reader allocate maxLen up front.
+	var buf bytes.Buffer
+	buf.Grow(int(min(ln, initialFrameBuffer)))
+	if _, err := io.CopyN(&buf, r, ln); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
+	payload := buf.Bytes()
 	var tr [4]byte
 	if _, err := io.ReadFull(r, tr[:]); err != nil {
 		return 0, nil, err

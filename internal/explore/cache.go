@@ -29,8 +29,9 @@ import (
 //     replaying the stream instead of re-running the application — the
 //     capture-once / replay-many fast path of multi-platform sweeps.
 //     Streams are byte-budgeted (SetStreamBudget); eviction only costs a
-//     potential re-execution later. Partial streams (from aborted
-//     captures) are stored tagged but never replayed.
+//     potential re-execution later. A cache with a non-positive budget
+//     keeps no streams, and its engines capture none. Partial streams
+//     (from aborted captures) are dropped, never stored.
 //   - Profiles: dominance profiling attributes accesses per container
 //     role, which is platform-invariant, so a sweep profiles each
 //     network configuration once rather than once per platform point.
@@ -182,12 +183,22 @@ func NewCache() *Cache {
 }
 
 // SetStreamBudget overrides the byte budget for retained access streams.
-// A non-positive budget disables stream retention entirely.
+// A non-positive budget disables stream retention entirely — whole-run
+// streams, lanes, schedules and reuse profiles — and a shared-heap
+// engine on such a cache captures no streams at all.
 func (c *Cache) SetStreamBudget(bytes int64) {
 	c.sm.Lock()
 	c.streamBudget = bytes
 	c.evictLocked()
 	c.sm.Unlock()
+}
+
+// keepsStreams reports whether the cache retains access streams at all:
+// whether its stream budget is positive.
+func (c *Cache) keepsStreams() bool {
+	c.sm.RLock()
+	defer c.sm.RUnlock()
+	return c.streamBudget > 0
 }
 
 // CacheStats reports cache traffic since construction (or Load).
@@ -277,15 +288,13 @@ func (c *Cache) store(key string, r Result, ctx string) {
 	c.mu.Unlock()
 }
 
-// lookupStream returns the complete captured stream for the platform-
-// invariant key, with a defensive copy of its summary. Partial streams
-// never hit: the recorded prefix of an aborted run proves nothing about
-// the full run.
+// lookupStream returns the captured stream for the platform-invariant
+// key, with a defensive copy of its summary.
 func (c *Cache) lookupStream(key string) (*astream.Stream, apps.Summary, bool) {
 	c.sm.RLock()
 	e, ok := c.streams[key]
 	c.sm.RUnlock()
-	if !ok || e.Stream.Partial {
+	if !ok {
 		c.streamMisses.Add(1)
 		return nil, apps.Summary{}, false
 	}
@@ -294,19 +303,21 @@ func (c *Cache) lookupStream(key string) (*astream.Stream, apps.Summary, bool) {
 }
 
 // storeStream retains a captured stream under the platform-invariant
-// key. A partial stream never replaces a complete one; budget overflow
-// evicts the oldest streams first (a pure performance loss, never a
-// correctness one). Streams are immutable once stored.
+// key. Partial streams are dropped, as storeLane drops partial lanes:
+// the recorded prefix of an aborted run proves nothing about the full
+// run. Budget overflow evicts the oldest streams first (a pure
+// performance loss, never a correctness one). Streams are immutable
+// once stored.
 func (c *Cache) storeStream(key string, e streamEntry) {
+	if e.Stream.Partial {
+		return
+	}
 	c.sm.Lock()
 	defer c.sm.Unlock()
 	if c.streamBudget <= 0 {
 		return
 	}
 	if old, ok := c.streams[key]; ok {
-		if e.Stream.Partial && !old.Stream.Partial {
-			return
-		}
 		c.streamBytes -= int64(old.Stream.SizeBytes())
 	} else {
 		c.streamOrder = append(c.streamOrder, key)
@@ -319,13 +330,12 @@ func (c *Cache) storeStream(key string, e streamEntry) {
 	c.evictLocked()
 }
 
-// lookupLane returns the complete lane sub-stream for a (role, kind)
-// key. Partial lanes never hit.
+// lookupLane returns the lane sub-stream for a (role, kind) key.
 func (c *Cache) lookupLane(key string) (*astream.SubStream, bool) {
 	c.sm.RLock()
 	s, ok := c.lanes[key]
 	c.sm.RUnlock()
-	if !ok || s.Partial {
+	if !ok {
 		c.laneMisses.Add(1)
 		return nil, false
 	}
@@ -334,8 +344,7 @@ func (c *Cache) lookupLane(key string) (*astream.SubStream, bool) {
 }
 
 // storeLane retains one (role, kind) lane sub-stream. Partial lanes are
-// dropped outright: a lane from an aborted capture proves nothing, and
-// unlike whole streams there is no inspection value in keeping it.
+// dropped outright: a lane from an aborted capture proves nothing.
 func (c *Cache) storeLane(key string, s *astream.SubStream) {
 	if s.Partial {
 		return
@@ -531,7 +540,7 @@ func (c *Cache) lookupSchedule(key string) (*astream.Schedule, *astream.SubStrea
 	c.sm.RLock()
 	e, ok := c.scheds[key]
 	c.sm.RUnlock()
-	if !ok || e.Ambient.Partial {
+	if !ok {
 		c.laneMisses.Add(1)
 		return nil, nil, apps.Summary{}, false
 	}
@@ -540,17 +549,17 @@ func (c *Cache) lookupSchedule(key string) (*astream.Schedule, *astream.SubStrea
 }
 
 // hasLanes reports whether the schedule under ck and every lane
-// assign composes from are held complete, without touching the
-// hit/miss counters.
+// assign composes from are held, without touching the hit/miss
+// counters.
 func (c *Cache) hasLanes(ck *cfgKeys, assign apps.Assignment) bool {
 	c.sm.RLock()
 	defer c.sm.RUnlock()
 	e, ok := c.scheds[ck.sched]
-	if !ok || e.Ambient.Partial {
+	if !ok {
 		return false
 	}
 	for _, role := range e.Sched.Roles {
-		if s, ok := c.lanes[ck.lane(role, apps.KindFor(assign, role))]; !ok || s.Partial {
+		if _, ok := c.lanes[ck.lane(role, apps.KindFor(assign, role))]; !ok {
 			return false
 		}
 	}
@@ -581,7 +590,7 @@ func (c *Cache) storeSchedule(key string, e schedEntry) {
 	c.evictLocked()
 }
 
-// streamEntries snapshots the retained streams (complete and partial).
+// streamEntries snapshots the retained streams.
 func (c *Cache) streamEntries() []streamEntry {
 	c.sm.RLock()
 	defer c.sm.RUnlock()
@@ -702,7 +711,7 @@ func (c *Cache) SaveWithStreams(w io.Writer) error {
 	return c.save(w, true)
 }
 
-// save and Load live in cache_io.go: the sectioned v4 format with
+// save and Load live in cache_io.go: the sectioned format with
 // per-section CRC32C framing, its salvaging loader, and the atomic
 // SaveFile path.
 

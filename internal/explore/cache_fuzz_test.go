@@ -3,7 +3,7 @@ package explore
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"slices"
 	"testing"
 
 	"repro/internal/apps/netapps"
@@ -12,8 +12,8 @@ import (
 
 // fuzzSeedImages builds the sectioned encodings Load accepts — lean and
 // with streams, from a cache holding an entry of every persisted kind;
-// with one compositional capture's schedule and lanes; and with the
-// isolated lane-profile section older writers emitted, which a load
+// with one compositional capture's schedule and lanes; and the lean
+// image carrying a section of an id no writer assigns, which a load
 // skips.
 func fuzzSeedImages(tb testing.TB) [][]byte {
 	tb.Helper()
@@ -53,18 +53,41 @@ func fuzzSeedImages(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 
-	var lp bytes.Buffer
-	if err := gob.NewEncoder(&lp).Encode(map[string]*memsim.ReuseProfile{"lp": prof}); err != nil {
-		tb.Fatal(err)
-	}
 	end := lean.Len() - frameHeaderLen - 4 // the end marker: a header and an empty payload's CRC
-	var withLP bytes.Buffer
-	withLP.Write(lean.Bytes()[:end])
-	if err := writeFrame(&withLP, secLProfiles, lp.Bytes()); err != nil {
+	var unknown bytes.Buffer
+	unknown.Write(lean.Bytes()[:end])
+	if err := writeFrame(&unknown, secUnknown, []byte("a section this reader does not know")); err != nil {
 		tb.Fatal(err)
 	}
-	withLP.Write(lean.Bytes()[end:])
-	return [][]byte{lean.Bytes(), full.Bytes(), composed.Bytes(), withLP.Bytes()}
+	unknown.Write(lean.Bytes()[end:])
+	return [][]byte{lean.Bytes(), full.Bytes(), composed.Bytes(), unknown.Bytes()}
+}
+
+// secUnknown is a section id no writer assigns.
+const secUnknown byte = 0x40
+
+// TestLoadSkipsUnknownSection pins forward compatibility: a section id
+// the reader does not know is skipped, and everything around it loads.
+func TestLoadSkipsUnknownSection(t *testing.T) {
+	imgs := fuzzSeedImages(t)
+	want := NewCache()
+	if err := want.Load(bytes.NewReader(imgs[0])); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache()
+	rep, err := c.LoadReported(bytes.NewReader(imgs[3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Dropped) != 0 || rep.Truncated || !slices.Contains(rep.Sections, sectionName(secUnknown)) {
+		t.Fatalf("load report %+v", rep)
+	}
+	if c.Len() != want.Len() || c.Len() == 0 {
+		t.Fatalf("loaded %d entries, want %d", c.Len(), want.Len())
+	}
+	if _, ok := c.Checkpoint(); !ok {
+		t.Fatal("the checkpoint did not load")
+	}
 }
 
 // FuzzCacheLoad throws arbitrary bytes — seeded with every real cache
@@ -88,7 +111,7 @@ func FuzzCacheLoad(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a gob stream"))
 	f.Add([]byte("DDTCACHE"))
-	f.Add([]byte("DDTCACHE\x04\x00\x00\x00"))
+	f.Add([]byte("DDTCACHE\x05\x00\x00\x00"))
 	f.Add([]byte("DDTCACHE\x63\x00\x00\x00")) // unsupported version
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"reflect"
 	"testing"
@@ -42,43 +43,55 @@ func mkStream(partial bool) *astream.Stream {
 	return rec.Finish(partial)
 }
 
-// TestLoadPartialDoesNotReplaceComplete pins that merging a saved cache
-// whose stream for a key is partial never clobbers a complete stream
-// already held in memory — the same invariant storeStream enforces.
+// TestLoadPartialDoesNotReplaceComplete pins that no cache holds a
+// partial whole-run stream: storeStream drops one, so it can neither
+// replace a complete stream nor take stream budget, and a load drops
+// the partial streams a saved image carries.
 func TestLoadPartialDoesNotReplaceComplete(t *testing.T) {
-	donor := NewCache()
-	donor.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
-	var buf bytes.Buffer
-	if err := donor.SaveWithStreams(&buf); err != nil {
-		t.Fatal(err)
+	c := NewCache()
+	c.storeStream("P", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
+	if st := c.Stats(); st.Streams != 0 || st.StreamBytes != 0 {
+		t.Fatalf("storeStream kept a partial stream: %+v", st)
+	}
+	c.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
+	c.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
+	if st, _, ok := c.lookupStream("K"); !ok || st.Partial {
+		t.Fatalf("complete stream lost to a stored partial (ok=%v)", ok)
 	}
 
-	c := NewCache()
-	c.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
-	if err := c.Load(&buf); err != nil {
+	// A saved image whose streams section carries partial streams, one
+	// under the key c holds complete.
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(map[string]streamEntry{
+		"K": {App: "URL", Packets: 300, Stream: mkStream(true)},
+		"P": {App: "URL", Packets: 300, Stream: mkStream(true)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	img := bytes.NewBufferString(cacheMagic)
+	img.Write(binary.LittleEndian.AppendUint32(nil, cacheVersion))
+	if err := writeFrame(img, secStreams, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(img, secEnd, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats().StreamBytes
+	if err := c.Load(bytes.NewReader(img.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if st, _, ok := c.lookupStream("K"); !ok || st.Partial {
 		t.Fatalf("complete stream lost to a loaded partial (ok=%v)", ok)
 	}
-	// The reverse direction: loading a complete stream over a partial
-	// one must upgrade it.
-	donor2 := NewCache()
-	donor2.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
-	var buf2 bytes.Buffer
-	if err := donor2.SaveWithStreams(&buf2); err != nil {
+	if st := c.Stats(); st.Streams != 1 || st.StreamBytes != before {
+		t.Fatalf("load kept a partial stream: %+v", st)
+	}
+	fresh := NewCache()
+	if err := fresh.Load(bytes.NewReader(img.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCache()
-	c2.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
-	if err := c2.Load(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c2.lookupStream("K"); !ok {
-		t.Fatal("loaded complete stream did not replace the partial one")
-	}
-	if c2.Stats().StreamBytes <= 0 {
-		t.Fatal("stream byte accounting broken after merge")
+	if st := fresh.Stats(); st.Streams != 0 || st.StreamBytes != 0 {
+		t.Fatalf("load kept a partial stream: %+v", st)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"repro/internal/memsim"
 )
 
-// Sectioned cache format (version 4).
+// Sectioned cache format (version 5).
 //
 // The file opens with an 8-byte magic and a little-endian uint32
 // version, followed by a sequence of independently framed sections and
@@ -37,25 +37,23 @@ import (
 // before the end marker is a torn write: everything up to the last
 // complete frame loads, the tail is reported as truncation.
 //
-// Files written before version 4 — a gob struct or a bare gob entry
-// map — carry no magic and are refused like any other non-cache input;
-// the cache is a memo, and a cold run rebuilds it.
+// Only the current version loads: files of any other version, and
+// files without the magic, are refused like any other non-cache input.
+// The cache is a memo, and a cold run rebuilds it.
 const (
 	cacheMagic   = "DDTCACHE"
-	cacheVersion = 4
+	cacheVersion = 5
 )
 
-// Section identifiers of the v4 format. Values are part of the on-disk
-// format: never renumber, only append. secLProfiles held isolated lane
-// profiles; no save writes it any more (lane bounds are rederived from
-// the decoded lanes), and a load skips it like any unknown section.
+// Section identifiers. Values are part of the on-disk format: never
+// renumber, only append. Id 6 is retired and must not be reused. A load
+// skips any id it does not know.
 const (
 	secResults    byte = 1
 	secStreams    byte = 2
 	secLanes      byte = 3
 	secScheds     byte = 4
 	secRProfiles  byte = 5
-	secLProfiles  byte = 6
 	secCheckpoint byte = 7
 	secEnd        byte = 0xFF
 )
@@ -89,8 +87,6 @@ func sectionName(id byte) string {
 		return "schedules"
 	case secRProfiles:
 		return "reuse-profiles"
-	case secLProfiles:
-		return "lane-profiles"
 	case secCheckpoint:
 		return "checkpoint"
 	default:
@@ -121,7 +117,7 @@ func writeFrame(w io.Writer, id byte, payload []byte) error {
 	return err
 }
 
-// save serializes the cache to w in the sectioned v4 format. Each
+// save serializes the cache to w in the sectioned format. Each
 // store snapshots under its own lock and encodes outside it, one
 // section at a time, so a save never holds any cache lock across
 // serialization work.
@@ -207,12 +203,10 @@ type LoadReport struct {
 }
 
 // Load merges previously saved cache contents from r, overwriting
-// entries with equal keys (except that a loaded partial stream never
-// replaces a complete one, mirroring storeStream). It is how repeated
-// CLI runs skip simulations earlier runs already paid for. Only the
-// sectioned v4 format loads. Salvageable damage (a corrupt section, a
-// truncated tail) is absorbed silently here; use LoadReported to
-// observe it.
+// entries with equal keys. It is how repeated CLI runs skip simulations
+// earlier runs already paid for. Only the current format version
+// loads. Salvageable damage (a corrupt section, a truncated tail) is
+// absorbed silently here; use LoadReported to observe it.
 func (c *Cache) Load(r io.Reader) error {
 	_, err := c.LoadReported(r)
 	return err
@@ -257,10 +251,10 @@ func (c *Cache) LoadReported(r io.Reader) (LoadReport, error) {
 	return c.loadSectioned(br)
 }
 
-// loadSectioned scans the v4 frame sequence, merging every section
+// loadSectioned scans the frame sequence, merging every section
 // whose header and payload checksums hold and whose gob decodes.
 func (c *Cache) loadSectioned(br *bufio.Reader) (LoadReport, error) {
-	rep := LoadReport{Format: "sectioned-v4"}
+	rep := LoadReport{Format: fmt.Sprintf("sectioned-v%d", cacheVersion)}
 	for {
 		var hdr [frameHeaderLen]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -422,8 +416,8 @@ func (c *Cache) mergeEntries(m map[string]cacheEntry) {
 	c.mu.Unlock()
 }
 
-// mergeStreams merges loaded whole-run streams; a loaded partial
-// stream never replaces a complete one, mirroring storeStream.
+// mergeStreams merges loaded whole-run streams, dropping partial
+// streams as storeStream does.
 func (c *Cache) mergeStreams(m map[string]streamEntry) {
 	if len(m) == 0 {
 		return
@@ -431,16 +425,13 @@ func (c *Cache) mergeStreams(m map[string]streamEntry) {
 	c.sm.Lock()
 	defer c.sm.Unlock()
 	for k, v := range m {
-		if v.Stream == nil {
+		if v.Stream == nil || v.Stream.Partial {
 			continue
 		}
-		if old, ok := c.streams[k]; !ok {
-			c.streamOrder = append(c.streamOrder, k)
-		} else {
-			if v.Stream.Partial && !old.Stream.Partial {
-				continue
-			}
+		if old, ok := c.streams[k]; ok {
 			c.streamBytes -= int64(old.Stream.SizeBytes())
+		} else {
+			c.streamOrder = append(c.streamOrder, k)
 		}
 		c.streams[k] = v
 		c.streamBytes += int64(v.Stream.SizeBytes())

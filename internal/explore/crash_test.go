@@ -200,14 +200,14 @@ type cacheFrame struct {
 const endFrameID = 0xFF
 
 // frameSectionNames mirrors the on-disk section ids; values are part
-// of the format and pinned here against accidental renumbering.
+// of the format and pinned here against accidental renumbering. Id 6
+// is retired.
 var frameSectionNames = map[byte]string{
 	1: "results",
 	2: "streams",
 	3: "lanes",
 	4: "schedules",
 	5: "reuse-profiles",
-	6: "lane-profiles",
 	7: "checkpoint",
 }
 

@@ -287,7 +287,7 @@ func (d *CacheDelta) Len() int {
 	return len(d.Lanes) + len(d.Scheds)
 }
 
-// ExportDelta snapshots every complete compositional entry not yet
+// ExportDelta snapshots every compositional entry not yet
 // exported through cur, advancing the cursor. Entries are shared, not
 // copied — lanes and schedules are immutable once stored.
 // Returns nil when nothing new accumulated.
@@ -298,12 +298,12 @@ func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
 	}
 	c.sm.RLock()
 	for k, s := range c.lanes {
-		if !cur.lanes[k] && !s.Partial {
+		if !cur.lanes[k] {
 			d.Lanes[k] = s
 		}
 	}
 	for k, e := range c.scheds {
-		if !cur.scheds[k] && !e.Ambient.Partial {
+		if !cur.scheds[k] {
 			d.Scheds[k] = e
 		}
 	}

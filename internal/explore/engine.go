@@ -283,9 +283,10 @@ func (e *Engine) workers() int {
 }
 
 // CombinationSeq yields every assignment of the ddt.NumKinds library DDTs
-// to k roles in the same lexicographic order Combinations materializes,
-// without building the 10^k slice — the generator that lets DominantK grow
-// past what a materialized combination table tolerates.
+// to k roles — the 10^k combinations of §3.1 — in lexicographic order
+// (the last role varies fastest), without building the 10^k slice, so
+// DominantK can grow past what a materialized combination table
+// tolerates.
 func CombinationSeq(k int) iter.Seq[[]ddt.Kind] {
 	return func(yield func([]ddt.Kind) bool) {
 		if k <= 0 {
@@ -644,8 +645,9 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 			e.cache.store(key, o.Result, e.exploreCtx)
 			return o
 		}
-		// Whole-run streams outlive the engine only in a caller's cache.
-		if !compose && e.opts.Cache != nil {
+		// Whole-run streams outlive the engine only in a caller's cache,
+		// and only one that keeps streams at all.
+		if !compose && e.opts.Cache != nil && e.cache.keepsStreams() {
 			skey = streamKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.Arenas)
 			if st, sum, ok := e.cache.lookupStream(skey); ok && e.replayJob(&o, st, sum, jb, aguard) {
 				e.cache.store(key, o.Result, e.exploreCtx)
@@ -685,8 +687,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		return o
 	}
 	if rec != nil {
-		// Aborted runs leave a partial stream: retained (tagged) for
-		// inspection, never replayed.
+		// An aborted run's partial stream is dropped by storeStream.
 		p.EndCapture()
 		e.cache.storeStream(skey, streamEntry{
 			App: e.app.Name(), Cfg: jb.Cfg, Assign: jb.Assign, Packets: e.opts.packets(),

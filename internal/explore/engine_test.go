@@ -16,22 +16,34 @@ import (
 	"repro/internal/trace"
 )
 
-func TestCombinationSeqMatchesCombinations(t *testing.T) {
+// TestCombinationSeqDigits pins CombinationSeq's order against an
+// independent decoding: combination i assigns to role j the j-th
+// base-10 digit of i, most significant first.
+func TestCombinationSeqDigits(t *testing.T) {
 	for _, k := range []int{0, 1, 2, 3} {
-		want := explore.Combinations(k)
-		var got [][]ddt.Kind
-		for combo := range explore.CombinationSeq(k) {
-			got = append(got, combo)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: seq yielded %d combos, slice %d", k, len(got), len(want))
-		}
-		for i := range got {
-			for j := range got[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("k=%d combo %d differs: %v vs %v", k, i, got[i], want[i])
-				}
+		want := 0
+		if k > 0 {
+			want = 1
+			for j := 0; j < k; j++ {
+				want *= ddt.NumKinds
 			}
+		}
+		i := 0
+		for combo := range explore.CombinationSeq(k) {
+			if len(combo) != k {
+				t.Fatalf("k=%d combo %d has %d roles", k, i, len(combo))
+			}
+			rest := i
+			for j := k - 1; j >= 0; j-- {
+				if d := ddt.Kind(rest % ddt.NumKinds); combo[j] != d {
+					t.Fatalf("k=%d combo %d = %v: role %d is %v, want digit %v", k, i, combo, j, combo[j], d)
+				}
+				rest /= ddt.NumKinds
+			}
+			i++
+		}
+		if i != want {
+			t.Fatalf("k=%d: seq yielded %d combos, want %d", k, i, want)
 		}
 	}
 	// Early break must not panic or leak.

@@ -42,20 +42,15 @@
 // on top of it. Options the plan cannot run are errors, never another
 // strategy. Cancellation and deadlines propagate through
 // context.Context.
-//
-// Step1, Step2 and Simulate remain as thin wrappers over a fresh Engine
-// for callers (and tests) that pin the original batch signatures.
 package explore
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/apps"
-	"repro/internal/ddt"
 	"repro/internal/memsim"
 	"repro/internal/metrics"
 	"repro/internal/pareto"
@@ -360,25 +355,6 @@ func knobCartesian(a apps.App) []apps.Knobs {
 	return sets
 }
 
-// Combinations enumerates every assignment of the 10 library DDTs to k
-// roles — the 10^k combinations of §3.1 ("if there are two dominant data
-// structures, then we have to simulate 100 times"). It materializes
-// CombinationSeq; streaming callers should range the sequence instead.
-func Combinations(k int) [][]ddt.Kind {
-	if k <= 0 {
-		return nil
-	}
-	total := 1
-	for i := 0; i < k; i++ {
-		total *= ddt.NumKinds
-	}
-	out := make([][]ddt.Kind, 0, total)
-	for combo := range CombinationSeq(k) {
-		out = append(out, combo)
-	}
-	return out
-}
-
 // traceCache avoids regenerating the same synthetic trace for every one of
 // the hundreds of simulations that read it.
 var traceCache sync.Map // key string -> *trace.Trace
@@ -490,14 +466,6 @@ func (s Step1Result) SurvivorFraction() float64 {
 	return float64(len(s.Survivors)) / float64(len(s.Results))
 }
 
-// Step1 performs the application-level DDT exploration through a fresh
-// Engine: profile for dominance, then simulate all 10^k combinations for
-// the dominant roles on the reference configuration and keep the
-// combinations that are non-dominated in the four metrics.
-func Step1(a apps.App, reference Config, opts Options) (*Step1Result, error) {
-	return NewEngine(a, opts).Step1(context.Background(), reference)
-}
-
 // Step2Result is the outcome of the network-level exploration.
 type Step2Result struct {
 	Configs     []Config
@@ -517,15 +485,6 @@ func (s Step2Result) ResultsFor(cfg Config) []Result {
 		}
 	}
 	return out
-}
-
-// Step2 performs the network-level DDT exploration through a fresh
-// Engine: every step-1 survivor is re-simulated for every network
-// configuration. Reference-configuration results are reused from step 1
-// rather than re-simulated, which is the "stepwise procedure propagating
-// restrictions from one step to the next" that cuts the simulation count.
-func Step2(a apps.App, s1 *Step1Result, configs []Config, opts Options) (*Step2Result, error) {
-	return NewEngine(a, opts).Step2(context.Background(), s1, configs)
 }
 
 // ComboKey returns a canonical string for the kinds assigned to the given

@@ -1,6 +1,8 @@
 package explore_test
 
 import (
+	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -41,10 +43,10 @@ func TestConfigsEnumeration(t *testing.T) {
 }
 
 func TestCombinations(t *testing.T) {
-	if got := len(explore.Combinations(1)); got != 10 {
+	if got := len(slices.Collect(explore.CombinationSeq(1))); got != 10 {
 		t.Fatalf("10^1 = %d", got)
 	}
-	combos := explore.Combinations(2)
+	combos := slices.Collect(explore.CombinationSeq(2))
 	if len(combos) != 100 {
 		t.Fatalf("10^2 = %d", len(combos))
 	}
@@ -56,8 +58,8 @@ func TestCombinations(t *testing.T) {
 		}
 		seen[key] = true
 	}
-	if explore.Combinations(0) != nil {
-		t.Error("Combinations(0) should be nil")
+	if slices.Collect(explore.CombinationSeq(0)) != nil {
+		t.Error("CombinationSeq(0) should yield nothing")
 	}
 }
 
@@ -84,7 +86,7 @@ func TestSimulateDeterministic(t *testing.T) {
 func TestStep1(t *testing.T) {
 	a := urlsw.App{}
 	ref := explore.Configs(a)[0]
-	s1, err := explore.Step1(a, ref, testOpts)
+	s1, err := explore.NewEngine(a, testOpts).Step1(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +125,11 @@ func TestStep1(t *testing.T) {
 func TestStep2ReusesReference(t *testing.T) {
 	a := urlsw.App{}
 	configs := explore.Configs(a)
-	s1, err := explore.Step1(a, configs[0], testOpts)
+	s1, err := explore.NewEngine(a, testOpts).Step1(context.Background(), configs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := explore.Step2(a, s1, configs, testOpts)
+	s2, err := explore.NewEngine(a, testOpts).Step2(context.Background(), s1, configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +177,7 @@ func TestDominantKOption(t *testing.T) {
 	a := route.App{}
 	ref := explore.Configs(a)[0]
 	opts := explore.Options{TracePackets: 300, DominantK: 3}
-	s1, err := explore.Step1(a, ref, opts)
+	s1, err := explore.NewEngine(a, opts).Step1(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func (f faultyApp) Run(tr *trace.Trace, p *platform.Platform, assign apps.Assign
 func TestStep1SurfacesSimulationFailure(t *testing.T) {
 	poison := ddt.DLLARO
 	app := faultyApp{poison: &poison}
-	_, err := explore.Step1(app, explore.Configs(app)[0], explore.Options{TracePackets: 50})
+	_, err := explore.NewEngine(app, explore.Options{TracePackets: 50}).Step1(context.Background(), explore.Configs(app)[0])
 	if err == nil || !strings.Contains(err.Error(), "injected simulation failure") {
 		t.Fatalf("step 1 swallowed the injected failure: %v", err)
 	}
@@ -66,7 +67,7 @@ func TestStep1SurfacesSimulationFailure(t *testing.T) {
 
 func TestStep1SurfacesProfilingFailure(t *testing.T) {
 	app := faultyApp{failProbe: true}
-	_, err := explore.Step1(app, explore.Configs(app)[0], explore.Options{TracePackets: 50})
+	_, err := explore.NewEngine(app, explore.Options{TracePackets: 50}).Step1(context.Background(), explore.Configs(app)[0])
 	if err == nil || !strings.Contains(err.Error(), "injected profiling failure") {
 		t.Fatalf("step 1 swallowed the profiling failure: %v", err)
 	}
@@ -78,13 +79,13 @@ func TestStep2SurfacesFailure(t *testing.T) {
 	// Simplest: run step 1 clean, then poison and run step 2.
 	clean := faultyApp{}
 	configs := explore.Configs(clean)
-	s1, err := explore.Step1(clean, configs[0], explore.Options{TracePackets: 50})
+	s1, err := explore.NewEngine(clean, explore.Options{TracePackets: 50}).Step1(context.Background(), configs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	poison := s1.Survivors[0].Assign["victim"]
 	poisoned := faultyApp{poison: &poison}
-	_, err = explore.Step2(poisoned, s1, configs, explore.Options{TracePackets: 50})
+	_, err = explore.NewEngine(poisoned, explore.Options{TracePackets: 50}).Step2(context.Background(), s1, configs)
 	if err == nil {
 		t.Fatal("step 2 swallowed the injected failure")
 	}
@@ -94,7 +95,7 @@ func TestFaultyAppCleanRunWorks(t *testing.T) {
 	// The stub itself must be a conforming app when not poisoned, so the
 	// failure tests above fail for the right reason.
 	app := faultyApp{}
-	s1, err := explore.Step1(app, explore.Configs(app)[0], explore.Options{TracePackets: 50})
+	s1, err := explore.NewEngine(app, explore.Options{TracePackets: 50}).Step1(context.Background(), explore.Configs(app)[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package explore_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -25,7 +26,7 @@ func barrierStep1(t *testing.T, a apps.App, ref explore.Config, opts explore.Opt
 		t.Fatal(err)
 	}
 	dominant := probes.Dominant(2)
-	combos := explore.Combinations(len(dominant))
+	combos := slices.Collect(explore.CombinationSeq(len(dominant)))
 	results := make([]explore.Result, len(combos))
 	for i, combo := range combos {
 		assign := make(apps.Assignment, len(dominant))

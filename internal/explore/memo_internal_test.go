@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -272,64 +271,6 @@ func TestPeakMemoHoldsNoLanes(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("evicted lanes stayed reachable")
 		}
-	}
-}
-
-// TestLoadLaneProfileSectionFile loads a cache file saved while the
-// cache still persisted isolated lane profiles (DRR, 20 packets, K=2,
-// bound-pruned): it loads with nothing dropped, a warm run on it
-// re-executes nothing and reproduces the saved survivors' results, and
-// a re-save no longer writes the lane-profile section.
-func TestLoadLaneProfileSectionFile(t *testing.T) {
-	c := NewCache()
-	rep, err := c.LoadFile(filepath.Join("testdata", "lane-profiles-v4.ddtcache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Dropped) != 0 || rep.Truncated || !slices.Contains(rep.Sections, "lane-profiles") {
-		t.Fatalf("load report %+v", rep)
-	}
-	if st := c.Stats(); st.Entries != 23 || st.Lanes != 21 || st.Schedules != 1 {
-		t.Fatalf("loaded stores %+v", st)
-	}
-
-	a, err := netapps.ByName("DRR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
-	warm := NewEngine(a, Options{TracePackets: 20, DominantK: 2, BoundPrune: true, Cache: c})
-	ws1, err := warm.Step1(context.Background(), ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := warm.Stats(); st.Simulated != 0 || st.CacheHits == 0 {
-		t.Fatalf("warm run on the loaded file: %+v", st)
-	}
-	cold := NewEngine(a, Options{TracePackets: 20, DominantK: 2, BoundPrune: true})
-	cs1, err := cold.Step1(context.Background(), ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws1.Survivors) != len(cs1.Survivors) {
-		t.Fatalf("warm survivors %d, cold %d", len(ws1.Survivors), len(cs1.Survivors))
-	}
-	for i := range ws1.Survivors {
-		if w, c := ws1.Survivors[i], cs1.Survivors[i]; w.Assign.String() != c.Assign.String() || w.Vec != c.Vec {
-			t.Fatalf("survivor %d: warm %s %v, cold %s %v", i, w.Assign, w.Vec, c.Assign, c.Vec)
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "resaved.ddtcache")
-	if err := c.SaveFile(path, true); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = NewCache().LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Dropped) != 0 || slices.Contains(rep.Sections, "lane-profiles") {
-		t.Fatalf("re-saved file report %+v", rep)
 	}
 }
 

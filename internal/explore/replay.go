@@ -23,8 +23,8 @@ import (
 //
 // The per-stream units are independent, so they fan out across a
 // bounded worker pool (GOMAXPROCS workers), each reusing the pooled
-// replay scratch. Partial streams and streams that fail to decode are
-// skipped (they fall back to live execution on demand). It returns the
+// replay scratch. Streams that fail to decode are skipped (they fall
+// back to live execution on demand). It returns the
 // number of (stream, platform) evaluations performed.
 func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 	if c == nil || len(platforms) == 0 {
@@ -36,12 +36,7 @@ func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 	}
 	families := platform.LineFamilies(platforms)
 
-	var units []streamEntry
-	for _, e := range c.streamEntries() {
-		if !e.Stream.Partial {
-			units = append(units, e)
-		}
-	}
+	units := c.streamEntries()
 	if len(units) == 0 {
 		return 0
 	}

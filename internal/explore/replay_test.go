@@ -3,6 +3,7 @@ package explore_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -125,6 +126,37 @@ func TestStreamPersistence(t *testing.T) {
 	}
 }
 
+// TestZeroBudgetCapturesNoStreams pins that a shared-heap engine on a
+// supplied cache that keeps no streams (budget <= 0) neither looks
+// streams up nor captures them, and explores exactly as with one that
+// does.
+func TestZeroBudgetCapturesNoStreams(t *testing.T) {
+	app := urlsw.App{}
+	ctx := context.Background()
+	ref := explore.Configs(app)[0]
+	cache := explore.NewCache()
+	cache.SetStreamBudget(0)
+	s1, err := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache}).Step1(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Streams != 0 || st.StreamBytes != 0 || st.StreamHits+st.StreamMisses != 0 {
+		t.Fatalf("zero-budget cache saw stream traffic: %+v", st)
+	}
+	want, err := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: explore.NewCache()}).Step1(ctx, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s1.Results) != len(want.Results) {
+		t.Fatalf("%d results, want %d", len(s1.Results), len(want.Results))
+	}
+	for i := range s1.Results {
+		if s1.Results[i].Vec != want.Results[i].Vec {
+			t.Fatalf("combination %d: %v, want %v", i, s1.Results[i].Vec, want.Results[i].Vec)
+		}
+	}
+}
+
 // TestStreamBudgetEviction pins that the stream store respects its byte
 // budget by evicting oldest-first, and that eviction only costs a
 // re-execution, never correctness.
@@ -207,7 +239,7 @@ func TestEvaluatePlatformsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	roles := probes.Dominant(2)
-	combo := explore.Combinations(len(roles))[7]
+	combo := slices.Collect(explore.CombinationSeq(len(roles)))[7]
 	asg := make(apps.Assignment, len(roles))
 	for i, r := range roles {
 		asg[r] = combo[i]

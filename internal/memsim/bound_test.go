@@ -1,9 +1,9 @@
 package memsim
 
 import (
-	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -186,93 +186,38 @@ func TestBoundEligible(t *testing.T) {
 	}
 }
 
-// encodeLegacy writes the version-1 or version-2 binary form of an
-// exact profile p, mirroring the encoders of those versions — the
-// legacy persisted formats. Version 2 carries the lane slots cold and
-// endLive.
-func encodeLegacy(p *ReuseProfile, version byte, cold, endLive uint64) []byte {
-	b := []byte{reuseProfileMagic, version}
-	b = binary.AppendUvarint(b, uint64(p.LineBytes))
-	b = binary.AppendUvarint(b, p.Probes)
-	b = binary.AppendUvarint(b, p.Pipelined)
-	b = binary.AppendUvarint(b, p.ReadWords)
-	b = binary.AppendUvarint(b, p.WriteWords)
-	b = binary.AppendUvarint(b, p.OpCycles)
-	b = binary.AppendUvarint(b, p.Peak)
-	if version >= reuseProfileV2 {
-		b = binary.AppendUvarint(b, cold)
-		b = binary.AppendUvarint(b, endLive)
-	}
-	b = binary.AppendUvarint(b, uint64(len(p.L1)))
-	for i := range p.L1 {
-		e := &p.L1[i]
-		b = binary.AppendUvarint(b, uint64(e.Sets))
-		b = binary.AppendUvarint(b, uint64(len(e.Hist)))
-		for _, n := range e.Hist {
-			b = binary.AppendUvarint(b, n)
-		}
-		b = binary.AppendUvarint(b, e.Deep)
-	}
-	b = binary.AppendUvarint(b, uint64(len(p.L2)))
-	for i := range p.L2 {
-		e := &p.L2[i]
-		b = binary.AppendUvarint(b, uint64(e.L1Sets))
-		b = binary.AppendUvarint(b, uint64(e.L1Assoc))
-		b = binary.AppendUvarint(b, uint64(e.L2Sets))
-		b = binary.AppendUvarint(b, uint64(len(e.Hist)))
-		for _, n := range e.Hist {
-			b = binary.AppendUvarint(b, n)
-		}
-		b = binary.AppendUvarint(b, e.Deep)
-	}
-	return b
-}
-
-// TestReuseProfileVersionCompat pins the encoding's history: version-1
-// and version-2 profiles still decode to the same profile the current
-// encoder round-trips; version 2's retired lane slots are read and
-// dropped, yet slots that are structurally impossible — cold lines
-// above the probe count, end-of-run live bytes above the peak — still
-// reject the profile as corrupt.
+// TestReuseProfileVersionCompat pins that only the current encoding
+// version decodes: the encoder round-trips a profile exactly, and the
+// same bytes tagged with any earlier version are refused.
 func TestReuseProfileVersionCompat(t *testing.T) {
 	p := boundProfile(t)
-
 	enc, err := p.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc[1] != reuseProfileVersion {
-		t.Fatalf("encoder writes version %d, want %d", enc[1], reuseProfileVersion)
-	}
-	var rt ReuseProfile
-	if err := rt.UnmarshalBinary(enc); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(&rt, p) {
-		t.Fatalf("round trip changed the profile:\n%+v\nwant\n%+v", &rt, p)
-	}
-
-	for _, legacy := range []struct {
-		name string
-		enc  []byte
-	}{
-		{"v1", encodeLegacy(p, reuseProfileV1, 0, 0)},
-		{"v2", encodeLegacy(p, reuseProfileV2, 3, 300)},
-	} {
+	for _, tc := range []struct {
+		version byte
+		ok      bool
+	}{{1, false}, {2, false}, {3, false}, {4, true}} {
+		b := append([]byte(nil), enc...)
+		b[1] = tc.version
 		var got ReuseProfile
-		if err := got.UnmarshalBinary(legacy.enc); err != nil {
-			t.Fatalf("legacy %s profile rejected: %v", legacy.name, err)
+		err := got.UnmarshalBinary(b)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "unsupported reuse profile version") {
+				t.Errorf("version %d: got error %v, want it refused as unsupported", tc.version, err)
+			}
+			continue
 		}
-		if !reflect.DeepEqual(&got, &rt) {
-			t.Fatalf("legacy %s decode differs from the current round trip:\n%+v\nwant\n%+v", legacy.name, &got, &rt)
+		if err != nil {
+			t.Fatalf("version %d: %v", tc.version, err)
+		}
+		if !reflect.DeepEqual(&got, p) {
+			t.Fatalf("version %d round trip changed the profile:\n%+v\nwant\n%+v", tc.version, &got, p)
 		}
 	}
-
-	if err := new(ReuseProfile).UnmarshalBinary(encodeLegacy(p, reuseProfileV2, p.Probes+1, 300)); err == nil {
-		t.Fatal("cold lines > probes accepted")
-	}
-	if err := new(ReuseProfile).UnmarshalBinary(encodeLegacy(p, reuseProfileV2, 3, p.Peak+1)); err == nil {
-		t.Fatal("end-live > peak accepted")
+	if enc[1] != reuseProfileVersion || reuseProfileVersion != 4 {
+		t.Fatalf("encoder writes version %d, want 4", enc[1])
 	}
 }
 

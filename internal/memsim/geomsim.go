@@ -899,7 +899,7 @@ type ReuseProfile struct {
 	OpCycles   uint64
 	Peak       uint64
 
-	// Spatial-sampling descriptor (version 3; zero on exact profiles).
+	// Spatial-sampling descriptor (zero on exact profiles).
 	// SampleShift k means the histograms were collected over a
 	// hash-selected 2^-k fraction of the distinct lines: they sum to
 	// SampledProbes (of SampledLines distinct kept lines), and CountsFor
@@ -1144,19 +1144,14 @@ func (p *ReuseProfile) String() string {
 // structure hard — power-of-two geometry, canonical ordering, and that
 // every histogram sums (with its Deep bucket) to exactly the probe
 // count its level must account for — so a corrupt or truncated profile
-// errors instead of silently miscounting. Version 2 appended two lane
-// aggregates (distinct lines, end-of-run live bytes) of the isolated
-// lane profiles that lane bounds no longer use; the encoder writes both
-// slots as zero, and the decoder still reads and range-checks them —
-// so a corrupt older profile is still rejected — and then drops them.
-// Version 3 appends the spatial-sampling descriptor (SampleShift, and
-// when nonzero SampledProbes/SampledLines plus per-entry Sq variance
-// arrays). Version 1 and 2 profiles still decode, as exact profiles.
+// errors instead of silently miscounting. The platform-invariant
+// aggregates are followed by the spatial-sampling descriptor
+// (SampleShift, and when nonzero SampledProbes/SampledLines plus
+// per-entry Sq variance arrays). Only the current version decodes;
+// profiles live in the exploration cache, a memo a cold run rebuilds.
 const (
 	reuseProfileMagic   = 0xD7 // first byte of every encoded profile
-	reuseProfileV1      = 1
-	reuseProfileV2      = 2
-	reuseProfileVersion = 3
+	reuseProfileVersion = 4
 
 	maxProfileHist = 64   // depth buckets per histogram
 	maxProfileL1   = 64   // L1 set counts
@@ -1174,7 +1169,6 @@ func (p *ReuseProfile) MarshalBinary() ([]byte, error) {
 	b = binary.AppendUvarint(b, p.WriteWords)
 	b = binary.AppendUvarint(b, p.OpCycles)
 	b = binary.AppendUvarint(b, p.Peak)
-	b = append(b, 0, 0) // the retired version-2 lane slots
 	b = binary.AppendUvarint(b, uint64(p.SampleShift))
 	if p.SampleShift > 0 {
 		b = binary.AppendUvarint(b, p.SampledProbes)
@@ -1318,8 +1312,7 @@ func (p *ReuseProfile) UnmarshalBinary(data []byte) error {
 	if len(data) < 2 || data[0] != reuseProfileMagic {
 		return fmt.Errorf("memsim: not a reuse profile")
 	}
-	version := data[1]
-	if version != reuseProfileV1 && version != reuseProfileV2 && version != reuseProfileVersion {
+	if version := data[1]; version != reuseProfileVersion {
 		return fmt.Errorf("memsim: unsupported reuse profile version %d", version)
 	}
 	d := profileDecoder{b: data, pos: 2}
@@ -1349,53 +1342,31 @@ func (p *ReuseProfile) UnmarshalBinary(data []byte) error {
 	if out.Peak, err = d.uvarint(); err != nil {
 		return err
 	}
-	if version >= reuseProfileV2 {
-		// The retired lane slots: still validated, then dropped.
-		cold, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		endLive, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if cold > out.Probes {
-			return fmt.Errorf("memsim: reuse profile cold lines %d exceed %d probes", cold, out.Probes)
-		}
-		// A lane's live bytes at run end can never exceed its own
-		// high-water mark (per segment, the net delta is bounded by the
-		// in-segment max delta).
-		if endLive > out.Peak {
-			return fmt.Errorf("memsim: reuse profile end-live %d exceeds peak %d", endLive, out.Peak)
-		}
+	if out.SampleShift, err = d.u32("sample shift"); err != nil {
+		return err
 	}
-	if version >= reuseProfileVersion {
-		if out.SampleShift, err = d.u32("sample shift"); err != nil {
+	if out.SampleShift > MaxSampleShift {
+		return fmt.Errorf("memsim: reuse profile sample shift %d exceeds max %d", out.SampleShift, MaxSampleShift)
+	}
+	if out.SampleShift > 0 {
+		if out.SampledProbes, err = d.uvarint(); err != nil {
 			return err
 		}
-		if out.SampleShift > MaxSampleShift {
-			return fmt.Errorf("memsim: reuse profile sample shift %d exceeds max %d", out.SampleShift, MaxSampleShift)
+		if out.SampledLines, err = d.uvarint(); err != nil {
+			return err
 		}
-		if out.SampleShift > 0 {
-			if out.SampledProbes, err = d.uvarint(); err != nil {
-				return err
-			}
-			if out.SampledLines, err = d.uvarint(); err != nil {
-				return err
-			}
-			// The kept subset is a subset: its probe count can never
-			// exceed the exact total, its line count never the probe
-			// count, and a nonzero probe count implies at least one kept
-			// line (every sampled probe is of a kept line).
-			if out.SampledProbes > out.Probes {
-				return fmt.Errorf("memsim: reuse profile sampled probes %d exceed %d probes", out.SampledProbes, out.Probes)
-			}
-			if out.SampledLines > out.SampledProbes {
-				return fmt.Errorf("memsim: reuse profile sampled lines %d exceed %d sampled probes", out.SampledLines, out.SampledProbes)
-			}
-			if out.SampledProbes > 0 && out.SampledLines == 0 {
-				return fmt.Errorf("memsim: reuse profile has %d sampled probes but no sampled lines", out.SampledProbes)
-			}
+		// The kept subset is a subset: its probe count can never exceed
+		// the exact total, its line count never the probe count, and a
+		// nonzero probe count implies at least one kept line (every
+		// sampled probe is of a kept line).
+		if out.SampledProbes > out.Probes {
+			return fmt.Errorf("memsim: reuse profile sampled probes %d exceed %d probes", out.SampledProbes, out.Probes)
+		}
+		if out.SampledLines > out.SampledProbes {
+			return fmt.Errorf("memsim: reuse profile sampled lines %d exceed %d sampled probes", out.SampledLines, out.SampledProbes)
+		}
+		if out.SampledProbes > 0 && out.SampledLines == 0 {
+			return fmt.Errorf("memsim: reuse profile has %d sampled probes but no sampled lines", out.SampledProbes)
 		}
 	}
 

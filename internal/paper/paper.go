@@ -14,7 +14,7 @@
 //
 // Absolute values come from the simulated platform, not the authors'
 // Pentium4 testbed; the comparisons target the shape — who wins and by
-// roughly what factor. EXPERIMENTS.md records both sides.
+// roughly what factor. The ddt-paper command prints both sides.
 package paper
 
 import (

@@ -69,9 +69,6 @@ func (p *Platform) UseArenas(roles []string) {
 	}
 }
 
-// ArenaMode reports whether UseArenas has partitioned the platform.
-func (p *Platform) ArenaMode() bool { return p.roleArenas != nil }
-
 // ArenaFor returns the arena and lane of a role in arena mode; ok is
 // false outside arena mode or for an unknown role.
 func (p *Platform) ArenaFor(role string) (a *vheap.Arena, lane int, ok bool) {

@@ -14,7 +14,8 @@
 //	best := rep.BestEnergy
 //	fmt.Printf("pick %s: %v\n", best.Label, best.Vec)
 //
-// See examples/ for runnable programs and DESIGN.md for the system map.
+// See examples/ for runnable programs and the README's Architecture
+// section for the system map.
 package repro
 
 import (
