@@ -155,13 +155,14 @@ func (e *Engine) boundVec(total memsim.LaneBound) metrics.Vector {
 // seeding phase every lane exists, so this is a cold-cache edge, not a
 // steady state.
 func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard) (*bbSearcher, bool) {
-	ck := e.keysFor(ref)
-	sched, ambient, _, ok := e.cache.lookupSchedule(ck.sched)
+	c, ck := e.cache, e.keysFor(ref)
+	se, ok := c.scheds.get(c, ck.sched)
 	if !ok {
 		return nil, false
 	}
+	sched := se.Sched
 	baseAcc, ok := e.laneBoundFor(ck.sched, func() (*astream.UnpackedLane, bool) {
-		return e.cache.unpackedLane(ck.sched, ambient, true)
+		return c.unpackedLane(ck.sched, se.Ambient, true)
 	})
 	if !ok {
 		return nil, false
@@ -169,11 +170,11 @@ func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard)
 	laneFor := func(role string, kind ddt.Kind) (memsim.LaneBound, bool) {
 		lk := ck.lane(role, kind)
 		return e.laneBoundFor(lk, func() (*astream.UnpackedLane, bool) {
-			sub, ok := e.cache.lookupLane(lk)
+			sub, ok := c.lanes.get(c, lk)
 			if !ok {
 				return nil, false
 			}
-			return e.cache.unpackedLane(lk, sub, false)
+			return c.unpackedLane(lk, sub, false)
 		})
 	}
 	level := make(map[string]int, len(dominant))
@@ -234,9 +235,9 @@ func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard)
 // with the schedule — the searcher then falls back to the folded
 // per-lane peak, losing tightness but never soundness.
 func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant []string) *footCurves {
-	ck := e.keysFor(ref)
+	cache, ck := e.cache, e.keysFor(ref)
 	sk := ck.sched
-	_, ambient, _, ok := e.cache.lookupSchedule(sk)
+	se, ok := cache.scheds.get(cache, sk)
 	if !ok {
 		return nil
 	}
@@ -262,7 +263,7 @@ func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant [
 		}
 		return c
 	}
-	amb, ok := e.cache.unpackedLane(sk, ambient, true)
+	amb, ok := cache.unpackedLane(sk, se.Ambient, true)
 	if !ok {
 		return nil
 	}
@@ -280,11 +281,11 @@ func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant [
 	}
 	laneCurve := func(li int, role string, kind ddt.Kind) []int64 {
 		lk := ck.lane(role, kind)
-		sub, ok := e.cache.lookupLane(lk)
+		sub, ok := cache.lanes.get(cache, lk)
 		if !ok {
 			return nil
 		}
-		u, ok := e.cache.unpackedLane(lk, sub, false)
+		u, ok := cache.unpackedLane(lk, sub, false)
 		if !ok {
 			return nil
 		}

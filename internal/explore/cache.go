@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -20,32 +21,50 @@ import (
 // configurations, and repeated CLI runs (via Save/Load) revisit entire
 // explorations; the cache turns all of those into lookups.
 //
-// Beside finished results the cache holds two platform-invariant stores
-// keyed by the simulation identity *minus* the platform configuration:
+// Beside finished results the cache retains five kinds of artifact, keyed
+// by the simulation identity *minus* the platform configuration so every
+// platform point of a run shares them. Each is a tier of one store with
+// one byte budget (SetStreamBudget):
 //
-//   - Access streams (internal/astream): the word-access stream of an
-//     executed simulation, captured once. Any other platform point for
-//     the same (app, config, packets, assignment) is then served by
-//     replaying the stream instead of re-running the application — the
-//     capture-once / replay-many fast path of multi-platform sweeps.
-//     Streams are byte-budgeted (SetStreamBudget); eviction only costs a
-//     potential re-execution later. A cache with a non-positive budget
-//     keeps no streams, and its engines capture none. Partial streams
-//     (from aborted captures) are dropped, never stored.
-//   - Profiles: dominance profiling attributes accesses per container
-//     role, which is platform-invariant, so a sweep profiles each
-//     network configuration once rather than once per platform point.
-//   - Compositional stores (arena-model engines): per-(role, kind) lane
-//     sub-streams and per-configuration operation schedules, keyed by
-//     the DDT-invariant run identity. Any combination whose K lanes are
-//     all present is served by composed replay; ~10·K lanes stand in
-//     for the 10^K whole-run streams a flat capture would need. Each
-//     lane's decoded struct-of-arrays form is memoized at runtime so
-//     composition decodes a lane once, not once per combination. The
-//     decoded form also memoizes the lane's isolated suffix tables,
-//     from which the bound-guided search derives its lane bounds, and
-//     each schedule entry memoizes the exact composed footprint peak of
-//     the combinations asked about (see composedPeak).
+//   - whole-run access streams (internal/astream): any other platform
+//     point of the same (app, config, packets, assignment) replays the
+//     stream instead of re-running the application — the capture-once /
+//     replay-many fast path of multi-platform sweeps;
+//   - lane sub-streams, one per (role, kind), and schedules, one per
+//     configuration (arena-model engines): any combination whose K lanes
+//     are all present is served by composed replay, so ~10·K lanes stand
+//     in for the 10^K whole-run streams a flat capture would need;
+//   - reuse profiles, per (identity, line size) (memsim.ReuseProfile):
+//     a covered platform point is pure arithmetic, no decode, no probes;
+//   - sampled reuse profiles: the rate-tagged estimates screening
+//     replays leave behind, keyed apart (screenKey) so they never answer
+//     an exact lookup.
+//
+// One policy table governs the tiers: what an entry costs, what is
+// admitted, what a put over a held key keeps, the eviction rank, and
+// whether SaveWithStreams persists the tier.
+//
+//	tier              size                admits    put over a key  evicted  saved
+//	sampled profiles  SizeBytes           non-nil   Merge           1st      no
+//	streams           stream SizeBytes    complete  new value       2nd      yes
+//	lanes             SizeBytes           complete  new value       3rd      yes
+//	reuse profiles    SizeBytes           non-nil   Merge           4th      yes
+//	schedules         schedule + ambient  complete  first value     never*   yes
+//
+// A partial (aborted) capture proves nothing about the full run, so it is
+// never stored. Eviction is oldest first within a tier and only costs a
+// potential re-execution later; *a non-positive budget empties every
+// tier, schedules included, and a shared-heap engine on it captures no
+// streams. The decoded struct-of-arrays form of each lane and of each
+// schedule's ambient lane is memoized beside it (unpackedLane), charged
+// to the budget and dropped with its entry, so composition decodes a
+// lane once rather than once per combination; the
+// decoded form also memoizes the lane's isolated suffix tables, from
+// which the bound-guided search derives its lane bounds. Each schedule
+// entry memoizes the exact composed footprint peaks of the combinations
+// asked about (composedPeak). Dominance profiles, whose per-role
+// attribution is platform-invariant, are memoized outside the budget, so
+// a sweep profiles each network configuration once.
 //
 // Aborted results are stored as dominance tombstones: the partial vector
 // plus the proof (by construction) that an identical exploration already
@@ -54,58 +73,31 @@ import (
 // as misses and overwrite them with the full result. A Cache is safe for
 // concurrent use and may be shared between engines.
 type Cache struct {
-	mu sync.RWMutex
-	m  map[string]cacheEntry
-
-	sm           sync.RWMutex
-	streams      map[string]streamEntry
-	streamOrder  []string // insertion order, for budget eviction
-	streamBytes  int64
-	streamBudget int64
-
-	// Compositional stores (also guarded by sm, counted against the
-	// stream budget): per-(role, kind) lane sub-streams and per-
-	// configuration schedules. unpacked memoizes each lane's decoded
-	// struct-of-arrays form — derived data, rebuilt on demand and
-	// dropped with its lane, so composition decodes each lane once per
-	// process instead of once per combination.
-	lanes     map[string]*astream.SubStream
-	laneOrder []string
-	scheds    map[string]schedEntry
-	unpacked  map[string]*astream.UnpackedLane
-
-	// Reuse profiles (also guarded by sm, counted against the stream
-	// budget): per-(identity, line size) stack-distance histograms from
-	// all-geometry replay passes (memsim.ReuseProfile). A covered
-	// platform point is then pure arithmetic — no stream decode, no
-	// probes — so they are evicted only after every stream and lane,
-	// being both tiny and the cheapest path to a result.
-	rprofiles  map[string]*memsim.ReuseProfile
-	rprofOrder []string
-
-	// Sampled reuse profiles (also guarded by sm, counted against the
-	// stream budget): the rate-tagged estimates a screening replay
-	// leaves behind, keyed like reuse profiles plus the sample shift
-	// (screenKey) so they can never answer an exact lookup. Cheap
-	// screening artifacts, rebuildable by one sampled replay: evicted
-	// FIRST, and never persisted by SaveWithStreams.
-	sprofiles  map[string]*memsim.ReuseProfile
-	sprofOrder []string
-
-	pm       sync.Mutex
+	// mu guards the results and the dominance profiles.
+	mu       sync.RWMutex
+	m        map[string]cacheEntry
 	profiles map[string]*profiler.Set
 
-	// Campaign checkpoint (own mutex): the latest engine snapshot —
-	// settled-job watermark, survivor front, stats — persisted as its
-	// own section so an interrupted run resumes with its reporting
-	// state, not just its memoized results.
-	ckMu sync.Mutex
-	ckpt *Checkpoint
+	// sm guards the tiers and the decoded-lane memo, whose bytes
+	// together make streamBytes.
+	sm           sync.RWMutex
+	streamBytes  int64
+	streamBudget int64
+	streams      tier[streamEntry, streamPolicy]
+	lanes        tier[*astream.SubStream, lanePolicy]
+	scheds       tier[schedEntry, schedPolicy]
+	rprofiles    tier[*memsim.ReuseProfile, profilePolicy]
+	sprofiles    tier[*memsim.ReuseProfile, profilePolicy]
+	unpacked     map[string]*astream.UnpackedLane
 
-	hits, misses             atomic.Uint64
-	streamHits, streamMisses atomic.Uint64
-	laneHits, laneMisses     atomic.Uint64
-	rprofHits, rprofMisses   atomic.Uint64
+	// ckpt is the latest campaign checkpoint — settled-job watermark,
+	// survivor front, stats — persisted as its own section so an
+	// interrupted run resumes with its reporting state, not just its
+	// memoized results.
+	ckpt atomic.Pointer[Checkpoint]
+
+	hits, misses                            atomic.Uint64
+	streamTraffic, laneTraffic, profTraffic traffic
 }
 
 // cacheEntry is one memoized simulation. Ctx tags tombstones with the
@@ -157,9 +149,210 @@ type peakMemo struct {
 	m  map[string]uint64
 }
 
-// sizeBytes reports the entry's retained bytes for the stream budget.
-func (e schedEntry) sizeBytes() int64 {
+// tier is one budgeted kind of artifact: its entries and their keys in
+// insertion order, guarded by the cache's sm and charged to its one
+// budget. The zero-size policy type P holds the tier's row of the
+// policy table (see Cache); the eviction rank is evictLocked's and
+// persistence is save's.
+type tier[V any, P tierPolicy[V]] struct {
+	m     map[string]V // allocated on the first put
+	order []string     // the keys of m, oldest first
+}
+
+// tierPolicy is one tier's row of the policy table.
+type tierPolicy[V any] interface {
+	size(V) int64
+	// admit reports whether a value may be stored at all.
+	admit(V) bool
+	// keep returns what a put of v leaves under a key that held old;
+	// had reports whether it held anything.
+	keep(old, v V, had bool) V
+	// traffic returns the counters the tier's gets count on.
+	traffic(*Cache) *traffic
+}
+
+// traffic counts a store's hits and misses.
+type traffic struct{ hits, misses atomic.Uint64 }
+
+type (
+	streamPolicy  struct{}
+	lanePolicy    struct{}
+	schedPolicy   struct{}
+	profilePolicy struct{}
+)
+
+func (streamPolicy) size(e streamEntry) int64                  { return int64(e.Stream.SizeBytes()) }
+func (streamPolicy) admit(e streamEntry) bool                  { return e.Stream != nil && !e.Stream.Partial }
+func (streamPolicy) keep(_, e streamEntry, _ bool) streamEntry { return e }
+func (streamPolicy) traffic(c *Cache) *traffic                 { return &c.streamTraffic }
+
+func (lanePolicy) size(s *astream.SubStream) int64                         { return int64(s.SizeBytes()) }
+func (lanePolicy) admit(s *astream.SubStream) bool                         { return s != nil && !s.Partial }
+func (lanePolicy) keep(_, s *astream.SubStream, _ bool) *astream.SubStream { return s }
+func (lanePolicy) traffic(c *Cache) *traffic                               { return &c.laneTraffic }
+
+func (schedPolicy) size(e schedEntry) int64 {
 	return int64(e.Sched.SizeBytes() + e.Ambient.SizeBytes())
+}
+func (schedPolicy) admit(e schedEntry) bool {
+	return e.Sched != nil && e.Ambient != nil && !e.Ambient.Partial
+}
+
+// keep lets the first complete capture of a configuration win — its
+// schedule is DDT-invariant — and gives a new entry its own peak memo,
+// whatever cache it came from.
+func (schedPolicy) keep(old, e schedEntry, had bool) schedEntry {
+	if had {
+		return old
+	}
+	e.peaks = &peakMemo{}
+	return e
+}
+func (schedPolicy) traffic(c *Cache) *traffic { return &c.laneTraffic }
+
+func (profilePolicy) size(p *memsim.ReuseProfile) int64 { return int64(p.SizeBytes()) }
+func (profilePolicy) admit(p *memsim.ReuseProfile) bool { return p != nil }
+
+// keep merges a profile into the one held (memsim.ReuseProfile.Merge),
+// so a pass over a narrower family never shrinks an identity's
+// coverage. Sampled passes of one stream at one rate agree wherever
+// they overlap: the hash filter is deterministic.
+func (profilePolicy) keep(old, p *memsim.ReuseProfile, had bool) *memsim.ReuseProfile {
+	if had {
+		return p.Merge(old)
+	}
+	return p
+}
+func (profilePolicy) traffic(c *Cache) *traffic { return &c.profTraffic }
+
+// get returns the entry under key, counting a hit or a miss. Entries
+// are shared, not copied: stored values are never mutated, and a
+// caller that hands an entry's summary on clones it (cloneSummary).
+func (t *tier[V, P]) get(c *Cache, key string) (V, bool) {
+	c.sm.RLock()
+	v, ok := t.m[key]
+	c.sm.RUnlock()
+	var p P
+	if tr := p.traffic(c); ok {
+		tr.hits.Add(1)
+	} else {
+		tr.misses.Add(1)
+	}
+	return v, ok
+}
+
+// put files v under key by the tier's policy and restores the budget.
+func (t *tier[V, P]) put(c *Cache, key string, v V) {
+	c.sm.Lock()
+	t.putLocked(c, key, v)
+	c.evictLocked()
+	c.sm.Unlock()
+}
+
+// putAll puts every entry of m under one lock and one eviction pass —
+// a loaded section, a worker's delta — and counts the keys the tier
+// did not hold. firstWins skips the keys it did hold, whatever the
+// policy.
+func (t *tier[V, P]) putAll(c *Cache, m map[string]V, firstWins bool) (added int) {
+	c.sm.Lock()
+	defer c.sm.Unlock()
+	for k, v := range m {
+		if _, had := t.m[k]; !had {
+			added++
+		} else if firstWins {
+			continue
+		}
+		t.putLocked(c, k, v)
+	}
+	c.evictLocked()
+	return added
+}
+
+// putLocked is put without the eviction pass. Called with sm held.
+func (t *tier[V, P]) putLocked(c *Cache, key string, v V) {
+	var p P
+	if c.streamBudget <= 0 || !p.admit(v) {
+		return
+	}
+	old, had := t.m[key]
+	if had {
+		c.streamBytes -= p.size(old)
+	} else {
+		if t.m == nil {
+			t.m = make(map[string]V)
+		}
+		t.order = append(t.order, key)
+	}
+	v = p.keep(old, v, had)
+	t.m[key] = v
+	c.streamBytes += p.size(v)
+}
+
+// evict drops the tier's oldest entries, each with its decoded form,
+// while the cache is over its budget — all of them under a non-positive
+// budget. Called with sm held.
+func (t *tier[V, P]) evict(c *Cache) {
+	var p P
+	for len(t.order) > 0 && (c.streamBudget <= 0 || c.streamBytes > c.streamBudget) {
+		key := t.order[0]
+		t.order = t.order[1:]
+		c.streamBytes -= p.size(t.m[key])
+		delete(t.m, key)
+		if u, ok := c.unpacked[key]; ok {
+			c.streamBytes -= int64(u.SizeBytes())
+			delete(c.unpacked, key)
+		}
+	}
+	if len(t.order) == 0 {
+		t.order = nil
+	}
+}
+
+// snapshot copies the tier's map; the values are shared.
+func (t *tier[V, P]) snapshot(c *Cache) map[string]V {
+	c.sm.RLock()
+	defer c.sm.RUnlock()
+	return maps.Clone(t.m)
+}
+
+// export snapshots the entries whose keys are not in seen and adds
+// their keys to it.
+func (t *tier[V, P]) export(c *Cache, seen map[string]bool) map[string]V {
+	m := t.snapshot(c)
+	for k := range m {
+		if seen[k] {
+			delete(m, k)
+		} else {
+			seen[k] = true
+		}
+	}
+	return m
+}
+
+// evictLocked restores the budget one tier at a time, in the policy
+// table's rank:
+//
+//  1. sampled reuse profiles — approximate screening estimates, the
+//     cheapest artifacts in the cache (one sampled replay rebuilds one);
+//  2. whole streams — each is one simulation point (a lane serves
+//     10^(K-1) combinations);
+//  3. lane sub-streams;
+//  4. reuse profiles — a profile is a few KB that answers a whole
+//     geometry cross product with zero probes, so it outlives the
+//     streams it summarizes;
+//  5. schedules, only under a non-positive budget — they are small and
+//     every lane of their configuration depends on them.
+//
+// The order is asserted by TestCacheEvictionOrder. Called with sm held.
+func (c *Cache) evictLocked() {
+	tiers := [...]interface{ evict(*Cache) }{&c.sprofiles, &c.streams, &c.lanes, &c.rprofiles, &c.scheds}
+	n := len(tiers)
+	if c.streamBudget > 0 {
+		n--
+	}
+	for _, t := range tiers[:n] {
+		t.evict(c)
+	}
 }
 
 // DefaultStreamBudget bounds the encoded bytes of retained access
@@ -168,24 +361,18 @@ func (e schedEntry) sizeBytes() int64 {
 // growing without bound.
 const DefaultStreamBudget = 256 << 20
 
-// NewCache returns an empty simulation cache.
+// NewCache returns an empty simulation cache. The tiers allocate their
+// maps on their first put, so a cache that only ever holds results —
+// every engine's private one on the shared heap — costs two
+// allocations.
 func NewCache() *Cache {
-	return &Cache{
-		m:            make(map[string]cacheEntry),
-		streams:      make(map[string]streamEntry),
-		lanes:        make(map[string]*astream.SubStream),
-		scheds:       make(map[string]schedEntry),
-		unpacked:     make(map[string]*astream.UnpackedLane),
-		rprofiles:    make(map[string]*memsim.ReuseProfile),
-		sprofiles:    make(map[string]*memsim.ReuseProfile),
-		streamBudget: DefaultStreamBudget,
-	}
+	return &Cache{m: make(map[string]cacheEntry), streamBudget: DefaultStreamBudget}
 }
 
-// SetStreamBudget overrides the byte budget for retained access streams.
-// A non-positive budget disables stream retention entirely — whole-run
-// streams, lanes, schedules and reuse profiles — and a shared-heap
-// engine on such a cache captures no streams at all.
+// SetStreamBudget overrides the byte budget of the retained tiers. A
+// non-positive budget empties every tier — whole-run streams, lanes,
+// schedules, reuse profiles and decoded lanes — and keeps them empty,
+// and a shared-heap engine on such a cache captures no streams at all.
 func (c *Cache) SetStreamBudget(bytes int64) {
 	c.sm.Lock()
 	c.streamBudget = bytes
@@ -219,23 +406,18 @@ type CacheStats struct {
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() CacheStats {
 	c.mu.RLock()
-	n := len(c.m)
+	s := CacheStats{Entries: len(c.m)}
 	c.mu.RUnlock()
 	c.sm.RLock()
-	ns, nb := len(c.streams), c.streamBytes
-	nl, nsch := len(c.lanes), len(c.scheds)
-	np, nsp := len(c.rprofiles), len(c.sprofiles)
+	s.Streams, s.StreamBytes = len(c.streams.m), c.streamBytes
+	s.Lanes, s.Schedules = len(c.lanes.m), len(c.scheds.m)
+	s.ReuseProfiles, s.SampledProfiles = len(c.rprofiles.m), len(c.sprofiles.m)
 	c.sm.RUnlock()
-	return CacheStats{
-		Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n,
-		Streams: ns, StreamBytes: nb,
-		StreamHits: c.streamHits.Load(), StreamMisses: c.streamMisses.Load(),
-		Lanes: nl, Schedules: nsch,
-		LaneHits: c.laneHits.Load(), LaneMisses: c.laneMisses.Load(),
-		ReuseProfiles: np,
-		ProfileHits:   c.rprofHits.Load(), ProfileMisses: c.rprofMisses.Load(),
-		SampledProfiles: nsp,
-	}
+	s.Hits, s.Misses = c.hits.Load(), c.misses.Load()
+	s.StreamHits, s.StreamMisses = c.streamTraffic.hits.Load(), c.streamTraffic.misses.Load()
+	s.LaneHits, s.LaneMisses = c.laneTraffic.hits.Load(), c.laneTraffic.misses.Load()
+	s.ProfileHits, s.ProfileMisses = c.profTraffic.hits.Load(), c.profTraffic.misses.Load()
+	return s
 }
 
 // Len returns the number of cached simulations.
@@ -288,80 +470,13 @@ func (c *Cache) store(key string, r Result, ctx string) {
 	c.mu.Unlock()
 }
 
-// lookupStream returns the captured stream for the platform-invariant
-// key, with a defensive copy of its summary.
-func (c *Cache) lookupStream(key string) (*astream.Stream, apps.Summary, bool) {
-	c.sm.RLock()
-	e, ok := c.streams[key]
-	c.sm.RUnlock()
-	if !ok {
-		c.streamMisses.Add(1)
-		return nil, apps.Summary{}, false
-	}
-	c.streamHits.Add(1)
-	return e.Stream, cloneSummary(e.Summary), true
-}
-
-// storeStream retains a captured stream under the platform-invariant
-// key. Partial streams are dropped, as storeLane drops partial lanes:
-// the recorded prefix of an aborted run proves nothing about the full
-// run. Budget overflow evicts the oldest streams first (a pure
-// performance loss, never a correctness one). Streams are immutable
-// once stored.
-func (c *Cache) storeStream(key string, e streamEntry) {
-	if e.Stream.Partial {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	if c.streamBudget <= 0 {
-		return
-	}
-	if old, ok := c.streams[key]; ok {
-		c.streamBytes -= int64(old.Stream.SizeBytes())
-	} else {
-		c.streamOrder = append(c.streamOrder, key)
-	}
-	e.Cfg.Knobs = e.Cfg.Knobs.Clone()
-	e.Assign = e.Assign.Clone()
-	e.Summary = cloneSummary(e.Summary)
-	c.streams[key] = e
-	c.streamBytes += int64(e.Stream.SizeBytes())
-	c.evictLocked()
-}
-
-// lookupLane returns the lane sub-stream for a (role, kind) key.
-func (c *Cache) lookupLane(key string) (*astream.SubStream, bool) {
-	c.sm.RLock()
-	s, ok := c.lanes[key]
-	c.sm.RUnlock()
-	if !ok {
-		c.laneMisses.Add(1)
-		return nil, false
-	}
-	c.laneHits.Add(1)
-	return s, true
-}
-
-// storeLane retains one (role, kind) lane sub-stream. Partial lanes are
-// dropped outright: a lane from an aborted capture proves nothing.
-func (c *Cache) storeLane(key string, s *astream.SubStream) {
-	if s.Partial {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	if c.streamBudget <= 0 {
-		return
-	}
-	if old, ok := c.lanes[key]; ok {
-		c.streamBytes -= int64(old.SizeBytes())
-	} else {
-		c.laneOrder = append(c.laneOrder, key)
-	}
-	c.lanes[key] = s
-	c.streamBytes += int64(s.SizeBytes())
-	c.evictLocked()
+// has reports whether a finished (non-tombstone) result exists for key,
+// without touching the hit/miss counters.
+func (c *Cache) has(key string) bool {
+	c.mu.RLock()
+	e, ok := c.m[key]
+	c.mu.RUnlock()
+	return ok && !e.Result.Aborted
 }
 
 // unpackedLane returns the memoized decoded form of the lane stored
@@ -384,13 +499,16 @@ func (c *Cache) unpackedLane(key string, sub *astream.SubStream, ambient bool) (
 		u = exist // another goroutine won the decode race
 	} else {
 		// Only memoize while the backing entry is retained, so evicting
-		// a lane cannot strand its decoded form. Decoded bytes count
-		// against the stream budget like their encoded backing.
-		_, live := c.lanes[key]
+		// it cannot strand its decoded form. Decoded bytes count against
+		// the budget like their encoded backing.
+		_, live := c.lanes.m[key]
 		if ambient {
-			_, live = c.scheds[key]
+			_, live = c.scheds.m[key]
 		}
 		if live {
+			if c.unpacked == nil {
+				c.unpacked = make(map[string]*astream.UnpackedLane)
+			}
 			c.unpacked[key] = u
 			c.streamBytes += int64(u.SizeBytes())
 			c.evictLocked()
@@ -400,113 +518,22 @@ func (c *Cache) unpackedLane(key string, sub *astream.SubStream, ambient bool) (
 	return u, true
 }
 
-// lookupReuseProfile returns the reuse profile for a (platform-
-// invariant identity, line size) key. Profiles are shared, not copied:
-// a memsim.ReuseProfile is immutable once stored.
-func (c *Cache) lookupReuseProfile(key string) *memsim.ReuseProfile {
-	c.sm.RLock()
-	p := c.rprofiles[key]
-	c.sm.RUnlock()
-	if p == nil {
-		c.rprofMisses.Add(1)
-		return nil
-	}
-	c.rprofHits.Add(1)
-	return p
-}
-
-// storeReuseProfile retains one reuse profile under the stream budget.
-// A later profile for the same key is merged with the earlier one
-// (memsim.ReuseProfile.Merge), so a pass over a narrower family can
-// never shrink an identity's accumulated coverage.
-func (c *Cache) storeReuseProfile(key string, p *memsim.ReuseProfile) {
-	if p == nil {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	if c.streamBudget <= 0 {
-		return
-	}
-	if old, ok := c.rprofiles[key]; ok {
-		c.streamBytes -= int64(old.SizeBytes())
-		p = p.Merge(old)
-	} else {
-		c.rprofOrder = append(c.rprofOrder, key)
-	}
-	c.rprofiles[key] = p
-	c.streamBytes += int64(p.SizeBytes())
-	c.evictLocked()
-}
-
-// lookupSampledProfile returns the rate-tagged sampled reuse profile
-// for a screenKey-wrapped (identity, line size) key. Shared, not
-// copied: immutable once stored.
-func (c *Cache) lookupSampledProfile(key string) *memsim.ReuseProfile {
-	c.sm.RLock()
-	p := c.sprofiles[key]
-	c.sm.RUnlock()
-	if p == nil {
-		c.rprofMisses.Add(1)
-		return nil
-	}
-	c.rprofHits.Add(1)
-	return p
-}
-
-// storeSampledProfile retains one sampled reuse profile under the
-// stream budget, merging with any earlier profile for the key exactly
-// as storeReuseProfile does (sampled passes of the same stream at the
-// same rate agree wherever they overlap — the hash filter is
-// deterministic).
-func (c *Cache) storeSampledProfile(key string, p *memsim.ReuseProfile) {
-	if p == nil {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	if c.streamBudget <= 0 {
-		return
-	}
-	if old, ok := c.sprofiles[key]; ok {
-		c.streamBytes -= int64(old.SizeBytes())
-		p = p.Merge(old)
-	} else {
-		c.sprofOrder = append(c.sprofOrder, key)
-	}
-	c.sprofiles[key] = p
-	c.streamBytes += int64(p.SizeBytes())
-	c.evictLocked()
-}
-
 // composedPeak returns the exact composed footprint peak of the
 // combination whose role kinds, in schedule-role order, are key
 // (peakKey), memoized on the schedule entry under sk. walk computes it
 // on the first request (astream.ComposedPeak over the combination's
 // lanes); a failed walk is not memoized. Footprint is platform-
 // invariant, so every engine sharing the cache reads one walk per
-// combination. The memo is allocated on first use; its entries are a
-// few words each and are not charged against the stream budget.
+// combination. The memo's entries are a few words each and are not
+// charged against the stream budget.
 func (c *Cache) composedPeak(sk string, key []byte, walk func() (uint64, bool)) (uint64, bool) {
 	c.sm.RLock()
-	e, ok := c.scheds[sk]
+	e, ok := c.scheds.m[sk]
 	c.sm.RUnlock()
 	if !ok {
 		return walk()
 	}
 	pm := e.peaks
-	if pm == nil {
-		c.sm.Lock()
-		if e, ok = c.scheds[sk]; ok && e.peaks == nil {
-			e.peaks = &peakMemo{}
-			c.scheds[sk] = e
-		}
-		pm = e.peaks
-		c.sm.Unlock()
-		if pm == nil {
-			return walk()
-		}
-	}
 	pm.mu.Lock()
 	p, ok := pm.m[string(key)]
 	pm.mu.Unlock()
@@ -534,166 +561,41 @@ func peakKey(buf []byte, roles []string, assign apps.Assignment) []byte {
 	return buf
 }
 
-// lookupSchedule returns the DDT-invariant schedule entry (operation
-// schedule, ambient lane, summary) for a configuration key.
-func (c *Cache) lookupSchedule(key string) (*astream.Schedule, *astream.SubStream, apps.Summary, bool) {
-	c.sm.RLock()
-	e, ok := c.scheds[key]
-	c.sm.RUnlock()
-	if !ok {
-		c.laneMisses.Add(1)
-		return nil, nil, apps.Summary{}, false
-	}
-	c.laneHits.Add(1)
-	return e.Sched, e.Ambient, cloneSummary(e.Summary), true
-}
-
 // hasLanes reports whether the schedule under ck and every lane
 // assign composes from are held, without touching the hit/miss
 // counters.
 func (c *Cache) hasLanes(ck *cfgKeys, assign apps.Assignment) bool {
 	c.sm.RLock()
 	defer c.sm.RUnlock()
-	e, ok := c.scheds[ck.sched]
+	e, ok := c.scheds.m[ck.sched]
 	if !ok {
 		return false
 	}
 	for _, role := range e.Sched.Roles {
-		if _, ok := c.lanes[ck.lane(role, apps.KindFor(assign, role))]; !ok {
+		if _, ok := c.lanes.m[ck.lane(role, apps.KindFor(assign, role))]; !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// storeSchedule retains a configuration's schedule entry. The schedule
-// is DDT-invariant, so the first complete capture of a configuration
-// wins and later stores are no-ops. Schedules are charged against the
-// stream budget but never evicted: without one, every lane of its
-// configuration is useless.
-func (c *Cache) storeSchedule(key string, e schedEntry) {
-	if e.Ambient.Partial {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	if c.streamBudget <= 0 {
-		return
-	}
-	if _, ok := c.scheds[key]; ok {
-		return
-	}
-	e.Summary = cloneSummary(e.Summary)
-	e.peaks = nil // an entry merged from another cache starts its own memo
-	c.scheds[key] = e
-	c.streamBytes += e.sizeBytes()
-	c.evictLocked()
-}
-
-// streamEntries snapshots the retained streams.
-func (c *Cache) streamEntries() []streamEntry {
-	c.sm.RLock()
-	defer c.sm.RUnlock()
-	out := make([]streamEntry, 0, len(c.streams))
-	for _, e := range c.streams {
-		out = append(out, e)
-	}
-	return out
-}
-
-// has reports whether a finished (non-tombstone) result exists for key,
-// without touching the hit/miss counters.
-func (c *Cache) has(key string) bool {
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	return ok && !e.Result.Aborted
-}
-
-// evictLocked drops retained stream data until the budget holds, in a
-// fixed tier order, oldest first within each tier:
-//
-//  1. sampled reuse profiles — screening estimates, the cheapest
-//     artifacts in the cache (one sampled replay rebuilds one) and the
-//     only approximate ones;
-//  2. whole streams — each is one simulation point (a lane serves
-//     10^(K-1) combinations);
-//  3. lane sub-streams;
-//  4. reuse profiles — a profile is a few KB that answers a whole
-//     geometry cross product with zero probes, so it outlives the
-//     streams it summarizes.
-//
-// Schedules stay — they are small and every lane of their configuration
-// depends on them. The order is asserted by TestCacheEvictionOrder.
-// Called with sm held.
-func (c *Cache) evictLocked() {
-	for c.streamBytes > c.streamBudget && len(c.sprofOrder) > 0 {
-		key := c.sprofOrder[0]
-		c.sprofOrder = c.sprofOrder[1:]
-		if p, ok := c.sprofiles[key]; ok {
-			c.streamBytes -= int64(p.SizeBytes())
-			delete(c.sprofiles, key)
-		}
-	}
-	for c.streamBytes > c.streamBudget && len(c.streamOrder) > 0 {
-		key := c.streamOrder[0]
-		c.streamOrder = c.streamOrder[1:]
-		if e, ok := c.streams[key]; ok {
-			c.streamBytes -= int64(e.Stream.SizeBytes())
-			delete(c.streams, key)
-		}
-	}
-	for c.streamBytes > c.streamBudget && len(c.laneOrder) > 0 {
-		key := c.laneOrder[0]
-		c.laneOrder = c.laneOrder[1:]
-		if s, ok := c.lanes[key]; ok {
-			c.streamBytes -= int64(s.SizeBytes())
-			delete(c.lanes, key)
-			if u, ok := c.unpacked[key]; ok {
-				c.streamBytes -= int64(u.SizeBytes())
-				delete(c.unpacked, key)
-			}
-		}
-	}
-	for c.streamBytes > c.streamBudget && len(c.rprofOrder) > 0 {
-		key := c.rprofOrder[0]
-		c.rprofOrder = c.rprofOrder[1:]
-		if p, ok := c.rprofiles[key]; ok {
-			c.streamBytes -= int64(p.SizeBytes())
-			delete(c.rprofiles, key)
-		}
-	}
-	if len(c.streamOrder) == 0 {
-		c.streamOrder = nil
-	}
-	if len(c.laneOrder) == 0 {
-		c.laneOrder = nil
-	}
-	if len(c.rprofOrder) == 0 {
-		c.rprofOrder = nil
-	}
-	if len(c.sprofOrder) == 0 {
-		c.sprofOrder = nil
-	}
-}
-
 // lookupProfile returns the memoized dominance profile for the platform-
 // invariant key. Profiles are shared, not copied: a profiler.Set is
 // effectively immutable once the profiling run finishes.
 func (c *Cache) lookupProfile(key string) *profiler.Set {
-	c.pm.Lock()
-	defer c.pm.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.profiles[key]
 }
 
 // storeProfile memoizes a dominance profile.
 func (c *Cache) storeProfile(key string, p *profiler.Set) {
-	c.pm.Lock()
+	c.mu.Lock()
 	if c.profiles == nil {
 		c.profiles = make(map[string]*profiler.Set)
 	}
 	c.profiles[key] = p
-	c.pm.Unlock()
+	c.mu.Unlock()
 }
 
 // Save serializes the cached results to w (gob), without the access

@@ -28,8 +28,8 @@ func fuzzSeedImages(tb testing.TB) [][]byte {
 	c := NewCache()
 	c.store("k1", Result{App: "URL"}, "prune=0 k=2")
 	c.store("k2", Result{App: "URL", Aborted: true, Pruned: true}, "prune=1 k=2")
-	c.storeStream("S", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
-	c.storeReuseProfile(reuseProfileKey("S", prof.LineBytes), prof)
+	c.streams.put(c, "S", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
+	c.rprofiles.put(c, reuseProfileKey("S", prof.LineBytes), prof)
 	c.SetCheckpoint(Checkpoint{App: "URL", Ctx: "prune=0 k=2", Step: 1, Settled: 42})
 
 	var lean, full bytes.Buffer

@@ -44,18 +44,18 @@ func mkStream(partial bool) *astream.Stream {
 }
 
 // TestLoadPartialDoesNotReplaceComplete pins that no cache holds a
-// partial whole-run stream: storeStream drops one, so it can neither
+// partial whole-run stream: a put drops one, so it can neither
 // replace a complete stream nor take stream budget, and a load drops
 // the partial streams a saved image carries.
 func TestLoadPartialDoesNotReplaceComplete(t *testing.T) {
 	c := NewCache()
-	c.storeStream("P", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
+	c.streams.put(c, "P", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
 	if st := c.Stats(); st.Streams != 0 || st.StreamBytes != 0 {
-		t.Fatalf("storeStream kept a partial stream: %+v", st)
+		t.Fatalf("put kept a partial stream: %+v", st)
 	}
-	c.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
-	c.storeStream("K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
-	if st, _, ok := c.lookupStream("K"); !ok || st.Partial {
+	c.streams.put(c, "K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(false)})
+	c.streams.put(c, "K", streamEntry{App: "URL", Packets: 300, Stream: mkStream(true)})
+	if se, ok := c.streams.get(c, "K"); !ok || se.Stream.Partial {
 		t.Fatalf("complete stream lost to a stored partial (ok=%v)", ok)
 	}
 
@@ -80,7 +80,7 @@ func TestLoadPartialDoesNotReplaceComplete(t *testing.T) {
 	if err := c.Load(bytes.NewReader(img.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if st, _, ok := c.lookupStream("K"); !ok || st.Partial {
+	if se, ok := c.streams.get(c, "K"); !ok || se.Stream.Partial {
 		t.Fatalf("complete stream lost to a loaded partial (ok=%v)", ok)
 	}
 	if st := c.Stats(); st.Streams != 1 || st.StreamBytes != before {
@@ -117,12 +117,12 @@ func TestReuseProfilePersistenceAndBudget(t *testing.T) {
 	c := NewCache()
 	p := mkReuseProfile(t)
 	key := reuseProfileKey("S", p.LineBytes)
-	c.storeReuseProfile(key, p)
+	c.rprofiles.put(c, key, p)
 	if got := c.Stats().StreamBytes; got != int64(p.SizeBytes()) {
 		t.Fatalf("profile bytes not budgeted: %d vs %d", got, p.SizeBytes())
 	}
 	// Replacement swaps the accounting, not doubles it.
-	c.storeReuseProfile(key, p)
+	c.rprofiles.put(c, key, p)
 	if got := c.Stats().StreamBytes; got != int64(p.SizeBytes()) {
 		t.Fatalf("profile replacement double-counted: %d vs %d", got, p.SizeBytes())
 	}
@@ -135,8 +135,8 @@ func TestReuseProfilePersistenceAndBudget(t *testing.T) {
 	if err := loaded.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got := loaded.lookupReuseProfile(key)
-	if got == nil || !reflect.DeepEqual(got, p) {
+	got, ok := loaded.rprofiles.get(loaded, key)
+	if !ok || !reflect.DeepEqual(got, p) {
 		t.Fatalf("profile did not round-trip: %+v", got)
 	}
 	if s := loaded.Stats(); s.ReuseProfiles != 1 || s.StreamBytes != int64(p.SizeBytes()) {
@@ -162,13 +162,13 @@ func TestReuseProfilePersistenceAndBudget(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		rec.RecordAccess(false, uint32(i*64), 4, 1)
 	}
-	c2.storeStream("K", streamEntry{App: "URL", Packets: 1, Stream: rec.Finish(false)})
-	c2.storeReuseProfile(key, p)
+	c2.streams.put(c2, "K", streamEntry{App: "URL", Packets: 1, Stream: rec.Finish(false)})
+	c2.rprofiles.put(c2, key, p)
 	c2.SetStreamBudget(int64(p.SizeBytes()) + 64)
 	if s := c2.Stats(); s.Streams != 0 || s.ReuseProfiles != 1 {
 		t.Fatalf("eviction order wrong: %+v", s)
 	}
-	if c2.lookupReuseProfile(key) == nil {
+	if _, ok := c2.rprofiles.get(c2, key); !ok {
 		t.Fatal("profile lost while budget still held it")
 	}
 	c2.SetStreamBudget(1)
@@ -208,15 +208,15 @@ func TestCacheEvictionOrder(t *testing.T) {
 	for i := 0; i < 4096; i++ {
 		rec.RecordAccess(false, uint32(i*64), 4, 1)
 	}
-	c.storeStream("stream", streamEntry{App: "URL", Packets: 1, Stream: rec.Finish(false)})
+	c.streams.put(c, "stream", streamEntry{App: "URL", Packets: 1, Stream: rec.Finish(false)})
 	laneRec := astream.NewRecorder()
 	for i := 0; i < 2048; i++ {
 		laneRec.RecordAccess(true, uint32(i*32), 4, 1)
 	}
 	lane := &astream.SubStream{Stream: *laneRec.Finish(false), Role: "r", Lane: 1}
-	c.storeLane("lane", lane)
-	c.storeReuseProfile("rprof", rp)
-	c.storeSampledProfile(screenKey("sprof", 2), sp)
+	c.lanes.put(c, "lane", lane)
+	c.rprofiles.put(c, "rprof", rp)
+	c.sprofiles.put(c, screenKey("sprof", 2), sp)
 
 	snapshot := func() (sprofs, streams, lanes, rprofs int) {
 		s := c.Stats()
@@ -254,7 +254,7 @@ func TestCacheEvictionOrder(t *testing.T) {
 func TestSampledProfilesNotPersisted(t *testing.T) {
 	c := NewCache()
 	key := screenKey("sprof", 2)
-	c.storeSampledProfile(key, mkSampledProfile(t))
+	c.sprofiles.put(c, key, mkSampledProfile(t))
 	var buf bytes.Buffer
 	if err := c.SaveWithStreams(&buf); err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestSampledProfilesNotPersisted(t *testing.T) {
 	if s := loaded.Stats(); s.SampledProfiles != 0 {
 		t.Fatalf("sampled profiles persisted: %+v", s)
 	}
-	if loaded.lookupSampledProfile(key) != nil {
+	if _, ok := loaded.sprofiles.get(loaded, key); ok {
 		t.Fatal("sampled profile survived a save/load round trip")
 	}
 }
@@ -290,10 +290,10 @@ func TestReuseProfileStoreMergesCoverage(t *testing.T) {
 
 	c := NewCache()
 	key := reuseProfileKey("S", 32)
-	c.storeReuseProfile(key, mk(wide))
-	c.storeReuseProfile(key, mk(narrow))
-	p := c.lookupReuseProfile(key)
-	if p == nil || !p.Covers(wide) || !p.Covers(narrow) {
+	c.rprofiles.put(c, key, mk(wide))
+	c.rprofiles.put(c, key, mk(narrow))
+	p, ok := c.rprofiles.get(c, key)
+	if !ok || !p.Covers(wide) || !p.Covers(narrow) {
 		t.Fatalf("narrow re-store lost coverage: %+v", p)
 	}
 	if got := c.Stats().StreamBytes; got != int64(p.SizeBytes()) {

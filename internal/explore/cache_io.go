@@ -11,9 +11,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/astream"
 	"repro/internal/faultio"
-	"repro/internal/memsim"
 )
 
 // Sectioned cache format (version 5).
@@ -150,32 +148,14 @@ func (c *Cache) save(w io.Writer, withStreams bool) error {
 	}
 
 	if withStreams {
-		c.sm.RLock()
-		streams := make(map[string]streamEntry, len(c.streams))
-		for k, v := range c.streams {
-			streams[k] = v
-		}
-		lanes := make(map[string]*astream.SubStream, len(c.lanes))
-		for k, v := range c.lanes {
-			lanes[k] = v
-		}
-		scheds := make(map[string]schedEntry, len(c.scheds))
-		for k, v := range c.scheds {
-			scheds[k] = v
-		}
-		rprofiles := make(map[string]*memsim.ReuseProfile, len(c.rprofiles))
-		for k, v := range c.rprofiles {
-			rprofiles[k] = v
-		}
-		c.sm.RUnlock()
 		for _, s := range []struct {
 			id byte
 			v  any
 		}{
-			{secStreams, streams},
-			{secLanes, lanes},
-			{secScheds, scheds},
-			{secRProfiles, rprofiles},
+			{secStreams, c.streams.snapshot(c)},
+			{secLanes, c.lanes.snapshot(c)},
+			{secScheds, c.scheds.snapshot(c)},
+			{secRProfiles, c.rprofiles.snapshot(c)},
 		} {
 			if err := section(s.id, s.v); err != nil {
 				return err
@@ -355,29 +335,13 @@ func (c *Cache) stageSection(id byte, r io.Reader) (func(), error) {
 		}
 		return func() { c.mergeEntries(m) }, nil
 	case secStreams:
-		var m map[string]streamEntry
-		if err := safeDecode(r, &m); err != nil {
-			return nil, err
-		}
-		return func() { c.mergeStreams(m) }, nil
+		return stageTier(r, c, &c.streams)
 	case secLanes:
-		var m map[string]*astream.SubStream
-		if err := safeDecode(r, &m); err != nil {
-			return nil, err
-		}
-		return func() { c.mergeLanes(m) }, nil
+		return stageTier(r, c, &c.lanes)
 	case secScheds:
-		var m map[string]schedEntry
-		if err := safeDecode(r, &m); err != nil {
-			return nil, err
-		}
-		return func() { c.mergeScheds(m) }, nil
+		return stageTier(r, c, &c.scheds)
 	case secRProfiles:
-		var m map[string]*memsim.ReuseProfile
-		if err := safeDecode(r, &m); err != nil {
-			return nil, err
-		}
-		return func() { c.mergeRProfiles(m) }, nil
+		return stageTier(r, c, &c.rprofiles)
 	case secCheckpoint:
 		var ck Checkpoint
 		if err := safeDecode(r, &ck); err != nil {
@@ -404,6 +368,16 @@ func safeDecode(r io.Reader, v any) (err error) {
 	return gob.NewDecoder(r).Decode(v)
 }
 
+// stageTier decodes a tier's section into the tier's map type and
+// returns the put that merges it.
+func stageTier[V any, P tierPolicy[V]](r io.Reader, c *Cache, t *tier[V, P]) (func(), error) {
+	var m map[string]V
+	if err := safeDecode(r, &m); err != nil {
+		return nil, err
+	}
+	return func() { t.putAll(c, m, false) }, nil
+}
+
 // mergeEntries merges loaded results, overwriting equal keys.
 func (c *Cache) mergeEntries(m map[string]cacheEntry) {
 	if len(m) == 0 {
@@ -414,97 +388,6 @@ func (c *Cache) mergeEntries(m map[string]cacheEntry) {
 		c.m[k] = v
 	}
 	c.mu.Unlock()
-}
-
-// mergeStreams merges loaded whole-run streams, dropping partial
-// streams as storeStream does.
-func (c *Cache) mergeStreams(m map[string]streamEntry) {
-	if len(m) == 0 {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	for k, v := range m {
-		if v.Stream == nil || v.Stream.Partial {
-			continue
-		}
-		if old, ok := c.streams[k]; ok {
-			c.streamBytes -= int64(old.Stream.SizeBytes())
-		} else {
-			c.streamOrder = append(c.streamOrder, k)
-		}
-		c.streams[k] = v
-		c.streamBytes += int64(v.Stream.SizeBytes())
-	}
-	c.evictLocked()
-}
-
-// mergeLanes merges loaded lane sub-streams, dropping partial lanes as
-// storeLane does.
-func (c *Cache) mergeLanes(m map[string]*astream.SubStream) {
-	if len(m) == 0 {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	for k, v := range m {
-		if v == nil || v.Partial {
-			continue
-		}
-		if old, ok := c.lanes[k]; ok {
-			c.streamBytes -= int64(old.SizeBytes())
-		} else {
-			c.laneOrder = append(c.laneOrder, k)
-		}
-		c.lanes[k] = v
-		c.streamBytes += int64(v.SizeBytes())
-	}
-	c.evictLocked()
-}
-
-// mergeScheds merges loaded schedule entries; the first complete entry
-// for a configuration wins, as storeSchedule.
-func (c *Cache) mergeScheds(m map[string]schedEntry) {
-	if len(m) == 0 {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	for k, v := range m {
-		if v.Sched == nil || v.Ambient == nil || v.Ambient.Partial {
-			continue
-		}
-		if _, ok := c.scheds[k]; ok {
-			continue
-		}
-		c.scheds[k] = v
-		c.streamBytes += v.sizeBytes()
-	}
-	c.evictLocked()
-}
-
-// mergeRProfiles merges loaded reuse profiles into accumulated
-// coverage, as storeReuseProfile.
-func (c *Cache) mergeRProfiles(m map[string]*memsim.ReuseProfile) {
-	if len(m) == 0 {
-		return
-	}
-	c.sm.Lock()
-	defer c.sm.Unlock()
-	for k, v := range m {
-		if v == nil {
-			continue
-		}
-		if old, ok := c.rprofiles[k]; ok {
-			c.streamBytes -= int64(old.SizeBytes())
-			v = v.Merge(old) // loading can only grow coverage
-		} else {
-			c.rprofOrder = append(c.rprofOrder, k)
-		}
-		c.rprofiles[k] = v
-		c.streamBytes += int64(v.SizeBytes())
-	}
-	c.evictLocked()
 }
 
 // saveFileAttempts bounds SaveFile's retry loop; saveFileBackoff is

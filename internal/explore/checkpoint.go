@@ -131,20 +131,17 @@ func (d *DistState) Clone() *DistState {
 func (c *Cache) SetCheckpoint(ck Checkpoint) {
 	ck.Front = append([]pareto.Point(nil), ck.Front...)
 	ck.Dist = ck.Dist.Clone()
-	c.ckMu.Lock()
-	c.ckpt = &ck
-	c.ckMu.Unlock()
+	c.ckpt.Store(&ck)
 }
 
 // Checkpoint returns a copy of the cache's campaign checkpoint, if one
 // has been recorded (or loaded).
 func (c *Cache) Checkpoint() (Checkpoint, bool) {
-	c.ckMu.Lock()
-	defer c.ckMu.Unlock()
-	if c.ckpt == nil {
+	p := c.ckpt.Load()
+	if p == nil {
 		return Checkpoint{}, false
 	}
-	ck := *c.ckpt
+	ck := *p
 	ck.Front = append([]pareto.Point(nil), ck.Front...)
 	ck.Dist = ck.Dist.Clone()
 	return ck, true

@@ -292,57 +292,21 @@ func (d *CacheDelta) Len() int {
 // copied — lanes and schedules are immutable once stored.
 // Returns nil when nothing new accumulated.
 func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
-	d := &CacheDelta{
-		Lanes:  make(map[string]*astream.SubStream),
-		Scheds: make(map[string]schedEntry),
-	}
-	c.sm.RLock()
-	for k, s := range c.lanes {
-		if !cur.lanes[k] {
-			d.Lanes[k] = s
-		}
-	}
-	for k, e := range c.scheds {
-		if !cur.scheds[k] {
-			d.Scheds[k] = e
-		}
-	}
-	c.sm.RUnlock()
+	d := &CacheDelta{Lanes: c.lanes.export(c, cur.lanes), Scheds: c.scheds.export(c, cur.scheds)}
 	if d.Len() == 0 {
 		return nil
-	}
-	for k := range d.Lanes {
-		cur.lanes[k] = true
-	}
-	for k := range d.Scheds {
-		cur.scheds[k] = true
 	}
 	return d
 }
 
-// MergeDelta merges a worker's delta into the cache through the
-// ordinary stores (budget accounting, partial-drop and first-schedule-
-// wins semantics all apply) and reports how many entries were new
-// versus already present — the dedup the content-addressed keys buy.
+// MergeDelta puts a worker's delta into the cache (budget accounting
+// and partial drops apply), the first entry under a key winning, and
+// reports how many entries were new versus already present — the
+// dedup the content-addressed keys buy. It counts no cache traffic.
 func (c *Cache) MergeDelta(d *CacheDelta) (added, dup int) {
 	if d == nil {
 		return 0, 0
 	}
-	for k, s := range d.Lanes {
-		if _, ok := c.lookupLane(k); ok {
-			dup++
-			continue
-		}
-		c.storeLane(k, s)
-		added++
-	}
-	for k, e := range d.Scheds {
-		if _, _, _, ok := c.lookupSchedule(k); ok {
-			dup++
-			continue
-		}
-		c.storeSchedule(k, e)
-		added++
-	}
-	return added, dup
+	added = c.lanes.putAll(c, d.Lanes, true) + c.scheds.putAll(c, d.Scheds, true)
+	return added, d.Len() - added
 }

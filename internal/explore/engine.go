@@ -649,7 +649,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		// and only one that keeps streams at all.
 		if !compose && e.opts.Cache != nil && e.cache.keepsStreams() {
 			skey = streamKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), e.opts.Arenas)
-			if st, sum, ok := e.cache.lookupStream(skey); ok && e.replayJob(&o, st, sum, jb, aguard) {
+			if se, ok := e.cache.streams.get(e.cache, skey); ok && e.replayJob(&o, se.Stream, cloneSummary(se.Summary), jb, aguard) {
 				e.cache.store(key, o.Result, e.exploreCtx)
 				return o
 			}
@@ -687,12 +687,9 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		return o
 	}
 	if rec != nil {
-		// An aborted run's partial stream is dropped by storeStream.
+		// An aborted run's partial stream is not admitted.
 		p.EndCapture()
-		e.cache.storeStream(skey, streamEntry{
-			App: e.app.Name(), Cfg: jb.Cfg, Assign: jb.Assign, Packets: e.opts.packets(),
-			Stream: rec.Finish(abortedRun), Summary: sum, Arenas: e.opts.Arenas,
-		})
+		e.cache.streams.put(e.cache, skey, e.streamEntry(jb.Cfg, jb.Assign, rec.Finish(abortedRun), sum))
 	}
 	if cr != nil {
 		p.EndCapture()
@@ -726,12 +723,10 @@ func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Su
 	if aborted {
 		return // partial lanes prove nothing; compose mode runs unguarded anyway
 	}
-	ck := e.keysFor(jb.Cfg)
-	e.cache.storeSchedule(ck.sched, schedEntry{
-		Sched: sched, Ambient: subs[0], Summary: sum,
-	})
+	c, ck := e.cache, e.keysFor(jb.Cfg)
+	c.scheds.put(c, ck.sched, schedEntry{Sched: sched, Ambient: subs[0], Summary: cloneSummary(sum)})
 	for i, role := range sched.Roles {
-		e.cache.storeLane(ck.lane(role, apps.KindFor(jb.Assign, role)), subs[i+1])
+		c.lanes.put(c, ck.lane(role, apps.KindFor(jb.Assign, role)), subs[i+1])
 	}
 }
 
@@ -740,26 +735,26 @@ func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Su
 // per role, selected by the assignment's kind for that role. ok is
 // false as soon as anything is missing.
 func (e *Engine) composition(cfg Config, assign apps.Assignment) (astream.Composition, apps.Summary, bool) {
-	ck := e.keysFor(cfg)
-	sched, ambient, sum, ok := e.cache.lookupSchedule(ck.sched)
+	c, ck := e.cache, e.keysFor(cfg)
+	se, ok := c.scheds.get(c, ck.sched)
 	if !ok {
 		return astream.Composition{}, apps.Summary{}, false
 	}
-	lanes := make([]*astream.UnpackedLane, len(sched.Roles)+1)
-	if lanes[0], ok = e.cache.unpackedLane(ck.sched, ambient, true); !ok {
+	lanes := make([]*astream.UnpackedLane, len(se.Sched.Roles)+1)
+	if lanes[0], ok = c.unpackedLane(ck.sched, se.Ambient, true); !ok {
 		return astream.Composition{}, apps.Summary{}, false
 	}
-	for i, role := range sched.Roles {
+	for i, role := range se.Sched.Roles {
 		lk := ck.lane(role, apps.KindFor(assign, role))
-		sub, ok := e.cache.lookupLane(lk)
+		sub, ok := c.lanes.get(c, lk)
 		if !ok {
 			return astream.Composition{}, apps.Summary{}, false
 		}
-		if lanes[i+1], ok = e.cache.unpackedLane(lk, sub, false); !ok {
+		if lanes[i+1], ok = c.unpackedLane(lk, sub, false); !ok {
 			return astream.Composition{}, apps.Summary{}, false
 		}
 	}
-	return astream.Composition{Sched: sched, Lanes: lanes}, sum, true
+	return astream.Composition{Sched: se.Sched, Lanes: lanes}, cloneSummary(se.Summary), true
 }
 
 // composeJob satisfies a job by interleaving cached per-role sub-streams
@@ -843,18 +838,18 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 
 // pruneJob is the bound-guided search: it sums the admissible per-lane
 // lower bounds of the job's combination (ambient lane + one lane per
-// role, each derived from the lane's ISOLATED reuse profile) into a
-// lower-bound cost vector, and discards the job — zero probe passes,
-// zero decodes on a warm cache — when the live front already strictly
-// dominates the bound. Soundness: the bound never exceeds the exact
-// composed cost on any objective (memsim.BoundFromProfile documents the
-// stack-inclusion and cold-fill arguments; the admissibility property
-// test pins it), and a front member dominating the bound therefore
-// dominates the exact vector, which dominance transitivity preserves to
-// the final front — so the survivor front is bit-identical to the
-// exhaustive path. It reports false when any lane or profile is
-// unavailable, or the bound is not dominated, sending the caller to the
-// composed-replay path.
+// role, each read by astream.LaneBound off the lane totals of its
+// isolated suffix table) into a lower-bound cost vector, and discards
+// the job — zero probe passes, zero decodes on a warm cache — when the
+// live front already strictly dominates the bound. Soundness: the bound
+// never exceeds the exact composed cost on any objective
+// (memsim.LaneBound documents the stack-inclusion and cold-fill
+// arguments; TestLaneBoundAdmissible pins it), and a front member
+// dominating the bound therefore dominates the exact vector, which
+// dominance transitivity preserves to the final front — so the survivor
+// front is bit-identical to the exhaustive path. It reports false when
+// any lane is unavailable, or the bound is not dominated, sending the
+// caller to the composed-replay path.
 func (e *Engine) pruneJob(o *Outcome, jb Job, guard *frontGuard) bool {
 	bound, sum, ok, dominated := e.jobBound(jb, guard.dominates)
 	if !ok || !dominated {
@@ -877,17 +872,19 @@ func (e *Engine) pruneJob(o *Outcome, jb Job, guard *frontGuard) bool {
 // jobBound assembles the job's admissible lower-bound cost vector from
 // the memoized per-lane bounds and reports whether dom holds on it.
 // ok is false — with nothing computed — when any lane is unavailable,
-// so misses stay cheap and transient. dom is any dominance test
+// so misses stay cheap and transient. sum, the run's summary, is
+// returned only with a dominated bound. dom is any dominance test
 // against a front; pruneJob passes the guard's (slack-widened under
 // screening), the screening deferral passes the face-value one.
 func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.Vector, sum apps.Summary, ok, dominated bool) {
-	ck := e.keysFor(jb.Cfg)
-	sched, ambient, sum, schedOK := e.cache.lookupSchedule(ck.sched)
+	c, ck := e.cache, e.keysFor(jb.Cfg)
+	se, schedOK := c.scheds.get(c, ck.sched)
 	if !schedOK {
 		return metrics.Vector{}, apps.Summary{}, false, false
 	}
+	sched := se.Sched
 	total, boundOK := e.laneBoundFor(ck.sched, func() (*astream.UnpackedLane, bool) {
-		return e.cache.unpackedLane(ck.sched, ambient, true)
+		return c.unpackedLane(ck.sched, se.Ambient, true)
 	})
 	if !boundOK {
 		return metrics.Vector{}, apps.Summary{}, false, false
@@ -895,11 +892,11 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 	for _, role := range sched.Roles {
 		lk := ck.lane(role, apps.KindFor(jb.Assign, role))
 		b, ok := e.laneBoundFor(lk, func() (*astream.UnpackedLane, bool) {
-			sub, ok := e.cache.lookupLane(lk)
+			sub, ok := c.lanes.get(c, lk)
 			if !ok {
 				return nil, false
 			}
-			return e.cache.unpackedLane(lk, sub, false)
+			return c.unpackedLane(lk, sub, false)
 		})
 		if !ok {
 			return metrics.Vector{}, apps.Summary{}, false, false
@@ -919,18 +916,18 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 		relaxed := bound
 		relaxed.Footprint = math.Inf(1)
 		if !dom(relaxed) {
-			return bound, sum, true, false
+			return bound, apps.Summary{}, true, false
 		}
 		exactPeak, ok := e.exactPeak(ck.sched, sched, jb)
 		if !ok {
-			return bound, sum, true, false
+			return bound, apps.Summary{}, true, false
 		}
 		bound.Footprint = float64(exactPeak)
 		if !dom(bound) {
-			return bound, sum, true, false
+			return bound, apps.Summary{}, true, false
 		}
 	}
-	return bound, sum, true, true
+	return bound, cloneSummary(se.Summary), true, true
 }
 
 // exactPeak returns the exact composed footprint peak of the job's
@@ -1198,9 +1195,11 @@ func (e *Engine) evalPlatforms(cfg Config, assign apps.Assignment, platforms []m
 		if !settled {
 			settled = true
 			if e.opts.Arenas {
-				_, _, sum, haveSum = e.cache.lookupSchedule(e.keysFor(cfg).sched)
+				se, ok := e.cache.scheds.get(e.cache, e.keysFor(cfg).sched)
+				sum, haveSum = se.Summary, ok
 			} else {
-				_, sum, haveSum = e.cache.lookupStream(skey)
+				se, ok := e.cache.streams.get(e.cache, skey)
+				sum, haveSum = se.Summary, ok
 			}
 		}
 		if haveSum {
@@ -1213,12 +1212,22 @@ func (e *Engine) evalPlatforms(cfg Config, assign apps.Assignment, platforms []m
 	return vecs, ok, err
 }
 
+// streamEntry files a stream the engine captured for (cfg, assign),
+// with its own copies of the run's identity and summary.
+func (e *Engine) streamEntry(cfg Config, assign apps.Assignment, st *astream.Stream, sum apps.Summary) streamEntry {
+	cfg.Knobs = cfg.Knobs.Clone()
+	return streamEntry{
+		App: e.app.Name(), Cfg: cfg, Assign: assign.Clone(), Packets: e.opts.packets(),
+		Stream: st, Summary: cloneSummary(sum), Arenas: e.opts.Arenas,
+	}
+}
+
 // captureStream returns the complete access stream for the point, from
 // the engine's cache or by executing once with capture attached.
 func (e *Engine) captureStream(cfg Config, assign apps.Assignment) (*astream.Stream, apps.Summary, error) {
 	skey := streamKey(e.app.Name(), cfg, assign, e.opts.packets(), e.opts.Arenas)
-	if st, sum, ok := e.cache.lookupStream(skey); ok {
-		return st, sum, nil
+	if se, ok := e.cache.streams.get(e.cache, skey); ok {
+		return se.Stream, cloneSummary(se.Summary), nil
 	}
 	tr, err := loadTrace(cfg.TraceName, e.opts.packets())
 	if err != nil {
@@ -1233,10 +1242,7 @@ func (e *Engine) captureStream(cfg Config, assign apps.Assignment) (*astream.Str
 	}
 	p.EndCapture()
 	st := rec.Finish(false)
-	e.cache.storeStream(skey, streamEntry{
-		App: e.app.Name(), Cfg: cfg, Assign: assign, Packets: e.opts.packets(),
-		Stream: st, Summary: sum, Arenas: e.opts.Arenas,
-	})
+	e.cache.streams.put(e.cache, skey, e.streamEntry(cfg, assign, st, sum))
 	e.simulated.Add(1)
 	key := e.jobKey(cfg, assign)
 	e.cache.store(key, Result{

@@ -134,7 +134,8 @@ func unmemoizedPeak(t *testing.T, e *Engine, jb Job) uint64 {
 func TestPeakMemoMatchesComposedPeak(t *testing.T) {
 	e, ref, dominant := peakFixture(t, Options{})
 	sk := e.keysFor(ref).sched
-	sched, _, _, _ := e.cache.lookupSchedule(sk)
+	se, _ := e.cache.scheds.get(e.cache, sk)
+	sched := se.Sched
 	rng := rand.New(rand.NewSource(5))
 	walked := make(map[string]uint64)
 	var jobs []Job
@@ -152,7 +153,7 @@ func TestPeakMemoMatchesComposedPeak(t *testing.T) {
 		walked[string(peakKey(nil, sched.Roles, jb.Assign))] = want
 	}
 	e.cache.sm.RLock()
-	pm := e.cache.scheds[sk].peaks
+	pm := e.cache.scheds.m[sk].peaks
 	e.cache.sm.RUnlock()
 	n := len(pm.m)
 	for key, want := range walked {
@@ -201,7 +202,8 @@ func TestPeakMemoConcurrentEngines(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				sk := e.keysFor(ref).sched
-				sched, _, _, _ := e.cache.lookupSchedule(sk)
+				se, _ := e.cache.scheds.get(e.cache, sk)
+				sched := se.Sched
 				order := rand.New(rand.NewSource(int64(10*w + g))).Perm(len(jobs))
 				for _, i := range order {
 					jb := jobs[i]
@@ -235,7 +237,8 @@ func TestPeakMemoConcurrentEngines(t *testing.T) {
 func TestPeakMemoHoldsNoLanes(t *testing.T) {
 	e, ref, dominant := peakFixture(t, Options{})
 	sk := e.keysFor(ref).sched
-	sched, _, _, _ := e.cache.lookupSchedule(sk)
+	se, _ := e.cache.scheds.get(e.cache, sk)
+	sched := se.Sched
 	rng := rand.New(rand.NewSource(3))
 	jb := randomJob(rng, ref, dominant)
 	want := unmemoizedPeak(t, e, jb)
@@ -246,7 +249,7 @@ func TestPeakMemoHoldsNoLanes(t *testing.T) {
 	var collected sync.WaitGroup
 	e.cache.sm.Lock()
 	for k, u := range e.cache.unpacked {
-		if _, isLane := e.cache.lanes[k]; isLane {
+		if _, isLane := e.cache.lanes.m[k]; isLane {
 			collected.Add(1)
 			runtime.SetFinalizer(u, func(*astream.UnpackedLane) { collected.Done() })
 		}

@@ -36,7 +36,7 @@ func ReplayPlatforms(c *Cache, platforms []memsim.Config) int {
 	}
 	families := platform.LineFamilies(platforms)
 
-	units := c.streamEntries()
+	units := c.streams.snapshot(c)
 	if len(units) == 0 {
 		return 0
 	}
@@ -117,7 +117,8 @@ func evalFamilies(c *Cache, skey string, platforms []memsim.Config, families []p
 				continue
 			}
 			if !looked {
-				p, looked = c.lookupReuseProfile(reuseProfileKey(skey, fam.LineBytes)), true
+				p, _ = c.rprofiles.get(c, reuseProfileKey(skey, fam.LineBytes))
+				looked = true
 			}
 			covers = covers && p != nil && p.Covers(platforms[i])
 		}
@@ -145,7 +146,7 @@ func evalFamilies(c *Cache, skey string, platforms []memsim.Config, families []p
 			return false, err
 		}
 		for _, p := range profs {
-			c.storeReuseProfile(reuseProfileKey(skey, p.LineBytes), p)
+			c.rprofiles.put(c, reuseProfileKey(skey, p.LineBytes), p)
 		}
 	}
 	for fi, fam := range families {

@@ -137,7 +137,7 @@ func (e *Engine) screenCompose(o *Outcome, jb Job) bool {
 	cfg := e.opts.platformConfig()
 	skey := streamKey(e.app.Name(), jb.Cfg, jb.Assign, e.opts.packets(), true)
 	pkey := screenKey(reuseProfileKey(skey, memsim.EffectiveLineBytes(cfg)), e.sampleShift)
-	if p := e.cache.lookupSampledProfile(pkey); p != nil && p.Covers(cfg) {
+	if p, ok := e.cache.sprofiles.get(e.cache, pkey); ok && p.Covers(cfg) {
 		if cost, ok := astream.CostFromProfile(p, cfg); ok {
 			e.finishScreen(o, jb, cost, p.RelCI(cfg), sum)
 			e.profiled.Add(1)
@@ -155,7 +155,7 @@ func (e *Engine) screenCompose(o *Outcome, jb Job) bool {
 		}
 		e.screenProbes.Add(p.Probes)
 		e.screenSampled.Add(p.SampledProbes)
-		e.cache.storeSampledProfile(screenKey(reuseProfileKey(skey, p.LineBytes), e.sampleShift), p)
+		e.cache.sprofiles.put(e.cache, screenKey(reuseProfileKey(skey, p.LineBytes), e.sampleShift), p)
 	}
 	e.sampled.Add(1)
 	e.finishScreen(o, jb, costs[0], ci, sum)
