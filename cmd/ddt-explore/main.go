@@ -808,8 +808,14 @@ func saveCache(path string, cache *explore.Cache, withStreams bool) error {
 	}
 	stats := cache.Stats()
 	if withStreams {
-		fmt.Printf("simulation cache saved to %s (%d entries, %d access streams, %d role lanes, %d schedules, %d reuse profiles, %dKB of streams+profiles)\n",
-			path, stats.Entries, stats.Streams, stats.Lanes, stats.Schedules, stats.ReuseProfiles, stats.StreamBytes>>10)
+		// The file's own size: StreamBytes counts what the tiers hold
+		// resident, decoded lanes included, not what was written.
+		info, err := os.Stat(path)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("simulation cache saved to %s (%d entries, %d access streams, %d role lanes, %d schedules, %d reuse profiles, %dKB file)\n",
+			path, stats.Entries, stats.Streams, stats.Lanes, stats.Schedules, stats.ReuseProfiles, info.Size()>>10)
 	} else {
 		fmt.Printf("simulation cache saved to %s (%d entries)\n", path, stats.Entries)
 	}

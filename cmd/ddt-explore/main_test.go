@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/netapps"
@@ -23,6 +25,29 @@ func TestMain(m *testing.M) {
 		os.Exit(cliMain(os.Args[1:]))
 	}
 	os.Exit(m.Run())
+}
+
+// runStdout runs the CLI on c and returns what it printed to standard
+// output.
+func runStdout(t *testing.T, c cliConfig) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(context.Background(), c)
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // base returns the minimal CLI config the tests start from.
@@ -130,12 +155,15 @@ func TestRunPersistsSimulationCache(t *testing.T) {
 func TestRunReplayCachePersistsStreams(t *testing.T) {
 	c := base("URL")
 	c.replayCache = filepath.Join(t.TempDir(), "url.replay")
-	if err := run(context.Background(), c); err != nil {
-		t.Fatal(err)
-	}
+	out := runStdout(t, c)
 	replayInfo, err := os.Stat(c.replayCache)
 	if err != nil {
 		t.Fatalf("replay cache not written: %v", err)
+	}
+	// The save line reports the file written, not the bytes the cache
+	// holds resident (decoded lanes are never saved).
+	if want := fmt.Sprintf("%dKB file)", replayInfo.Size()>>10); !strings.Contains(out, want) {
+		t.Fatalf("save line does not report the %dB file as %q:\n%s", replayInfo.Size(), want, out)
 	}
 	// A results-only cache of the same run must be much smaller than the
 	// stream-bearing one.

@@ -15,16 +15,19 @@
 // The encoding is built for multi-million-event traces: events are
 // delta/varint-encoded (addresses as zigzag deltas from the previous
 // access, 4-byte accesses in a dedicated compact form, consecutive ALU
-// ops coalesced) into fixed-size chunks, so recording never reallocates
-// large buffers and a stream costs a few bytes per event.
+// ops coalesced) into 64 KiB chunks, so recording never reallocates
+// large buffers and a stream costs a few bytes per event; Finish trims
+// the last chunk to its length, so a stream retains what it is charged.
 //
 // Beyond whole-run streams, the package implements compositional
-// capture (see compose.go): one arena-mode run records a segmented
-// sub-stream per container role plus the DDT-invariant operation
-// schedule, and any DDT combination's stream is synthesized by
-// interleaving per-role sub-streams at the recorded operation
-// boundaries — the seam that collapses a 10^K combination cross-product
-// to ~10·K captures.
+// capture (see compose.go): one arena-mode run records each container
+// role's lane, segmented at its operations, plus the DDT-invariant
+// operation schedule, and any DDT combination's stream is synthesized
+// by interleaving the lanes at the recorded operation boundaries — the
+// seam that collapses a 10^K combination cross-product to ~10·K
+// captures. Lanes are captured straight into the struct-of-arrays form
+// composed replay reads (UnpackedLane); the chunk encoding is only
+// their serialized form (SubStream).
 package astream
 
 import (
@@ -124,7 +127,6 @@ type Recorder struct {
 	pendingOp uint64
 	events    uint64
 	accesses  uint64
-	segments  uint64
 }
 
 // NewRecorder returns an empty recorder.
@@ -132,7 +134,9 @@ func NewRecorder() *Recorder {
 	return &Recorder{buf: make([]byte, chunkBytes)}
 }
 
-// grow seals the current chunk and starts a fresh one.
+// grow seals the current chunk and starts a fresh one. A sealed chunk
+// fills its buffer to within chunkSlack bytes, so it keeps its backing
+// array.
 func (r *Recorder) grow() {
 	r.chunks = append(r.chunks, r.buf[:r.w:r.w])
 	r.buf = make([]byte, chunkBytes)
@@ -259,11 +263,12 @@ func (r *Recorder) RecordPeak(peak uint64) {
 	r.events++
 }
 
-// recordSeg seals one capture segment: pending ops are flushed into the
+// recordSeg seals one lane segment: pending ops are flushed into the
 // segment, then a tagSeg event records the segment's footprint deltas
 // (high-water mark and net change of the owning arena's live bytes,
-// relative to the segment start). Only compositional capture writes
-// segments; plain streams never contain tagSeg.
+// relative to the segment start). Only a lane's serialized form
+// (UnpackedLane.Encode) carries segments; plain streams never contain
+// tagSeg.
 func (r *Recorder) recordSeg(maxDelta uint64, endDelta int64) {
 	if r.pendingOp != 0 {
 		r.flushOp()
@@ -275,7 +280,6 @@ func (r *Recorder) recordSeg(maxDelta uint64, endDelta int64) {
 	w := putUvarint(r.buf, r.w+1, maxDelta)
 	r.w = putUvarint(r.buf, w, zigzag64(endDelta))
 	r.events++
-	r.segments++
 }
 
 // Finish seals the stream. partial marks a capture that was cut short by
@@ -287,7 +291,11 @@ func (r *Recorder) Finish(partial bool) *Stream {
 	}
 	chunks := r.chunks
 	if r.w > 0 {
-		chunks = append(chunks, r.buf[:r.w:r.w])
+		// A copy, not a reslice: the last chunk is often a few hundred
+		// bytes of a 64 KiB buffer, and SizeBytes charges only those.
+		last := make([]byte, r.w)
+		copy(last, r.buf)
+		chunks = append(chunks, last)
 	}
 	r.chunks, r.buf = nil, nil
 	return &Stream{
@@ -435,13 +443,6 @@ type decoder struct {
 	pos      int
 	lastAddr uint32
 	lastPeak uint64
-	// segs accepts the segment terminators of a lane sub-stream; next
-	// then also stops after each one, setting atSeg and the segment's
-	// footprint deltas. A whole-run stream carries none.
-	segs   bool
-	atSeg  bool
-	segMax uint64
-	segEnd int64
 }
 
 // delta decodes one fixed-width address delta of widthM1+1 bytes at the
@@ -496,15 +497,14 @@ func uvarintAt(buf []byte, pos int) (uint64, int) {
 }
 
 // next fills b with up to batchEvents decoded accesses plus the
-// invariant aggregates of the same span — on a sub-stream, only up to
-// the next segment terminator. It returns false once the stream is
-// exhausted (the final batch may still carry data). The recorder never
-// splits an event across chunks, so the inner loop decodes one chunk
-// with purely local state.
+// invariant aggregates of the same span. It returns false once the
+// stream is exhausted (the final batch may still carry data). The
+// recorder never splits an event across chunks, so the inner loop
+// decodes one chunk with purely local state. A whole-run stream carries
+// no segment terminators; lanes decode through SubStream.Unpack.
 func (d *decoder) next(b *batch) (bool, error) {
 	n := 0
 	b.readWords, b.writeWords, b.opCycles = 0, 0, 0
-	d.atSeg = false
 	for n < batchEvents {
 		if d.pos >= len(d.buf) {
 			if d.ci >= len(d.chunks) {
@@ -581,25 +581,12 @@ func (d *decoder) next(b *batch) (bool, error) {
 					return false, d.corrupt()
 				}
 				d.lastPeak += u
-			} else if tag == tagSeg && d.segs {
-				var maxD, endU uint64
-				if maxD, pos = uvarintAt(buf, pos); pos < 0 {
-					return false, d.corrupt()
-				}
-				if endU, pos = uvarintAt(buf, pos); pos < 0 {
-					return false, d.corrupt()
-				}
-				d.atSeg, d.segMax, d.segEnd = true, maxD, unzigzag64(endU)
-				break
 			} else {
 				return false, fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, d.ci-1)
 			}
 		}
 		d.pos = pos
 		d.lastAddr = lastAddr
-		if d.atSeg {
-			break
-		}
 	}
 	b.nAcc = n
 	b.peak = d.lastPeak

@@ -1,8 +1,10 @@
 package astream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -11,31 +13,37 @@ import (
 
 // Compositional capture: instead of recording one flat stream per DDT
 // combination (10^K captures for K instrumented roles), a single
-// arena-mode run records one segmented sub-stream per lane — lane 0 for
+// arena-mode run records one segmented lane per owner — lane 0 for
 // ambient application work, lanes 1..K for the container roles — plus
 // the schedule of which lane owns each operation. Because every role
 // allocates from a private address arena and the application's logical
 // operation sequence is DDT-invariant (the refinement never changes
-// functionality), a lane's sub-stream depends only on that lane's own
-// DDT kind. Any combination's full access stream is therefore the
-// deterministic interleave of per-lane sub-streams at the recorded
-// operation boundaries: 10 all-same-kind runs yield all 10·K sub-streams
-// the whole 10^K combination space composes from.
+// functionality), a lane depends only on that lane's own DDT kind. Any
+// combination's full access stream is therefore the deterministic
+// interleave of lanes at the recorded operation boundaries: 10
+// all-same-kind runs yield all 10·K lanes the whole 10^K combination
+// space composes from.
 //
 // A segment is the event span from one operation boundary to the next:
 // the owning role's accesses and op cycles, plus any ambient work until
 // the next operation starts (ambient content is DDT-invariant, so its
 // attribution to the preceding segment composes exactly). Each segment
-// ends with a tagSeg event carrying the owning arena's footprint deltas,
-// which is how a composed replay reconstructs the global footprint peak
-// bit-exactly: while one lane's segment runs, every other lane's live
-// bytes are constant, so the global high-water mark is the maximum over
-// segments of (total live at segment start + segment max-delta).
+// carries the owning arena's footprint deltas, which is how a composed
+// replay reconstructs the global footprint peak bit-exactly: while one
+// lane's segment runs, every other lane's live bytes are constant, so
+// the global high-water mark is the maximum over segments of (total
+// live at segment start + segment max-delta).
+//
+// A lane has one resident form, the struct-of-arrays UnpackedLane the
+// replay kernel reads, and ComposedRecorder captures straight into it.
+// Its serialized form, for cache files and worker deltas, is the chunk
+// encoding of a SubStream: Encode writes it and Unpack reads it back,
+// field for field.
 
-// SubStream is one lane's segmented access sub-stream, captured for one
-// (role, kind) pair. The embedded Stream holds the event chunks (with
-// tagSeg segment terminators); Peak is meaningless here — footprint
-// travels in the segment deltas instead.
+// SubStream is one lane's serialized form, for one (role, kind) pair:
+// the embedded Stream holds the event chunks, with a tagSeg terminator
+// (the segment's footprint deltas) ending every segment. Peak is
+// meaningless here — footprint travels in the segment deltas instead.
 type SubStream struct {
 	Stream
 	// Role is the container role this lane captures ("" for the ambient
@@ -74,84 +82,186 @@ type LaneMeter interface {
 	SegmentStats() (maxDelta uint64, endDelta int64)
 }
 
-// ComposedRecorder captures all lanes of an arena-mode run at once. It
-// implements memsim.BoundarySink: every event routes to the sub-stream
-// of the lane the most recent boundary announced, and each boundary
-// seals the previous lane's segment with its arena's footprint deltas.
-// Like Recorder it is single-simulation, single-goroutine state; call
-// Finish exactly once.
+// ComposedRecorder captures the lanes of an arena-mode run at once,
+// straight into their decoded form. It implements memsim.BoundarySink:
+// every event routes to the lane the most recent boundary announced —
+// an access appends its address, size and write bit to the lane's
+// arrays — and each boundary seals the previous lane's segment
+// aggregates with its arena's footprint deltas. No lane is encoded
+// here. Like Recorder it is single-simulation, single-goroutine state;
+// call Finish exactly once, or drop the recorder of an aborted run,
+// whose lanes prove nothing about the full run.
 type ComposedRecorder struct {
 	roles  []string
-	lanes  []*Recorder
+	lanes  []*capLane
 	meters []LaneMeter
 	tokens []byte
 	cur    int
 }
 
+// capLane is one lane under capture: its access arrays, its sealed
+// segments, and the aggregates of its open segment — op cycles, words
+// accessed, words stored. A segment is sealed as one record; Finish
+// splits the records into the lane's per-segment arrays.
+type capLane struct {
+	addr, size         []uint32
+	write              []uint64
+	segs               []capSeg
+	ops, words, writeW uint64
+}
+
+// capSeg is one sealed segment of a lane under capture: the index past
+// its last access, its aggregates and its arena's footprint deltas.
+type capSeg struct {
+	end, readW, writeW uint32
+	ops, maxD          uint64
+	endD               int64
+}
+
+// capturePool recycles capLanes, arrays emptied: Finish copies every
+// lane out at its exact length, so a warm pool lets a capture append
+// without growth copies and allocate each lane's arrays once.
+var capturePool sync.Pool
+
 // NewComposedRecorder returns a composed recorder for the given role
 // order. meters must hold one LaneMeter per lane: meters[0] for the
-// ambient (default-arena) lane, meters[i+1] for roles[i]. The ambient
+// ambient (default-arena) lane, meters[i+1] for roles[i]. record, when
+// non-nil, selects the lanes to capture (index = lane); the schedule
+// still covers every lane, but a lane left out costs nothing — a
+// caller that already holds it need not pay for it again. The ambient
 // prelude segment is open on return.
-func NewComposedRecorder(roles []string, meters []LaneMeter) *ComposedRecorder {
+func NewComposedRecorder(roles []string, meters []LaneMeter, record []bool) *ComposedRecorder {
 	if len(meters) != len(roles)+1 {
 		panic(fmt.Sprintf("astream: %d roles need %d lane meters, got %d", len(roles), len(roles)+1, len(meters)))
 	}
 	c := &ComposedRecorder{
 		roles:  append([]string(nil), roles...),
-		lanes:  make([]*Recorder, len(meters)),
+		lanes:  make([]*capLane, len(meters)),
 		meters: meters,
 	}
 	for i := range c.lanes {
-		c.lanes[i] = NewRecorder()
+		if record != nil && !record[i] {
+			continue
+		}
+		l, _ := capturePool.Get().(*capLane)
+		if l == nil {
+			l = &capLane{}
+		}
+		c.lanes[i] = l
 	}
 	c.meters[0].BeginSegment()
 	c.tokens = append(c.tokens, 0)
 	return c
 }
 
-// RecordAccess routes one access to the current lane (memsim.EventSink).
+// RecordAccess appends one access to the current lane
+// (memsim.EventSink). A zero-size access is a no-op in the hierarchy
+// and is not kept; its op cycles still count toward the segment.
 func (c *ComposedRecorder) RecordAccess(write bool, addr, size uint32, ops uint64) {
-	c.lanes[c.cur].RecordAccess(write, addr, size, ops)
+	l := c.lanes[c.cur]
+	if l == nil {
+		return // not recorded
+	}
+	l.ops += ops
+	if size == 0 {
+		return
+	}
+	n := len(l.addr)
+	if n&63 == 0 {
+		l.write = append(l.write, 0)
+	}
+	var w uint64
+	if write {
+		w = 1
+	}
+	l.write[n>>6] |= w << (n & 63)
+	words := (uint64(size) + 3) / 4
+	l.words += words
+	l.writeW += words * w
+	l.addr = append(l.addr, addr)
+	l.size = append(l.size, size)
 }
 
-// RecordOps routes op cycles to the current lane (memsim.EventSink).
-func (c *ComposedRecorder) RecordOps(n uint64) { c.lanes[c.cur].RecordOps(n) }
+// RecordOps adds op cycles to the current lane's segment
+// (memsim.EventSink).
+func (c *ComposedRecorder) RecordOps(n uint64) {
+	if l := c.lanes[c.cur]; l != nil {
+		l.ops += n
+	}
+}
 
 // RecordBoundary seals the current lane's segment and opens one for lane
 // (memsim.BoundarySink).
 func (c *ComposedRecorder) RecordBoundary(lane int) {
-	maxD, endD := c.meters[c.cur].SegmentStats()
-	c.lanes[c.cur].recordSeg(maxD, endD)
+	c.seal()
 	c.cur = lane
 	c.meters[lane].BeginSegment()
 	c.tokens = append(c.tokens, byte(lane))
 }
 
-// Finish seals the final segment and every lane, returning the run's
-// schedule and per-lane sub-streams (index = lane). partial marks an
-// aborted capture; partial sub-streams are never composed. The recorder
-// must not be used afterwards.
-func (c *ComposedRecorder) Finish(partial bool) (*Schedule, []*SubStream) {
-	maxD, endD := c.meters[c.cur].SegmentStats()
-	c.lanes[c.cur].recordSeg(maxD, endD)
-	subs := make([]*SubStream, len(c.lanes))
-	for i, r := range c.lanes {
-		segs := r.segments
-		role := ""
-		if i > 0 {
-			role = c.roles[i-1]
-		}
-		subs[i] = &SubStream{Stream: *r.Finish(partial), Role: role, Lane: i, Segments: segs}
+// seal closes the current lane's open segment.
+func (c *ComposedRecorder) seal() {
+	l := c.lanes[c.cur]
+	if l == nil {
+		return
 	}
-	sched := &Schedule{Tokens: c.tokens, Roles: c.roles}
+	maxD, endD := c.meters[c.cur].SegmentStats()
+	l.segs = append(l.segs, capSeg{
+		end:    uint32(len(l.addr)),
+		readW:  uint32(l.words - l.writeW),
+		writeW: uint32(l.writeW),
+		ops:    l.ops,
+		maxD:   maxD,
+		endD:   endD,
+	})
+	l.ops, l.words, l.writeW = 0, 0, 0
+}
+
+// Finish seals the final segment and returns the run's schedule and its
+// lanes (index = lane, nil for a lane not recorded), every array
+// allocated at its exact length: growth slack would be retained for as
+// long as the lane is, and charged nowhere. The recorder must not be
+// used afterwards.
+func (c *ComposedRecorder) Finish() (*Schedule, []*UnpackedLane) {
+	c.seal()
+	lanes := make([]*UnpackedLane, len(c.lanes))
+	for i, l := range c.lanes {
+		if l == nil {
+			continue
+		}
+		n := len(l.segs)
+		u := &UnpackedLane{
+			Lane:      i,
+			Addr:      append([]uint32(nil), l.addr...),
+			Size:      append([]uint32(nil), l.size...),
+			Write:     append([]uint64(nil), l.write...),
+			SegIdx:    make([]uint32, n+1),
+			SegOps:    make([]uint64, n),
+			SegReadW:  make([]uint32, n),
+			SegWriteW: make([]uint32, n),
+			SegMax:    make([]uint64, n),
+			SegEnd:    make([]int64, n),
+		}
+		if i > 0 {
+			u.Role = c.roles[i-1]
+		}
+		for s, g := range l.segs {
+			u.SegIdx[s+1] = g.end
+			u.SegOps[s], u.SegReadW[s], u.SegWriteW[s] = g.ops, g.readW, g.writeW
+			u.SegMax[s], u.SegEnd[s] = g.maxD, g.endD
+		}
+		lanes[i] = u
+		l.addr, l.size, l.write, l.segs = l.addr[:0], l.size[:0], l.write[:0], l.segs[:0]
+		capturePool.Put(l)
+	}
+	sched := &Schedule{Tokens: append([]byte(nil), c.tokens...), Roles: c.roles}
 	c.lanes, c.meters, c.tokens = nil, nil, nil
-	return sched, subs
+	return sched, lanes
 }
 
 // errSegMismatch reports a schedule that demands more segments than a
-// lane recorded, or a sub-stream whose segment terminators disagree with
-// its recorded count — a corrupted or mismatched lane set.
-var errSegMismatch = errors.New("astream: schedule and sub-stream segments disagree")
+// lane holds — a mismatched lane set.
+var errSegMismatch = errors.New("astream: schedule and lane segments disagree")
 
 // advanceLive folds one segment's footprint deltas into the running
 // (live, peak) pair: the high-water candidate is the live total at
@@ -167,21 +277,24 @@ func advanceLive(maxDelta uint64, endDelta int64, live, peak uint64) (uint64, ui
 	return uint64(int64(live) + endDelta), peak
 }
 
-// UnpackedLane is a lane sub-stream decoded once into the struct-of-
-// arrays form the probe kernel consumes directly: flat address/size
-// arrays indexed per segment, with the platform-invariant per-segment
-// aggregates (op cycles, word counts, footprint deltas) precomputed.
-// Composition pays varint decoding 10·K times — once per lane — instead
-// of 10^K times, so evaluating one more combination is a probe-only
-// pass over shared arrays. An UnpackedLane is immutable and safe for
-// concurrent replays; it is derived data, rebuilt from its SubStream on
-// demand and never persisted.
+// UnpackedLane is a lane in the struct-of-arrays form the probe kernel
+// consumes directly: flat address/size arrays indexed per segment, with
+// the platform-invariant per-segment aggregates (op cycles, word
+// counts, footprint deltas) precomputed. It is the lane's one resident
+// form — ComposedRecorder captures into it, Unpack decodes a serialized
+// lane into it once, and Encode serializes it — so evaluating one more
+// combination is a probe-only pass over shared arrays. An UnpackedLane
+// is immutable and safe for concurrent replays.
 type UnpackedLane struct {
 	Role string
 	Lane int
 
 	Addr []uint32
 	Size []uint32
+	// Write holds one bit per access, set for a store: bit i%64 of word
+	// i/64. Replay prices stores through the segment word counts; the
+	// bits are what Encode needs to write the access events back.
+	Write []uint64
 
 	// SegIdx[s] .. SegIdx[s+1] bound segment s's accesses in Addr/Size.
 	SegIdx []uint32
@@ -208,54 +321,166 @@ type UnpackedLane struct {
 // Segments returns the number of decoded segments.
 func (u *UnpackedLane) Segments() int { return len(u.SegOps) }
 
-// SizeBytes returns the decoded in-memory footprint of the lane.
+// SizeBytes returns the in-memory footprint of the lane's arrays.
 func (u *UnpackedLane) SizeBytes() int {
-	return 8*len(u.Addr) + 4*len(u.SegIdx) + 32*len(u.SegOps)
+	return 8*len(u.Addr) + 8*len(u.Write) + 4*len(u.SegIdx) + 32*len(u.SegOps)
 }
 
-// Unpack decodes the sub-stream into its struct-of-arrays form.
+// Encode serializes the lane as a SubStream. Each segment's op cycles
+// travel as one op event before its terminator, so the chunks need not
+// match those a Recorder would have written, but Unpack returns the
+// lane field for field.
+func (u *UnpackedLane) Encode() *SubStream {
+	r := NewRecorder()
+	for s := range u.SegOps {
+		for i := u.SegIdx[s]; i < u.SegIdx[s+1]; i++ {
+			r.RecordAccess(u.Write[i>>6]>>(i&63)&1 != 0, u.Addr[i], u.Size[i], 0)
+		}
+		r.RecordOps(u.SegOps[s])
+		r.recordSeg(u.SegMax[s], u.SegEnd[s])
+	}
+	return &SubStream{Stream: *r.Finish(false), Role: u.Role, Lane: u.Lane, Segments: uint64(len(u.SegOps))}
+}
+
+// errLaneCounts reports a serialized lane whose events disagree with
+// its declared access or segment count, or that ends inside a segment.
+var errLaneCounts = errors.New("astream: lane events disagree with its declared counts")
+
+// Unpack decodes the sub-stream into its struct-of-arrays form. The
+// declared counts come from a cache file or a worker's delta, so they
+// size the arrays only as far as the encoded bytes can back them (an
+// access takes at least two bytes, a segment terminator three), and a
+// decode that disagrees with them is refused. A recorder never writes a
+// zero-size access, so one is refused as corrupt too.
 func (s *SubStream) Unpack() (*UnpackedLane, error) {
 	if s.Partial {
 		return nil, ErrPartial
 	}
+	enc := uint64(s.SizeBytes())
+	nAcc, nSeg := min(s.Accesses, enc/2), min(s.Segments, enc/3)
 	u := &UnpackedLane{
-		Role:   s.Role,
-		Lane:   s.Lane,
-		Addr:   make([]uint32, 0, s.Accesses),
-		Size:   make([]uint32, 0, s.Accesses),
-		SegIdx: make([]uint32, 1, s.Segments+1),
+		Role:      s.Role,
+		Lane:      s.Lane,
+		SegIdx:    make([]uint32, 1, nSeg+1),
+		SegOps:    make([]uint64, 0, nSeg),
+		SegReadW:  make([]uint32, 0, nSeg),
+		SegWriteW: make([]uint32, 0, nSeg),
+		SegMax:    make([]uint64, 0, nSeg),
+		SegEnd:    make([]int64, 0, nSeg),
 	}
-	d := decoder{chunks: s.Chunks, segs: true}
+	addr, size, wbits := make([]uint32, nAcc), make([]uint32, nAcc), make([]uint64, (nAcc+63)/64)
 	var (
-		b                  batch
-		ops, readW, writeW uint64
+		n                  int // accesses decoded
+		lastAddr           uint32
+		wword              uint64 // write bits of the accesses since the last multiple of 64
+		ops, words, writeW uint64
 	)
-	for more := true; more; {
-		var err error
-		if more, err = d.next(&b); err != nil {
-			return nil, err
-		}
-		u.Addr = append(u.Addr, b.addr[:b.nAcc]...)
-		u.Size = append(u.Size, b.size[:b.nAcc]...)
-		ops += b.opCycles
-		readW += b.readWords
-		writeW += b.writeWords
-		if d.atSeg {
-			u.SegIdx = append(u.SegIdx, uint32(len(u.Addr)))
-			u.SegOps = append(u.SegOps, ops)
-			u.SegReadW = append(u.SegReadW, uint32(readW))
-			u.SegWriteW = append(u.SegWriteW, uint32(writeW))
-			u.SegMax = append(u.SegMax, d.segMax)
-			u.SegEnd = append(u.SegEnd, d.segEnd)
-			ops, readW, writeW = 0, 0, 0
+	// The access path is written out inline, as in decoder.next, with
+	// the one-byte varint cases first; write bits gather in a register
+	// word, without a branch on the bit.
+	for ci, buf := range s.Chunks {
+		for pos := 0; pos < len(buf); {
+			tag := buf[pos]
+			pos++
+			var v uint64
+			if tag&flagAccess != 0 {
+				if tag&flagOps != 0 {
+					if pos < len(buf) && buf[pos] < 0x80 {
+						v = uint64(buf[pos])
+						pos++
+					} else if v, pos = uvarintAt(buf, pos); pos < 0 {
+						return nil, truncated(ci)
+					}
+					ops += v
+				}
+				widthM1 := int(tag>>widthShift) & 3
+				if pos+widthM1 >= len(buf) {
+					return nil, truncated(ci)
+				}
+				var du uint32
+				if pos+4 <= len(buf) {
+					du = binary.LittleEndian.Uint32(buf[pos:]) & deltaMasks[widthM1]
+				} else {
+					for k := 0; k <= widthM1; k++ {
+						du |= uint32(buf[pos+k]) << (8 * k)
+					}
+				}
+				pos += widthM1 + 1
+				lastAddr += uint32(unzigzag32(du))
+				sz := uint64(4)
+				if tag&flagSized != 0 {
+					if pos < len(buf) && buf[pos] < 0x80 {
+						sz = uint64(buf[pos])
+						pos++
+					} else if sz, pos = uvarintAt(buf, pos); pos < 0 {
+						return nil, truncated(ci)
+					}
+					if sz == 0 || sz > math.MaxUint32 {
+						return nil, fmt.Errorf("astream: access of %d bytes in chunk %d", sz, ci)
+					}
+				}
+				if n >= len(addr) || n >= len(size) {
+					return nil, errLaneCounts // more accesses than declared
+				}
+				addr[n], size[n] = lastAddr, uint32(sz)
+				w := uint64(tag & flagWrite)
+				wword |= w << (n & 63)
+				n++
+				if n&63 == 0 {
+					wbits[n>>6-1] = wword
+					wword = 0
+				}
+				wd := (sz + 3) / 4
+				words += wd
+				writeW += wd & -w
+				continue
+			}
+			switch tag {
+			case tagOp:
+				if v, pos = uvarintAt(buf, pos); pos < 0 {
+					return nil, truncated(ci)
+				}
+				ops += v
+			case tagPeak:
+				if _, pos = uvarintAt(buf, pos); pos < 0 {
+					return nil, truncated(ci)
+				}
+			case tagSeg:
+				var endU uint64
+				if v, pos = uvarintAt(buf, pos); pos < 0 {
+					return nil, truncated(ci)
+				}
+				if endU, pos = uvarintAt(buf, pos); pos < 0 {
+					return nil, truncated(ci)
+				}
+				u.SegIdx = append(u.SegIdx, uint32(n))
+				u.SegOps = append(u.SegOps, ops)
+				u.SegReadW = append(u.SegReadW, uint32(words-writeW))
+				u.SegWriteW = append(u.SegWriteW, uint32(writeW))
+				u.SegMax = append(u.SegMax, v)
+				u.SegEnd = append(u.SegEnd, unzigzag64(endU))
+				ops, words, writeW = 0, 0, 0
+			default:
+				return nil, fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, ci)
+			}
 		}
 	}
-	// Every recorded segment ends with its terminator, and the count
-	// matches the recorder's.
-	if uint64(len(u.SegOps)) != s.Segments || int(u.SegIdx[len(u.SegIdx)-1]) != len(u.Addr) || ops+readW+writeW != 0 {
-		return nil, errSegMismatch
+	if n&63 != 0 {
+		wbits[n>>6] = wword
 	}
+	// Every declared access and segment decoded, and nothing trails the
+	// last segment terminator.
+	if uint64(n) != s.Accesses || uint64(len(u.SegOps)) != s.Segments ||
+		int(u.SegIdx[len(u.SegIdx)-1]) != n || ops != 0 {
+		return nil, errLaneCounts
+	}
+	u.Addr, u.Size, u.Write = addr, size, wbits
 	return u, nil
+}
+
+// truncated reports an event cut off by the end of chunk ci.
+func truncated(ci int) error {
+	return fmt.Errorf("astream: truncated event in chunk %d", ci)
 }
 
 // Composition is one DDT combination's access sequence given by its

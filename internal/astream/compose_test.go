@@ -65,41 +65,41 @@ func twoRoleOps(p *platform.Platform, ka, kb ddt.Kind, seed int64, n int) {
 }
 
 // captureTwoRole records one all-kind-k run compositionally.
-func captureTwoRole(t *testing.T, k ddt.Kind, seed int64, n int) (*astream.Schedule, []*astream.SubStream) {
+func captureTwoRole(t *testing.T, k ddt.Kind, seed int64, n int) (*astream.Schedule, []*astream.UnpackedLane) {
 	t.Helper()
 	p := platform.New(memsim.DefaultConfig())
 	p.UseArenas([]string{"alpha", "beta"})
-	cr := p.CaptureComposed()
+	cr := p.CaptureComposed(nil)
 	twoRoleOps(p, k, k, seed, n)
 	p.EndCapture()
-	return cr.Finish(false)
+	return cr.Finish()
 }
 
-// unpackAll decodes every lane of a composed capture into a
-// Composition with its schedule.
-func unpackAll(t testing.TB, sched *astream.Schedule, subs []*astream.SubStream) astream.Composition {
+// reloaded passes every lane through its serialized form, as a cache
+// file or a worker's delta carries it.
+func reloaded(t testing.TB, lanes []*astream.UnpackedLane) []*astream.UnpackedLane {
 	t.Helper()
-	lanes := make([]*astream.UnpackedLane, len(subs))
-	for i, s := range subs {
+	out := make([]*astream.UnpackedLane, len(lanes))
+	for i, u := range lanes {
 		var err error
-		if lanes[i], err = s.Unpack(); err != nil {
+		if out[i], err = u.Encode().Unpack(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return astream.Composition{Sched: sched, Lanes: lanes}
+	return out
 }
 
 func TestComposedReplayEquivalenceTwoRoles(t *testing.T) {
 	const seed, n = 42, 500
 	platforms := sweep.DefaultPlatforms()
 
-	// One capture per kind yields both roles' sub-streams for that kind.
+	// One capture per kind yields both roles' lanes for that kind.
 	scheds := make(map[ddt.Kind]*astream.Schedule)
-	lanes := make(map[ddt.Kind][]*astream.SubStream)
+	lanes := make(map[ddt.Kind][]*astream.UnpackedLane)
 	for _, k := range ddt.AllKinds() {
-		sched, subs := captureTwoRole(t, k, seed, n)
+		sched, ls := captureTwoRole(t, k, seed, n)
 		scheds[k] = sched
-		lanes[k] = subs
+		lanes[k] = ls
 	}
 	// The schedule is kind-invariant: every capture must agree.
 	ref := scheds[ddt.AR]
@@ -115,21 +115,23 @@ func TestComposedReplayEquivalenceTwoRoles(t *testing.T) {
 		ka := ddt.Kind(rng.Intn(ddt.NumKinds))
 		kb := ddt.Kind(rng.Intn(ddt.NumKinds))
 		// Ambient lane is kind-invariant; take it from the AR capture.
-		combo := unpackAll(t, ref, []*astream.SubStream{lanes[ddt.AR][0], lanes[ka][1], lanes[kb][2]})
+		combo := []*astream.UnpackedLane{lanes[ddt.AR][0], lanes[ka][1], lanes[kb][2]}
 		for _, pp := range platforms {
 			live := platform.New(pp.Config)
 			live.UseArenas([]string{"alpha", "beta"})
 			twoRoleOps(live, ka, kb, seed, n)
 
-			got := replayOne(t, combo, pp.Config, nil)
-			if got.Counts != live.Mem.Counts() {
-				t.Errorf("%v+%v on %s: counts %+v != live %+v", ka, kb, pp.Name, got.Counts, live.Mem.Counts())
-			}
-			if got.Cycles != live.Mem.Cycles() {
-				t.Errorf("%v+%v on %s: cycles %d != live %d", ka, kb, pp.Name, got.Cycles, live.Mem.Cycles())
-			}
-			if got.Peak != live.Heap.PeakLiveBytes() {
-				t.Errorf("%v+%v on %s: peak %d != live %d", ka, kb, pp.Name, got.Peak, live.Heap.PeakLiveBytes())
+			for form, ls := range map[string][]*astream.UnpackedLane{"captured": combo, "reloaded": reloaded(t, combo)} {
+				got := replayOne(t, astream.Composition{Sched: ref, Lanes: ls}, pp.Config, nil)
+				if got.Counts != live.Mem.Counts() {
+					t.Errorf("%s %v+%v on %s: counts %+v != live %+v", form, ka, kb, pp.Name, got.Counts, live.Mem.Counts())
+				}
+				if got.Cycles != live.Mem.Cycles() {
+					t.Errorf("%s %v+%v on %s: cycles %d != live %d", form, ka, kb, pp.Name, got.Cycles, live.Mem.Cycles())
+				}
+				if got.Peak != live.Heap.PeakLiveBytes() {
+					t.Errorf("%s %v+%v on %s: peak %d != live %d", form, ka, kb, pp.Name, got.Peak, live.Heap.PeakLiveBytes())
+				}
 			}
 		}
 	}

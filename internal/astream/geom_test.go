@@ -105,10 +105,10 @@ func TestGeomReplayMultiEquivalence(t *testing.T) {
 // profiled pass's reuse profiles must agree.
 func TestGeomComposedMultiEquivalence(t *testing.T) {
 	const seed, n = 31, 600
-	sched, subs := captureTwoRole(t, ddt.DLLAR, seed, n)
+	sched, lanes := captureTwoRole(t, ddt.DLLAR, seed, n)
 	cfgs := geomSweepConfigs()
 
-	comp := unpackAll(t, sched, subs)
+	comp := astream.Composition{Sched: sched, Lanes: lanes}
 	multi, _, err := astream.Replay(comp, cfgs, astream.ReplayOpts{})
 	if err != nil {
 		t.Fatal(err)

@@ -149,13 +149,13 @@ func TestSampledReplayAllAppsWithinCI(t *testing.T) {
 // sound abort bound).
 func TestSampledComposedReplay(t *testing.T) {
 	const seed, n = 17, 700
-	sched, subs := captureTwoRole(t, ddt.DLLAR, seed, n)
+	sched, lanes := captureTwoRole(t, ddt.DLLAR, seed, n)
 	pts := sweep.DefaultPlatforms()
 	cfgs := make([]memsim.Config, len(pts))
 	for i, pp := range pts {
 		cfgs[i] = pp.Config
 	}
-	comp := unpackAll(t, sched, subs)
+	comp := astream.Composition{Sched: sched, Lanes: lanes}
 
 	exact, exactProfs, err := astream.Replay(comp, cfgs, astream.ReplayOpts{Profile: true})
 	if err != nil {

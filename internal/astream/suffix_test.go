@@ -242,7 +242,7 @@ func TestLaneBoundMatchesReference(t *testing.T) {
 			for _, k := range ddt.AllKinds() {
 				p := platform.New(memsim.DefaultConfig())
 				p.UseArenas(roles)
-				cr := p.CaptureComposed()
+				cr := p.CaptureComposed(nil)
 				assign := make(apps.Assignment, len(roles))
 				for _, r := range roles {
 					assign[r] = k
@@ -251,15 +251,11 @@ func TestLaneBoundMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.EndCapture()
-				_, subs := cr.Finish(false)
-				for _, sub := range subs {
-					u, err := sub.Unpack()
-					if err != nil {
-						t.Fatal(err)
-					}
+				_, lanes := cr.Finish()
+				for _, u := range lanes {
 					for _, cfg := range cfgs {
 						if got, want := astream.LaneBound(u, cfg), referenceLaneBound(u, cfg); got != want {
-							t.Fatalf("kind %v, lane %d (%s), L1 %+v:\ngot  %+v\nwant %+v", k, sub.Lane, sub.Role, cfg.L1, got, want)
+							t.Fatalf("kind %v, lane %d (%s), L1 %+v:\ngot  %+v\nwant %+v", k, u.Lane, u.Role, cfg.L1, got, want)
 						}
 					}
 				}

@@ -61,38 +61,19 @@ func TestLaneBoundAdmissible(t *testing.T) {
 			roles := apps.RoleNames(a)
 			sched, byKind := composedFixture(t, a)
 
-			// Decoded lanes, memoized: each memoizes its isolated suffix
-			// tables, so every lane pays one isolated pass per geometry.
-			unpacked := make(map[*astream.SubStream]*astream.UnpackedLane)
-			unpack := func(sub *astream.SubStream) *astream.UnpackedLane {
-				u, ok := unpacked[sub]
-				if !ok {
-					var err error
-					if u, err = sub.Unpack(); err != nil {
-						t.Fatal(err)
-					}
-					unpacked[sub] = u
-				}
-				return u
-			}
-			laneBound := func(sub *astream.SubStream, pc memsim.Config) memsim.LaneBound {
-				return astream.LaneBound(unpack(sub), pc)
-			}
-
+			// Each lane memoizes its isolated suffix tables, so every
+			// lane pays one isolated pass per geometry.
 			rng := rand.New(rand.NewSource(int64(97 + len(roles))))
 			for trial := 0; trial < 3; trial++ {
 				assign := make(apps.Assignment, len(roles))
-				lanes := make([]*astream.SubStream, len(roles)+1)
+				lanes := make([]*astream.UnpackedLane, len(roles)+1)
 				lanes[0] = byKind[ddt.AR][0] // ambient lane is kind-invariant
 				for i, role := range roles {
 					k := ddt.Kind(rng.Intn(ddt.NumKinds))
 					assign[role] = k
 					lanes[i+1] = byKind[k][i+1]
 				}
-				comp := astream.Composition{Sched: sched, Lanes: make([]*astream.UnpackedLane, len(lanes))}
-				for li, sub := range lanes {
-					comp.Lanes[li] = unpack(sub)
-				}
+				comp := astream.Composition{Sched: sched, Lanes: lanes}
 				exact, _, err := astream.Replay(comp, cfgs, astream.ReplayOpts{})
 				if err != nil {
 					t.Fatal(err)
@@ -101,13 +82,13 @@ func TestLaneBoundAdmissible(t *testing.T) {
 					model := energy.CACTILike(pc)
 					exactVec := costVector(pc, model, exact[pi].Counts, exact[pi].Cycles, exact[pi].Peak)
 					var sum memsim.LaneBound
-					for li, sub := range lanes {
-						lb := laneBound(sub, pc)
+					for li, u := range lanes {
+						lb := astream.LaneBound(u, pc)
 						laneVec := boundVectorOf(pc, model, lb)
 						for _, m := range metrics.AllMetrics() {
 							if laneVec.Get(m) > exactVec.Get(m) {
 								t.Fatalf("INADMISSIBLE per-lane bound: %s, lane %d (%s), combination %s on %s: %s bound %v > exact %v",
-									a.Name(), li, sub.Role, assign, pts[pi].Name, m, laneVec.Get(m), exactVec.Get(m))
+									a.Name(), li, u.Role, assign, pts[pi].Name, m, laneVec.Get(m), exactVec.Get(m))
 							}
 						}
 						sum.Accumulate(lb)
@@ -132,16 +113,16 @@ func TestLaneBoundAdmissible(t *testing.T) {
 }
 
 // composedFixture captures one all-kind-k run per library kind on a's
-// first trace: the kind-invariant schedule, plus each kind's lane
-// sub-streams (index = lane, 0 ambient).
-func composedFixture(t *testing.T, a apps.App) (*astream.Schedule, map[ddt.Kind][]*astream.SubStream) {
+// first trace: the kind-invariant schedule, plus each kind's lanes
+// (index = lane, 0 ambient).
+func composedFixture(t *testing.T, a apps.App) (*astream.Schedule, map[ddt.Kind][]*astream.UnpackedLane) {
 	t.Helper()
 	cfg := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 	var sched *astream.Schedule
-	byKind := make(map[ddt.Kind][]*astream.SubStream)
+	byKind := make(map[ddt.Kind][]*astream.UnpackedLane)
 	for _, k := range ddt.AllKinds() {
-		s, subs := captureComposedRun(t, a, cfg, uniformAssignment(a, k))
-		byKind[k] = subs
+		s, lanes := captureComposedRun(t, a, cfg, uniformAssignment(a, k))
+		byKind[k] = lanes
 		if sched == nil {
 			sched = s
 		}
@@ -151,26 +132,14 @@ func composedFixture(t *testing.T, a apps.App) (*astream.Schedule, map[ddt.Kind]
 
 // randomComboLanes draws trials random DDT combinations over the
 // fixture and returns each one's decoded lanes, ambient lane first.
-func randomComboLanes(t *testing.T, byKind map[ddt.Kind][]*astream.SubStream, roles int, seed int64, trials int) [][]*astream.UnpackedLane {
+func randomComboLanes(t *testing.T, byKind map[ddt.Kind][]*astream.UnpackedLane, roles int, seed int64, trials int) [][]*astream.UnpackedLane {
 	t.Helper()
-	unpacked := make(map[*astream.SubStream]*astream.UnpackedLane)
-	unpack := func(sub *astream.SubStream) *astream.UnpackedLane {
-		if u, ok := unpacked[sub]; ok {
-			return u
-		}
-		u, err := sub.Unpack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		unpacked[sub] = u
-		return u
-	}
 	rng := rand.New(rand.NewSource(seed))
 	combos := make([][]*astream.UnpackedLane, trials)
 	for i := range combos {
-		lanes := []*astream.UnpackedLane{unpack(byKind[ddt.AR][0])} // ambient lane is kind-invariant
+		lanes := []*astream.UnpackedLane{byKind[ddt.AR][0]} // ambient lane is kind-invariant
 		for r := 1; r <= roles; r++ {
-			lanes = append(lanes, unpack(byKind[ddt.Kind(rng.Intn(ddt.NumKinds))][r]))
+			lanes = append(lanes, byKind[ddt.Kind(rng.Intn(ddt.NumKinds))][r])
 		}
 		combos[i] = lanes
 	}

@@ -162,7 +162,7 @@ func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard)
 	}
 	sched := se.Sched
 	baseAcc, ok := e.laneBoundFor(ck.sched, func() (*astream.UnpackedLane, bool) {
-		return c.unpackedLane(ck.sched, se.Ambient, true)
+		return c.decodedLane(ck.sched, true)
 	})
 	if !ok {
 		return nil, false
@@ -170,11 +170,7 @@ func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard)
 	laneFor := func(role string, kind ddt.Kind) (memsim.LaneBound, bool) {
 		lk := ck.lane(role, kind)
 		return e.laneBoundFor(lk, func() (*astream.UnpackedLane, bool) {
-			sub, ok := c.lanes.get(c, lk)
-			if !ok {
-				return nil, false
-			}
-			return c.unpackedLane(lk, sub, false)
+			return c.decodedLane(lk, false)
 		})
 	}
 	level := make(map[string]int, len(dominant))
@@ -237,8 +233,7 @@ func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard)
 func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant []string) *footCurves {
 	cache, ck := e.cache, e.keysFor(ref)
 	sk := ck.sched
-	se, ok := cache.scheds.get(cache, sk)
-	if !ok {
+	if _, ok := cache.scheds.get(cache, sk); !ok {
 		return nil
 	}
 	tokens := sched.Tokens
@@ -263,7 +258,7 @@ func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant [
 		}
 		return c
 	}
-	amb, ok := cache.unpackedLane(sk, se.Ambient, true)
+	amb, ok := cache.decodedLane(sk, true)
 	if !ok {
 		return nil
 	}
@@ -280,12 +275,7 @@ func (e *Engine) footprintCurves(sched *astream.Schedule, ref Config, dominant [
 		level[i] = make([][]int64, ddt.NumKinds)
 	}
 	laneCurve := func(li int, role string, kind ddt.Kind) []int64 {
-		lk := ck.lane(role, kind)
-		sub, ok := cache.lanes.get(cache, lk)
-		if !ok {
-			return nil
-		}
-		u, ok := cache.unpackedLane(lk, sub, false)
+		u, ok := cache.decodedLane(ck.lane(role, kind), false)
 		if !ok {
 			return nil
 		}

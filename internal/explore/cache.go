@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,10 +31,10 @@ import (
 //     point of the same (app, config, packets, assignment) replays the
 //     stream instead of re-running the application — the capture-once /
 //     replay-many fast path of multi-platform sweeps;
-//   - lane sub-streams, one per (role, kind), and schedules, one per
-//     configuration (arena-model engines): any combination whose K lanes
-//     are all present is served by composed replay, so ~10·K lanes stand
-//     in for the 10^K whole-run streams a flat capture would need;
+//   - lanes, one per (role, kind), and schedules, one per configuration
+//     (arena-model engines): any combination whose K lanes are all
+//     present is served by composed replay, so ~10·K lanes stand in for
+//     the 10^K whole-run streams a flat capture would need;
 //   - reuse profiles, per (identity, line size) (memsim.ReuseProfile):
 //     a covered platform point is pure arithmetic, no decode, no probes;
 //   - sampled reuse profiles: the rate-tagged estimates screening
@@ -44,27 +45,32 @@ import (
 // admitted, what a put over a held key keeps, the eviction rank, and
 // whether SaveWithStreams persists the tier.
 //
-//	tier              size                admits    put over a key  evicted  saved
-//	sampled profiles  SizeBytes           non-nil   Merge           1st      no
-//	streams           stream SizeBytes    complete  new value       2nd      yes
-//	lanes             SizeBytes           complete  new value       3rd      yes
-//	reuse profiles    SizeBytes           non-nil   Merge           4th      yes
-//	schedules         schedule + ambient  complete  first value     never*   yes
+//	tier              size                       admits    put over a key  evicted  saved
+//	sampled profiles  SizeBytes                  non-nil   Merge           1st      no
+//	streams           stream SizeBytes           complete  new value       2nd      yes
+//	lanes             resident form              complete  new value       3rd      encoded
+//	reuse profiles    SizeBytes                  non-nil   Merge           4th      yes
+//	schedules         schedule + ambient's form  complete  first value     never*   encoded
 //
 // A partial (aborted) capture proves nothing about the full run, so it is
 // never stored. Eviction is oldest first within a tier and only costs a
 // potential re-execution later; *a non-positive budget empties every
 // tier, schedules included, and a shared-heap engine on it captures no
-// streams. The decoded struct-of-arrays form of each lane and of each
-// schedule's ambient lane is memoized beside it (unpackedLane), charged
-// to the budget and dropped with its entry, so composition decodes a
-// lane once rather than once per combination; the
-// decoded form also memoizes the lane's isolated suffix tables, from
-// which the bound-guided search derives its lane bounds. Each schedule
-// entry memoizes the exact composed footprint peaks of the combinations
-// asked about (composedPeak). Dominance profiles, whose per-role
-// attribution is platform-invariant, are memoized outside the budget, so
-// a sweep profiles each network configuration once.
+// streams.
+//
+// Each lane, and each schedule's ambient lane, is resident in exactly
+// one form (laneEntry) and charged for that form alone. A captured lane
+// arrives decoded — the struct-of-arrays form composed replay reads. A
+// loaded or merged lane arrives encoded and stays so until its first
+// use (decodedLane), which decodes it once, drops the chunks and
+// switches the charge to the decoded size. Saves and deltas encode
+// decoded lanes afresh. The decoded form also memoizes the lane's
+// isolated suffix tables, from which the bound-guided search derives
+// its lane bounds. Each schedule entry memoizes the exact composed
+// footprint peaks of the combinations asked about (composedPeak).
+// Dominance profiles, whose per-role attribution is platform-invariant,
+// are memoized outside the budget, so a sweep profiles each network
+// configuration once.
 //
 // Aborted results are stored as dominance tombstones: the partial vector
 // plus the proof (by construction) that an identical exploration already
@@ -78,17 +84,15 @@ type Cache struct {
 	m        map[string]cacheEntry
 	profiles map[string]*profiler.Set
 
-	// sm guards the tiers and the decoded-lane memo, whose bytes
-	// together make streamBytes.
+	// sm guards the tiers, whose bytes make streamBytes.
 	sm           sync.RWMutex
 	streamBytes  int64
 	streamBudget int64
 	streams      tier[streamEntry, streamPolicy]
-	lanes        tier[*astream.SubStream, lanePolicy]
+	lanes        tier[laneEntry, lanePolicy]
 	scheds       tier[schedEntry, schedPolicy]
 	rprofiles    tier[*memsim.ReuseProfile, profilePolicy]
 	sprofiles    tier[*memsim.ReuseProfile, profilePolicy]
-	unpacked     map[string]*astream.UnpackedLane
 
 	// ckpt is the latest campaign checkpoint — settled-job watermark,
 	// survivor front, stats — persisted as its own section so an
@@ -127,16 +131,94 @@ type streamEntry struct {
 }
 
 // schedEntry is one run's operation schedule plus everything about the
-// run that is DDT-invariant: the ambient lane's sub-stream and the
-// behavioural summary (the refinement never changes functionality, so
-// one summary serves every combination of the same configuration).
-// peaks is runtime-only (unexported, so never persisted): see
-// composedPeak.
+// run that is DDT-invariant: the ambient lane and the behavioural
+// summary (the refinement never changes functionality, so one summary
+// serves every combination of the same configuration). peaks is
+// runtime-only and never persisted: see composedPeak.
 type schedEntry struct {
+	Sched   *astream.Schedule
+	Ambient laneEntry
+	Summary apps.Summary
+	peaks   *peakMemo
+}
+
+// laneEntry is one retained lane in its one resident form: enc, the
+// serialized sub-stream a load or a merged delta delivered, until the
+// lane's first use replaces the entry with its decoded form dec. A
+// capture stores dec directly. Entries are values: decodedLane swaps
+// the whole entry under sm, so a snapshot never sees a half-switched
+// one.
+type laneEntry struct {
+	enc *astream.SubStream
+	dec *astream.UnpackedLane
+}
+
+// size is what the lane's resident form costs the budget.
+func (l laneEntry) size() int64 {
+	if l.dec != nil {
+		return int64(l.dec.SizeBytes())
+	}
+	return int64(l.enc.SizeBytes())
+}
+
+// complete reports whether the lane holds a form that may be composed.
+func (l laneEntry) complete() bool {
+	return l.dec != nil || l.enc != nil && !l.enc.Partial
+}
+
+// encoded returns the lane's serialized form, encoding a decoded lane
+// afresh.
+func (l laneEntry) encoded() *astream.SubStream {
+	if l.dec != nil {
+		return l.dec.Encode()
+	}
+	return l.enc
+}
+
+// schedWire is a schedule entry's serialized form, in cache files and
+// worker deltas: the ambient lane encoded.
+type schedWire struct {
 	Sched   *astream.Schedule
 	Ambient *astream.SubStream
 	Summary apps.Summary
-	peaks   *peakMemo
+}
+
+// wireLanes renders lane entries in their serialized form.
+func wireLanes(m map[string]laneEntry) map[string]*astream.SubStream {
+	out := make(map[string]*astream.SubStream, len(m))
+	for k, l := range m {
+		out[k] = l.encoded()
+	}
+	return out
+}
+
+// wireScheds renders schedule entries in their serialized form.
+func wireScheds(m map[string]schedEntry) map[string]schedWire {
+	out := make(map[string]schedWire, len(m))
+	for k, e := range m {
+		out[k] = schedWire{Sched: e.Sched, Ambient: e.Ambient.encoded(), Summary: e.Summary}
+	}
+	return out
+}
+
+// laneEntries files serialized lanes as entries that stay encoded until
+// their first use.
+func laneEntries(m map[string]*astream.SubStream) map[string]laneEntry {
+	out := make(map[string]laneEntry, len(m))
+	for k, s := range m {
+		out[k] = laneEntry{enc: s}
+	}
+	return out
+}
+
+// schedEntries files serialized schedules, their ambient lanes encoded
+// until their first use.
+func schedEntries(m map[string]schedWire) map[string]schedEntry {
+	out := make(map[string]schedEntry, len(m))
+	for k, w := range m {
+		out[k] = schedEntry{Sched: w.Sched, Ambient: laneEntry{enc: w.Ambient}, Summary: w.Summary}
+	}
+	return out
 }
 
 // peakMemo holds the exact composed footprint peaks of one schedule's
@@ -186,16 +268,16 @@ func (streamPolicy) admit(e streamEntry) bool                  { return e.Stream
 func (streamPolicy) keep(_, e streamEntry, _ bool) streamEntry { return e }
 func (streamPolicy) traffic(c *Cache) *traffic                 { return &c.streamTraffic }
 
-func (lanePolicy) size(s *astream.SubStream) int64                         { return int64(s.SizeBytes()) }
-func (lanePolicy) admit(s *astream.SubStream) bool                         { return s != nil && !s.Partial }
-func (lanePolicy) keep(_, s *astream.SubStream, _ bool) *astream.SubStream { return s }
-func (lanePolicy) traffic(c *Cache) *traffic                               { return &c.laneTraffic }
+func (lanePolicy) size(l laneEntry) int64                { return l.size() }
+func (lanePolicy) admit(l laneEntry) bool                { return l.complete() }
+func (lanePolicy) keep(_, l laneEntry, _ bool) laneEntry { return l }
+func (lanePolicy) traffic(c *Cache) *traffic             { return &c.laneTraffic }
 
 func (schedPolicy) size(e schedEntry) int64 {
-	return int64(e.Sched.SizeBytes() + e.Ambient.SizeBytes())
+	return int64(e.Sched.SizeBytes()) + e.Ambient.size()
 }
 func (schedPolicy) admit(e schedEntry) bool {
-	return e.Sched != nil && e.Ambient != nil && !e.Ambient.Partial
+	return e.Sched != nil && e.Ambient.complete()
 }
 
 // keep lets the first complete capture of a configuration win — its
@@ -233,12 +315,17 @@ func (t *tier[V, P]) get(c *Cache, key string) (V, bool) {
 	v, ok := t.m[key]
 	c.sm.RUnlock()
 	var p P
-	if tr := p.traffic(c); ok {
-		tr.hits.Add(1)
-	} else {
-		tr.misses.Add(1)
-	}
+	p.traffic(c).count(ok)
 	return v, ok
+}
+
+// count counts one hit or miss.
+func (t *traffic) count(hit bool) {
+	if hit {
+		t.hits.Add(1)
+	} else {
+		t.misses.Add(1)
+	}
 }
 
 // put files v under key by the tier's policy and restores the budget.
@@ -288,9 +375,8 @@ func (t *tier[V, P]) putLocked(c *Cache, key string, v V) {
 	c.streamBytes += p.size(v)
 }
 
-// evict drops the tier's oldest entries, each with its decoded form,
-// while the cache is over its budget — all of them under a non-positive
-// budget. Called with sm held.
+// evict drops the tier's oldest entries while the cache is over its
+// budget — all of them under a non-positive budget. Called with sm held.
 func (t *tier[V, P]) evict(c *Cache) {
 	var p P
 	for len(t.order) > 0 && (c.streamBudget <= 0 || c.streamBytes > c.streamBudget) {
@@ -298,14 +384,23 @@ func (t *tier[V, P]) evict(c *Cache) {
 		t.order = t.order[1:]
 		c.streamBytes -= p.size(t.m[key])
 		delete(t.m, key)
-		if u, ok := c.unpacked[key]; ok {
-			c.streamBytes -= int64(u.SizeBytes())
-			delete(c.unpacked, key)
-		}
 	}
 	if len(t.order) == 0 {
 		t.order = nil
 	}
+}
+
+// dropLocked removes the entry under key, if held. Called with sm
+// held.
+func (t *tier[V, P]) dropLocked(c *Cache, key string) {
+	v, ok := t.m[key]
+	if !ok {
+		return
+	}
+	var p P
+	c.streamBytes -= p.size(v)
+	delete(t.m, key)
+	t.order = slices.DeleteFunc(t.order, func(k string) bool { return k == key })
 }
 
 // snapshot copies the tier's map; the values are shared.
@@ -336,7 +431,7 @@ func (t *tier[V, P]) export(c *Cache, seen map[string]bool) map[string]V {
 //     cheapest artifacts in the cache (one sampled replay rebuilds one);
 //  2. whole streams — each is one simulation point (a lane serves
 //     10^(K-1) combinations);
-//  3. lane sub-streams;
+//  3. lanes;
 //  4. reuse profiles — a profile is a few KB that answers a whole
 //     geometry cross product with zero probes, so it outlives the
 //     streams it summarizes;
@@ -355,8 +450,8 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// DefaultStreamBudget bounds the encoded bytes of retained access
-// streams: generous enough to hold a full step-1 combination space at
+// DefaultStreamBudget bounds the resident bytes of the retained tiers:
+// generous enough to hold a full step-1 combination space at
 // benchmark scale, small enough to keep multi-application sweeps from
 // growing without bound.
 const DefaultStreamBudget = 256 << 20
@@ -371,7 +466,7 @@ func NewCache() *Cache {
 
 // SetStreamBudget overrides the byte budget of the retained tiers. A
 // non-positive budget empties every tier — whole-run streams, lanes,
-// schedules, reuse profiles and decoded lanes — and keeps them empty,
+// schedules and reuse profiles — and keeps them empty,
 // and a shared-heap engine on such a cache captures no streams at all.
 func (c *Cache) SetStreamBudget(bytes int64) {
 	c.sm.Lock()
@@ -393,9 +488,9 @@ type CacheStats struct {
 	Hits, Misses               uint64
 	Entries                    int
 	Streams                    int   // retained access streams
-	StreamBytes                int64 // retained bytes: encoded streams/lanes/schedules + memoized decoded lanes + reuse profiles
+	StreamBytes                int64 // retained bytes: streams, schedules, reuse profiles, and each lane once in its resident (encoded or decoded) form
 	StreamHits, StreamMisses   uint64
-	Lanes                      int // retained per-(role, kind) lane sub-streams
+	Lanes                      int // retained per-(role, kind) lanes
 	Schedules                  int // retained per-configuration schedules
 	LaneHits, LaneMisses       uint64
 	ReuseProfiles              int // retained per-(identity, line size) reuse profiles
@@ -479,43 +574,62 @@ func (c *Cache) has(key string) bool {
 	return ok && !e.Result.Aborted
 }
 
-// unpackedLane returns the memoized decoded form of the lane stored
-// under key, decoding it once on demand. sub must be the sub-stream the
-// key resolves to. ambient marks the schedule's ambient lane, whose key
-// is a schedule key rather than a lane key.
-func (c *Cache) unpackedLane(key string, sub *astream.SubStream, ambient bool) (*astream.UnpackedLane, bool) {
+// decodedLane returns the decoded form of the lane under key — a lane
+// key, or with ambient a schedule key naming its ambient lane. A lane
+// still in its serialized form is decoded on this first use, once,
+// under sm: the entry then holds the decoded form alone and the budget
+// is charged for it instead of the chunks. Lane lookups count as lane
+// traffic, as a get does; ok is false when the entry is not held or
+// does not decode.
+func (c *Cache) decodedLane(key string, ambient bool) (*astream.UnpackedLane, bool) {
 	c.sm.RLock()
-	u, ok := c.unpacked[key]
+	l, ok := c.laneLocked(key, ambient)
 	c.sm.RUnlock()
-	if ok {
-		return u, true
+	if !ambient {
+		c.laneTraffic.count(ok)
 	}
-	u, err := sub.Unpack()
-	if err != nil {
-		return nil, false
+	if !ok || l.dec != nil {
+		return l.dec, ok
 	}
 	c.sm.Lock()
-	if exist, ok := c.unpacked[key]; ok {
-		u = exist // another goroutine won the decode race
-	} else {
-		// Only memoize while the backing entry is retained, so evicting
-		// it cannot strand its decoded form. Decoded bytes count against
-		// the budget like their encoded backing.
-		_, live := c.lanes.m[key]
-		if ambient {
-			_, live = c.scheds.m[key]
-		}
-		if live {
-			if c.unpacked == nil {
-				c.unpacked = make(map[string]*astream.UnpackedLane)
-			}
-			c.unpacked[key] = u
-			c.streamBytes += int64(u.SizeBytes())
-			c.evictLocked()
-		}
+	defer c.sm.Unlock()
+	if l, ok = c.laneLocked(key, ambient); !ok || l.dec != nil {
+		return l.dec, ok // evicted, or another goroutine decoded it
 	}
-	c.sm.Unlock()
+	u, err := l.enc.Unpack()
+	if err != nil {
+		// Dropped, so that the next capture of a combination needing it
+		// records it afresh; a schedule is no use without its ambient
+		// lane.
+		if ambient {
+			c.scheds.dropLocked(c, key)
+		} else {
+			c.lanes.dropLocked(c, key)
+		}
+		return nil, false
+	}
+	dec := laneEntry{dec: u}
+	c.streamBytes += dec.size() - l.size()
+	if ambient {
+		e := c.scheds.m[key]
+		e.Ambient = dec
+		c.scheds.m[key] = e
+	} else {
+		c.lanes.m[key] = dec
+	}
+	c.evictLocked()
 	return u, true
+}
+
+// laneLocked returns the lane entry decodedLane resolves. Called with
+// sm held.
+func (c *Cache) laneLocked(key string, ambient bool) (laneEntry, bool) {
+	if ambient {
+		e, ok := c.scheds.m[key]
+		return e.Ambient, ok
+	}
+	l, ok := c.lanes.m[key]
+	return l, ok
 }
 
 // composedPeak returns the exact composed footprint peak of the
@@ -559,6 +673,26 @@ func peakKey(buf []byte, roles []string, assign apps.Assignment) []byte {
 		buf = append(buf, byte(apps.KindFor(assign, role)))
 	}
 	return buf
+}
+
+// missingLanes reports which lanes of a capture the cache would admit
+// and does not hold: index 0 the ambient lane of the schedule under sk
+// (a held schedule keeps its first capture), index i+1 the lane under
+// keys[i].
+func (c *Cache) missingLanes(sk string, keys []string) []bool {
+	c.sm.RLock()
+	defer c.sm.RUnlock()
+	missing := make([]bool, len(keys)+1)
+	if c.streamBudget <= 0 {
+		return missing
+	}
+	_, held := c.scheds.m[sk]
+	missing[0] = !held
+	for i, k := range keys {
+		_, held = c.lanes.m[k]
+		missing[i+1] = !held
+	}
+	return missing
 }
 
 // hasLanes reports whether the schedule under ck and every lane
@@ -606,8 +740,8 @@ func (c *Cache) Save(w io.Writer) error {
 }
 
 // SaveWithStreams serializes the cached results and the retained access
-// streams — whole-run streams, per-(role, kind) lane sub-streams and
-// schedules — so a later process can replay new platform points or
+// streams — whole-run streams, per-(role, kind) lanes and schedules,
+// lanes in their encoded form — so a later process can replay new platform points or
 // compose new combinations without re-executing anything.
 func (c *Cache) SaveWithStreams(w io.Writer) error {
 	return c.save(w, true)

@@ -214,7 +214,7 @@ func TestCacheEvictionOrder(t *testing.T) {
 		laneRec.RecordAccess(true, uint32(i*32), 4, 1)
 	}
 	lane := &astream.SubStream{Stream: *laneRec.Finish(false), Role: "r", Lane: 1}
-	c.lanes.put(c, "lane", lane)
+	c.lanes.put(c, "lane", laneEntry{enc: lane})
 	c.rprofiles.put(c, "rprof", rp)
 	c.sprofiles.put(c, screenKey("sprof", 2), sp)
 

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/astream"
 	"repro/internal/faultio"
 )
 
@@ -153,8 +154,8 @@ func (c *Cache) save(w io.Writer, withStreams bool) error {
 			v  any
 		}{
 			{secStreams, c.streams.snapshot(c)},
-			{secLanes, c.lanes.snapshot(c)},
-			{secScheds, c.scheds.snapshot(c)},
+			{secLanes, wireLanes(c.lanes.snapshot(c))},
+			{secScheds, wireScheds(c.scheds.snapshot(c))},
 			{secRProfiles, c.rprofiles.snapshot(c)},
 		} {
 			if err := section(s.id, s.v); err != nil {
@@ -337,9 +338,17 @@ func (c *Cache) stageSection(id byte, r io.Reader) (func(), error) {
 	case secStreams:
 		return stageTier(r, c, &c.streams)
 	case secLanes:
-		return stageTier(r, c, &c.lanes)
+		var m map[string]*astream.SubStream
+		if err := safeDecode(r, &m); err != nil {
+			return nil, err
+		}
+		return func() { c.lanes.putAll(c, laneEntries(m), false) }, nil
 	case secScheds:
-		return stageTier(r, c, &c.scheds)
+		var m map[string]schedWire
+		if err := safeDecode(r, &m); err != nil {
+			return nil, err
+		}
+		return func() { c.scheds.putAll(c, schedEntries(m), false) }, nil
 	case secRProfiles:
 		return stageTier(r, c, &c.rprofiles)
 	case secCheckpoint:

@@ -58,7 +58,7 @@ func runArena(t *testing.T, a apps.App, cfg explore.Config, assign apps.Assignme
 }
 
 // captureComposedRun captures one arena-mode run compositionally.
-func captureComposedRun(t *testing.T, a apps.App, cfg explore.Config, assign apps.Assignment) (*astream.Schedule, []*astream.SubStream) {
+func captureComposedRun(t *testing.T, a apps.App, cfg explore.Config, assign apps.Assignment) (*astream.Schedule, []*astream.UnpackedLane) {
 	t.Helper()
 	tr, err := trace.Builtin(cfg.TraceName, composePackets)
 	if err != nil {
@@ -66,12 +66,12 @@ func captureComposedRun(t *testing.T, a apps.App, cfg explore.Config, assign app
 	}
 	p := platform.New(memsim.DefaultConfig())
 	p.UseArenas(apps.RoleNames(a))
-	cr := p.CaptureComposed()
+	cr := p.CaptureComposed(nil)
 	if _, err := a.Run(tr, p, assign, cfg.Knobs, nil); err != nil {
 		t.Fatal(err)
 	}
 	p.EndCapture()
-	return cr.Finish(false)
+	return cr.Finish()
 }
 
 // The headline property of compositional capture: for every application
@@ -88,9 +88,9 @@ func TestComposedReplayMatchesArenaLive(t *testing.T) {
 			cfg := explore.Config{TraceName: a.TraceNames()[0], Knobs: a.DefaultKnobs()}
 			roles := apps.RoleNames(a)
 
-			// 10 captures cover all 10*K (role, kind) sub-streams.
+			// 10 captures cover all 10*K (role, kind) lanes.
 			var sched *astream.Schedule
-			byKind := make(map[ddt.Kind][]*astream.SubStream)
+			byKind := make(map[ddt.Kind][]*astream.UnpackedLane)
 			for _, k := range ddt.AllKinds() {
 				s, subs := captureComposedRun(t, a, cfg, uniformAssignment(a, k))
 				byKind[k] = subs
@@ -104,14 +104,14 @@ func TestComposedReplayMatchesArenaLive(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(len(roles))))
 			for trial := 0; trial < 5; trial++ {
 				assign := make(apps.Assignment, len(roles))
-				lanes := make([]*astream.SubStream, len(roles)+1)
+				lanes := make([]*astream.UnpackedLane, len(roles)+1)
 				lanes[0] = byKind[ddt.AR][0] // ambient lane is kind-invariant
 				for i, role := range roles {
 					k := ddt.Kind(rng.Intn(ddt.NumKinds))
 					assign[role] = k
 					lanes[i+1] = byKind[k][i+1]
 				}
-				comp := unpackComposition(t, sched, lanes)
+				comp := astream.Composition{Sched: sched, Lanes: lanes}
 				for _, pp := range platforms {
 					live := runArena(t, a, cfg, assign, pp.Config)
 					got := replayOne(t, comp, pp.Config)
@@ -128,20 +128,6 @@ func TestComposedReplayMatchesArenaLive(t *testing.T) {
 			}
 		})
 	}
-}
-
-// unpackComposition decodes a combination's sub-streams into a
-// Composition with its schedule.
-func unpackComposition(t *testing.T, sched *astream.Schedule, subs []*astream.SubStream) astream.Composition {
-	t.Helper()
-	lanes := make([]*astream.UnpackedLane, len(subs))
-	for i, s := range subs {
-		var err error
-		if lanes[i], err = s.Unpack(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return astream.Composition{Sched: sched, Lanes: lanes}
 }
 
 // replayOne replays src on the single configuration cfg, failing the

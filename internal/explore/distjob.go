@@ -269,14 +269,14 @@ func NewDeltaCursor() *DeltaCursor {
 }
 
 // CacheDelta is the content-addressed compositional payload a worker
-// ships alongside its results: per-(role, kind) lane sub-streams and
-// per-configuration schedules, keyed by the same platform-invariant
-// identities the cache stores them under —
+// ships alongside its results: per-(role, kind) lanes and
+// per-configuration schedules, lanes in their serialized form, keyed by
+// the same platform-invariant identities the cache stores them under —
 // which is what lets the coordinator dedupe entries two workers
 // captured independently.
 type CacheDelta struct {
 	Lanes  map[string]*astream.SubStream
-	Scheds map[string]schedEntry
+	Scheds map[string]schedWire
 }
 
 // Len reports how many entries the delta carries.
@@ -288,11 +288,11 @@ func (d *CacheDelta) Len() int {
 }
 
 // ExportDelta snapshots every compositional entry not yet
-// exported through cur, advancing the cursor. Entries are shared, not
-// copied — lanes and schedules are immutable once stored.
-// Returns nil when nothing new accumulated.
+// exported through cur, advancing the cursor. Decoded lanes are encoded
+// afresh; encoded ones and schedules are shared, not copied — they are
+// immutable once stored. Returns nil when nothing new accumulated.
 func (c *Cache) ExportDelta(cur *DeltaCursor) *CacheDelta {
-	d := &CacheDelta{Lanes: c.lanes.export(c, cur.lanes), Scheds: c.scheds.export(c, cur.scheds)}
+	d := &CacheDelta{Lanes: wireLanes(c.lanes.export(c, cur.lanes)), Scheds: wireScheds(c.scheds.export(c, cur.scheds))}
 	if d.Len() == 0 {
 		return nil
 	}
@@ -307,6 +307,6 @@ func (c *Cache) MergeDelta(d *CacheDelta) (added, dup int) {
 	if d == nil {
 		return 0, 0
 	}
-	added = c.lanes.putAll(c, d.Lanes, true) + c.scheds.putAll(c, d.Scheds, true)
+	added = c.lanes.putAll(c, laneEntries(d.Lanes), true) + c.scheds.putAll(c, schedEntries(d.Scheds), true)
 	return added, d.Len() - added
 }

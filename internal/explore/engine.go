@@ -670,8 +670,8 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		// A compositional capture run is one of the ~10·K executions the
 		// whole combination space composes from; letting the guard kill
 		// it would forfeit lanes that 10^(K-1) other jobs need, so it
-		// runs unguarded.
-		cr = p.CaptureComposed()
+		// runs unguarded. It records only the lanes the cache lacks.
+		cr = p.CaptureComposed(e.lanesToCapture(jb))
 	default:
 		if aguard != nil {
 			p.AbortWhen(abortCheckProbes, aguard.dominatedBeyond)
@@ -693,7 +693,9 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 	}
 	if cr != nil {
 		p.EndCapture()
-		e.storeComposed(jb, cr, sum, abortedRun)
+		if !abortedRun { // partial lanes prove nothing; compose mode runs unguarded anyway
+			e.storeComposed(jb, cr, sum)
+		}
 	}
 	o.Result = Result{
 		App:     e.app.Name(),
@@ -715,25 +717,41 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 	return o
 }
 
-// storeComposed files one compositional capture: the configuration's
-// schedule entry (DDT-invariant) plus one lane sub-stream per role,
-// keyed by the kind that implemented the role in this run.
-func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Summary, aborted bool) {
-	sched, subs := cr.Finish(aborted)
-	if aborted {
-		return // partial lanes prove nothing; compose mode runs unguarded anyway
+// lanesToCapture reports which lanes of jb's compositional capture the
+// cache would admit and does not hold: index 0 the ambient lane, i+1
+// the lane of the app's i-th role under jb's kind for it.
+func (e *Engine) lanesToCapture(jb Job) []bool {
+	ck := e.keysFor(jb.Cfg)
+	roles := apps.RoleNames(e.app)
+	keys := make([]string, len(roles))
+	for i, role := range roles {
+		keys[i] = ck.lane(role, apps.KindFor(jb.Assign, role))
 	}
+	return e.cache.missingLanes(ck.sched, keys)
+}
+
+// storeComposed files one complete compositional capture: the
+// configuration's schedule entry (DDT-invariant) with its ambient lane,
+// and one lane per role, keyed by the kind that implemented the role in
+// this run — each lane the recorder captured, in the decoded form it
+// was captured in.
+func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Summary) {
+	sched, lanes := cr.Finish()
 	c, ck := e.cache, e.keysFor(jb.Cfg)
-	c.scheds.put(c, ck.sched, schedEntry{Sched: sched, Ambient: subs[0], Summary: cloneSummary(sum)})
+	if lanes[0] != nil {
+		c.scheds.put(c, ck.sched, schedEntry{Sched: sched, Ambient: laneEntry{dec: lanes[0]}, Summary: cloneSummary(sum)})
+	}
 	for i, role := range sched.Roles {
-		c.lanes.put(c, ck.lane(role, apps.KindFor(jb.Assign, role)), subs[i+1])
+		if lanes[i+1] != nil {
+			c.lanes.put(c, ck.lane(role, apps.KindFor(jb.Assign, role)), laneEntry{dec: lanes[i+1]})
+		}
 	}
 }
 
-// composition gathers the schedule and the point's pre-decoded lanes
-// from the cache: the ambient lane plus one unpacked sub-stream
-// per role, selected by the assignment's kind for that role. ok is
-// false as soon as anything is missing.
+// composition gathers the schedule and the point's decoded lanes from
+// the cache: the ambient lane plus one lane per role, selected by the
+// assignment's kind for that role. ok is false as soon as anything is
+// missing.
 func (e *Engine) composition(cfg Config, assign apps.Assignment) (astream.Composition, apps.Summary, bool) {
 	c, ck := e.cache, e.keysFor(cfg)
 	se, ok := c.scheds.get(c, ck.sched)
@@ -741,16 +759,11 @@ func (e *Engine) composition(cfg Config, assign apps.Assignment) (astream.Compos
 		return astream.Composition{}, apps.Summary{}, false
 	}
 	lanes := make([]*astream.UnpackedLane, len(se.Sched.Roles)+1)
-	if lanes[0], ok = c.unpackedLane(ck.sched, se.Ambient, true); !ok {
+	if lanes[0], ok = c.decodedLane(ck.sched, true); !ok {
 		return astream.Composition{}, apps.Summary{}, false
 	}
 	for i, role := range se.Sched.Roles {
-		lk := ck.lane(role, apps.KindFor(assign, role))
-		sub, ok := c.lanes.get(c, lk)
-		if !ok {
-			return astream.Composition{}, apps.Summary{}, false
-		}
-		if lanes[i+1], ok = c.unpackedLane(lk, sub, false); !ok {
+		if lanes[i+1], ok = c.decodedLane(ck.lane(role, apps.KindFor(assign, role)), false); !ok {
 			return astream.Composition{}, apps.Summary{}, false
 		}
 	}
@@ -884,7 +897,7 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 	}
 	sched := se.Sched
 	total, boundOK := e.laneBoundFor(ck.sched, func() (*astream.UnpackedLane, bool) {
-		return c.unpackedLane(ck.sched, se.Ambient, true)
+		return c.decodedLane(ck.sched, true)
 	})
 	if !boundOK {
 		return metrics.Vector{}, apps.Summary{}, false, false
@@ -892,11 +905,7 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 	for _, role := range sched.Roles {
 		lk := ck.lane(role, apps.KindFor(jb.Assign, role))
 		b, ok := e.laneBoundFor(lk, func() (*astream.UnpackedLane, bool) {
-			sub, ok := c.lanes.get(c, lk)
-			if !ok {
-				return nil, false
-			}
-			return c.unpackedLane(lk, sub, false)
+			return c.decodedLane(lk, false)
 		})
 		if !ok {
 			return metrics.Vector{}, apps.Summary{}, false, false

@@ -34,7 +34,7 @@
 // platform is replayed instead — exact, without re-running the
 // application; ReplayPlatforms and Engine.EvaluatePlatforms batch this
 // with one decode per stream. On per-role arenas (Arenas, implied by
-// BoundPrune and SampleRate) every execution records one sub-stream per
+// BoundPrune and SampleRate) every execution records one lane per
 // container role plus the DDT-invariant schedule, and any combination
 // whose lanes are cached is composed by the replay kernel — the 10^k
 // space costs ~10·k executions. BoundPrune adds the branch-and-bound
@@ -107,9 +107,9 @@ type Options struct {
 	// role's DDT choice. Footprint is unchanged; cache behaviour (and so
 	// cycles and energy) differs from the shared-heap model, and results
 	// from the two models are cached under distinct keys. With a cache,
-	// arena runs compose: every execution records one access sub-stream
-	// per container role plus the DDT-invariant operation schedule, and
-	// any combination whose per-(role, kind) sub-streams are cached is
+	// arena runs compose: every execution records one access lane per
+	// container role plus the DDT-invariant operation schedule, and any
+	// combination whose per-(role, kind) lanes are cached is
 	// evaluated by interleaving them through the replay kernel — exact,
 	// and ~10·K captures for the 10^K combinations. With DisableCache
 	// every arena point is a live simulation.

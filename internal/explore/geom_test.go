@@ -135,8 +135,8 @@ func TestGeomReplayMatchesLiveAllApps(t *testing.T) {
 			if len(a.Roles()) < 2 {
 				return
 			}
-			sched, subs := captureComposedRun(t, a, cfg, assign)
-			comp := unpackComposition(t, sched, subs)
+			sched, lanes := captureComposedRun(t, a, cfg, assign)
+			comp := astream.Composition{Sched: sched, Lanes: lanes}
 			ccosts, cprofs, err := astream.Replay(comp, cfgs, astream.ReplayOpts{Profile: true})
 			if err != nil {
 				t.Fatal(err)

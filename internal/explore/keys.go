@@ -28,7 +28,7 @@ type engineKeys struct {
 // cfgKeys holds one configuration's rendered key prefix and the keys
 // derived from it: the schedule key "app|cfg|packets|sched" of the
 // configuration's DDT-invariant schedule entry, and the lane keys
-// "app|cfg|packets|lane|role=KIND" of its (role, kind) lane sub-streams
+// "app|cfg|packets|lane|role=KIND" of its (role, kind) lanes
 // (lane capture always runs arena-mode, so they carry no address-model
 // marker).
 type cfgKeys struct {

@@ -248,10 +248,10 @@ func TestPeakMemoHoldsNoLanes(t *testing.T) {
 
 	var collected sync.WaitGroup
 	e.cache.sm.Lock()
-	for k, u := range e.cache.unpacked {
-		if _, isLane := e.cache.lanes.m[k]; isLane {
+	for _, l := range e.cache.lanes.m {
+		if l.dec != nil {
 			collected.Add(1)
-			runtime.SetFinalizer(u, func(*astream.UnpackedLane) { collected.Done() })
+			runtime.SetFinalizer(l.dec, func(*astream.UnpackedLane) { collected.Done() })
 		}
 	}
 	e.cache.sm.Unlock()

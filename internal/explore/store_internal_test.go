@@ -65,13 +65,13 @@ func TestZeroBudgetDropsEveryTier(t *testing.T) {
 	}
 	c := eng.Cache()
 	sk := eng.keysFor(ref).sched
-	if st := c.Stats(); st.Schedules == 0 || st.StreamBytes == 0 || len(c.unpacked) == 0 {
-		t.Fatalf("setup retained nothing to drop: %+v, %d decoded", st, len(c.unpacked))
+	if st := c.Stats(); st.Schedules == 0 || st.StreamBytes == 0 || decodedLanes(c) == 0 {
+		t.Fatalf("setup retained nothing to drop: %+v, %d decoded", st, decodedLanes(c))
 	}
 	c.SetStreamBudget(0)
 	st := c.Stats()
-	if st.StreamBytes != 0 || st.Streams+st.Lanes+st.Schedules+st.ReuseProfiles+st.SampledProfiles != 0 || len(c.unpacked) != 0 {
-		t.Fatalf("zero budget kept %+v, %d decoded lanes", st, len(c.unpacked))
+	if st.StreamBytes != 0 || st.Streams+st.Lanes+st.Schedules+st.ReuseProfiles+st.SampledProfiles != 0 || decodedLanes(c) != 0 {
+		t.Fatalf("zero budget kept %+v, %d decoded lanes", st, decodedLanes(c))
 	}
 	if _, ok := c.scheds.get(c, sk); ok {
 		t.Fatal("schedule still answers under a zero budget")
@@ -114,6 +114,24 @@ func TestMergeDeltaCountsNoTraffic(t *testing.T) {
 	}
 }
 
+// decodedLanes counts the lanes and ambient lanes held decoded.
+func decodedLanes(c *Cache) int {
+	c.sm.RLock()
+	defer c.sm.RUnlock()
+	n := 0
+	for _, l := range c.lanes.m {
+		if l.dec != nil {
+			n++
+		}
+	}
+	for _, e := range c.scheds.m {
+		if e.Ambient.dec != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // zeroMeter is a LaneMeter for synthetic composed captures: no heap.
 type zeroMeter struct{}
 
@@ -121,17 +139,27 @@ func (zeroMeter) BeginSegment()                 {}
 func (zeroMeter) SegmentStats() (uint64, int64) { return 0, 0 }
 
 // mkComposed records a random one-role composed capture: its schedule,
-// ambient lane and role lane.
-func mkComposed(rng *rand.Rand, partial bool) (*astream.Schedule, *astream.SubStream, *astream.SubStream) {
-	cr := astream.NewComposedRecorder([]string{"r"}, []astream.LaneMeter{zeroMeter{}, zeroMeter{}})
+// ambient lane and role lane, each held decoded, as a capture leaves
+// it, or encoded, as a load leaves it. A partial capture's lanes are
+// encoded and marked partial, as a file could carry them.
+func mkComposed(rng *rand.Rand, partial bool) (*astream.Schedule, laneEntry, laneEntry) {
+	cr := astream.NewComposedRecorder([]string{"r"}, []astream.LaneMeter{zeroMeter{}, zeroMeter{}}, nil)
 	for seg := 0; seg < 1+rng.Intn(4); seg++ {
 		for i := rng.Intn(40); i > 0; i-- {
 			cr.RecordAccess(rng.Intn(2) == 0, uint32(rng.Intn(1<<16))&^3, 4, uint64(rng.Intn(3)))
 		}
 		cr.RecordBoundary(1 - seg%2)
 	}
-	sched, subs := cr.Finish(partial)
-	return sched, subs[0], subs[1]
+	sched, lanes := cr.Finish()
+	form := func(u *astream.UnpackedLane) laneEntry {
+		if !partial && rng.Intn(2) == 0 {
+			return laneEntry{dec: u}
+		}
+		s := u.Encode()
+		s.Partial = partial
+		return laneEntry{enc: s}
+	}
+	return sched, form(lanes[0]), form(lanes[1])
 }
 
 // mkRandStream records a random whole-run stream.
@@ -179,8 +207,8 @@ type tierKey struct {
 
 // retained lists every entry the cache holds, with its size, and
 // checks the bookkeeping the budget rests on: each tier's order holds
-// exactly its map's keys, decoded lanes belong to held lanes or
-// schedules, and StreamBytes is the sum of every retained size.
+// exactly its map's keys, every lane holds exactly one form, and
+// StreamBytes is the sum of every retained size.
 func retained(t *testing.T, c *Cache) map[tierKey]int64 {
 	t.Helper()
 	c.sm.RLock()
@@ -204,8 +232,14 @@ func retained(t *testing.T, c *Cache) map[tierKey]int64 {
 		add(1, k, int64(c.streams.m[k].Stream.SizeBytes()))
 	}
 	checkOrder("streams", c.streams.order, len(c.streams.m))
+	oneForm := func(k string, l laneEntry) {
+		if (l.enc == nil) == (l.dec == nil) {
+			t.Fatalf("lane %q holds %v encoded, %v decoded: want exactly one form", k, l.enc != nil, l.dec != nil)
+		}
+	}
 	for _, k := range c.lanes.order {
-		add(2, k, int64(c.lanes.m[k].SizeBytes()))
+		oneForm(k, c.lanes.m[k])
+		add(2, k, c.lanes.m[k].size())
 	}
 	checkOrder("lanes", c.lanes.order, len(c.lanes.m))
 	for _, k := range c.rprofiles.order {
@@ -214,22 +248,15 @@ func retained(t *testing.T, c *Cache) map[tierKey]int64 {
 	checkOrder("reuse profiles", c.rprofiles.order, len(c.rprofiles.m))
 	for _, k := range c.scheds.order {
 		e := c.scheds.m[k]
-		add(4, k, int64(e.Sched.SizeBytes()+e.Ambient.SizeBytes()))
+		oneForm(k, e.Ambient)
+		add(4, k, int64(e.Sched.SizeBytes())+e.Ambient.size())
 	}
 	checkOrder("schedules", c.scheds.order, len(c.scheds.m))
 	if len(out) != len(c.sprofiles.m)+len(c.streams.m)+len(c.lanes.m)+len(c.rprofiles.m)+len(c.scheds.m) {
 		t.Fatal("a tier's order repeats a key or names one its map lacks")
 	}
-	for k, u := range c.unpacked {
-		_, lane := c.lanes.m[k]
-		_, sched := c.scheds.m[k]
-		if !lane && !sched {
-			t.Fatalf("decoded lane %q outlived its entry", k)
-		}
-		sum += int64(u.SizeBytes())
-	}
 	if sum != c.streamBytes {
-		t.Fatalf("StreamBytes %d, retained entries and decoded lanes sum to %d", c.streamBytes, sum)
+		t.Fatalf("StreamBytes %d, retained entries sum to %d", c.streamBytes, sum)
 	}
 	if c.streamBudget > 0 && c.streamBytes > c.streamBudget && len(out) > len(c.scheds.m) {
 		t.Fatalf("%d bytes over a %d budget with evictable entries held", c.streamBytes, c.streamBudget)
@@ -237,15 +264,29 @@ func retained(t *testing.T, c *Cache) map[tierKey]int64 {
 	return out
 }
 
-// persisted copies the tiers SaveWithStreams writes, schedule memos
-// cleared, for round-trip comparison.
+// persisted copies the tiers SaveWithStreams writes, for round-trip
+// comparison: schedules without their memos, and each lane in one
+// canonical serialized form whichever form it is held in.
 func persisted(c *Cache) [4]any {
-	scheds := c.scheds.snapshot(c)
-	for k, e := range scheds {
-		e.peaks = nil
-		scheds[k] = e
+	canon := func(l laneEntry) *astream.SubStream {
+		if l.dec != nil {
+			return l.dec.Encode()
+		}
+		u, err := l.enc.Unpack()
+		if err != nil {
+			panic(err) // held lanes are complete captures
+		}
+		return u.Encode()
 	}
-	return [4]any{orNil(c.streams.snapshot(c)), orNil(c.lanes.snapshot(c)), orNil(scheds), orNil(c.rprofiles.snapshot(c))}
+	lanes := make(map[string]*astream.SubStream)
+	for k, l := range c.lanes.snapshot(c) {
+		lanes[k] = canon(l)
+	}
+	scheds := make(map[string]schedWire)
+	for k, e := range c.scheds.snapshot(c) {
+		scheds[k] = schedWire{Sched: e.Sched, Ambient: canon(e.Ambient), Summary: e.Summary}
+	}
+	return [4]any{orNil(c.streams.snapshot(c)), orNil(lanes), orNil(scheds), orNil(c.rprofiles.snapshot(c))}
 }
 
 // orNil maps an empty map to nil: a tier emptied by eviction and one
@@ -259,7 +300,7 @@ func orNil[V any](m map[string]V) map[string]V {
 
 // TestCacheBudgetInvariant applies a seeded random sequence of
 // operations to one cache — puts into every tier (replacing, merging
-// and partial ones included), decoded-lane memo fills, budget changes,
+// and partial ones included), first-use decodes, budget changes,
 // SaveWithStreams → Load and ExportDelta → MergeDelta round trips —
 // and checks after every step that StreamBytes is the sum of what is
 // retained, that no retained entry comes before an evicted one in the
@@ -295,27 +336,17 @@ func TestCacheBudgetInvariant(t *testing.T) {
 			k := rng.Intn(6)
 			c.sprofiles.put(c, fmt.Sprintf("sprof%d", k), mkKeyedProfile(t, rng, k, true))
 		case 7, 8:
-			// Fill the decoded memo of a held lane or schedule, or of an
-			// entry the cache does not hold (which must not memoize).
+			// Use a held lane or ambient lane, decoding it if it is
+			// encoded, or ask for one the cache does not hold.
 			k, ambient := key("lane"), rng.Intn(2) == 0
 			if ambient {
 				k = key("sched")
 			}
 			c.sm.RLock()
-			sub := c.lanes.m[k]
-			if ambient {
-				sub = c.scheds.m[k].Ambient
-			}
+			_, held := c.laneLocked(k, ambient)
 			c.sm.RUnlock()
-			if sub == nil {
-				_, amb, lane := mkComposed(rng, false)
-				sub = lane
-				if ambient {
-					sub = amb
-				}
-			}
-			if _, ok := c.unpackedLane(k, sub, ambient); !ok {
-				t.Fatalf("step %d: decoding %q failed", step, k)
+			if u, ok := c.decodedLane(k, ambient); ok != held || ok && u == nil {
+				t.Fatalf("step %d: decoding %q answered %v, held %v", step, k, ok, held)
 			}
 		case 9, 10:
 			c.SetStreamBudget(budgets[rng.Intn(len(budgets))])

@@ -82,12 +82,13 @@ func (p *Platform) ArenaFor(role string) (a *vheap.Arena, lane int, ok bool) {
 // CaptureComposed attaches a compositional capture to an arena-mode
 // platform and returns the recorder: the event stream is segmented at
 // the operation boundaries the DDT layer announces, each segment routed
-// to the sub-stream of its owning lane, with per-arena footprint deltas
-// recorded at every segment end. One run therefore captures the
-// (role, kind) sub-stream of every role at once, plus the kind-invariant
-// ambient lane and operation schedule. Detach with EndCapture before
-// Recorder.Finish, as with Capture.
-func (p *Platform) CaptureComposed() *astream.ComposedRecorder {
+// to its owning lane, with per-arena footprint deltas recorded at every
+// segment end. One run therefore captures the (role, kind) lane of
+// every role at once, plus the kind-invariant ambient lane and
+// operation schedule; record, when non-nil, selects the lanes to
+// capture (astream.NewComposedRecorder). Detach with EndCapture before
+// ComposedRecorder.Finish, as with Capture.
+func (p *Platform) CaptureComposed(record []bool) *astream.ComposedRecorder {
 	if p.roleArenas == nil {
 		panic("platform: CaptureComposed requires UseArenas")
 	}
@@ -96,7 +97,7 @@ func (p *Platform) CaptureComposed() *astream.ComposedRecorder {
 	for _, r := range p.roleOrder {
 		meters = append(meters, p.roleArenas[r])
 	}
-	cr := astream.NewComposedRecorder(p.roleOrder, meters)
+	cr := astream.NewComposedRecorder(p.roleOrder, meters, record)
 	p.Mem.SetEventSink(cr)
 	return cr
 }

@@ -89,7 +89,7 @@ type Result struct {
 //
 // On the arena model (opts.Arenas, or implied by BoundPrune and
 // SampleRate) the sweep runs on compositional capture instead:
-// per-role sub-streams (platform- AND combination-invariant) replace
+// per-role lanes (platform- AND combination-invariant) replace
 // whole-run streams, so the first platform's methodology already runs
 // mostly on composed replays, later platforms compose from the same
 // ~10·K lanes, and the warm pass is unnecessary.
