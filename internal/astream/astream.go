@@ -18,6 +18,9 @@
 // ops coalesced) into 64 KiB chunks, so recording never reallocates
 // large buffers and a stream costs a few bytes per event; Finish trims
 // the last chunk to its length, so a stream retains what it is charged.
+// One decoder reads the encoding back, wherever it was written: replay
+// of a whole-run stream and SubStream.Unpack of a serialized lane run
+// the same decode loop under the same checks.
 //
 // Beyond whole-run streams, the package implements compositional
 // capture (see compose.go): one arena-mode run records each container
@@ -33,6 +36,7 @@ package astream
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -45,9 +49,11 @@ import (
 // bytes] [size varint if flagSized]. Folding the ALU cycles accumulated
 // since the previous access into the access event (flagOps) halves the
 // event count of the typical walk-compare-walk simulation loop.
-// Standalone op events only appear when a peak snapshot or the end of
-// the stream forces a flush; peaks carry the footprint high-water mark
-// as a delta (it only grows).
+// Standalone op events only appear when a peak snapshot, a segment end
+// or the end of the stream forces a flush; peaks carry the footprint
+// high-water mark as a delta (it only grows). Segment terminators only
+// appear in a lane's serialized form; the decoder stops at each one, and
+// a whole-run stream holding one is refused.
 const (
 	flagAccess = 1 << 7 // access event marker
 	flagWrite  = 1 << 0 // store, not load
@@ -71,7 +77,8 @@ const (
 
 // Stream is one recorded access stream. Its fields are exported for gob
 // persistence (the simulation cache saves streams across processes); a
-// finished Stream is immutable and safe to replay concurrently.
+// finished Stream is immutable and safe to replay concurrently. Replay
+// is its one reader.
 type Stream struct {
 	// Chunks hold the delta/varint-encoded events.
 	Chunks [][]byte
@@ -307,234 +314,86 @@ func (r *Recorder) Finish(partial bool) *Stream {
 	}
 }
 
-// EventKind identifies a decoded event.
-type EventKind uint8
-
-// The decoded event kinds.
-const (
-	EvRead EventKind = iota
-	EvWrite
-	EvOp
-	EvPeak
-	EvSeg
-)
-
-// Event is one decoded stream event. Addr/Size are set for accesses; N
-// holds the cycle count of an op, the absolute footprint of a peak, or
-// the footprint max-delta of a segment end (whose signed net live-byte
-// change is in Delta).
-type Event struct {
-	Kind  EventKind
-	Addr  uint32
-	Size  uint32
-	N     uint64
-	Delta int64
-}
-
-// ForEach decodes the stream in order, calling fn for each logical event
-// until fn returns false. Op cycles folded into an access event are
-// expanded back into a separate EvOp preceding the access, so the
-// decoded sequence is exactly the recorded one (after the documented op
-// coalescing). It is the inspection and test path; replay uses the
-// batched decoder.
-func (s *Stream) ForEach(fn func(Event) bool) error {
-	d := decoder{chunks: s.Chunks}
-	for {
-		buf := d.buf
-		if d.pos >= len(buf) {
-			if d.ci >= len(d.chunks) {
-				return nil
-			}
-			d.buf = d.chunks[d.ci]
-			d.ci++
-			d.pos = 0
-			continue
-		}
-		tag := buf[d.pos]
-		d.pos++
-		switch {
-		case tag&flagAccess != 0:
-			if tag&flagOps != 0 {
-				ops, ok := d.uvarint()
-				if !ok {
-					return d.corrupt()
-				}
-				if !fn(Event{Kind: EvOp, N: ops}) {
-					return nil
-				}
-			}
-			du, ok := d.delta(int(tag>>widthShift) & 3)
-			if !ok {
-				return d.corrupt()
-			}
-			d.lastAddr += uint32(unzigzag32(du))
-			size := uint64(4)
-			if tag&flagSized != 0 {
-				if size, ok = d.uvarint(); !ok {
-					return d.corrupt()
-				}
-			}
-			if !fn(Event{Kind: EvRead + EventKind(tag&flagWrite), Addr: d.lastAddr, Size: uint32(size)}) {
-				return nil
-			}
-		case tag == tagOp:
-			u, ok := d.uvarint()
-			if !ok {
-				return d.corrupt()
-			}
-			if !fn(Event{Kind: EvOp, N: u}) {
-				return nil
-			}
-		case tag == tagPeak:
-			u, ok := d.uvarint()
-			if !ok {
-				return d.corrupt()
-			}
-			d.lastPeak += u
-			if !fn(Event{Kind: EvPeak, N: d.lastPeak}) {
-				return nil
-			}
-		case tag == tagSeg:
-			maxD, ok := d.uvarint()
-			if !ok {
-				return d.corrupt()
-			}
-			endU, ok := d.uvarint()
-			if !ok {
-				return d.corrupt()
-			}
-			if !fn(Event{Kind: EvSeg, N: maxD, Delta: unzigzag64(endU)}) {
-				return nil
-			}
-		default:
-			return fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, d.ci-1)
-		}
-	}
-}
-
-// batchEvents is the number of accesses decoded per batch: large enough
-// to amortize decode dispatch, small enough that the batch arrays stay
-// in the host cache while K platform models loop over them — and close
-// to the live early-abort cadence, since guarded replays poll their
-// guard once per batch.
+// batchEvents is the number of accesses a stream replay decodes per
+// call: large enough to amortize decode dispatch, small enough that the
+// batch arrays stay in the host cache while K platform models loop over
+// them — and close to the live early-abort cadence, since guarded
+// replays poll their guard once per full batch.
 const batchEvents = 2048
 
-// batch is the struct-of-arrays form the batched decoder fills: the
-// shape the replay kernels want. Only the access sequence needs order
-// (cache state depends on it); the platform-invariant quantities —
-// read/write word counts, op cycles, footprint peak — are order-free
-// between accesses and arrive as per-batch aggregates.
-type batch struct {
-	nAcc int
-	addr [batchEvents]uint32
-	size [batchEvents]uint32
-
-	readWords  uint64 // word loads decoded in this batch
-	writeWords uint64 // word stores decoded in this batch
-	opCycles   uint64 // ALU cycles decoded in this batch
-	peak       uint64 // footprint high-water mark as of the batch end
-}
-
-// decoder walks a chunk sequence, maintaining the delta state.
+// decoder is the one reader of the event encoding. Stream replay decodes
+// a whole-run stream through it batchEvents accesses at a time, and
+// SubStream.Unpack decodes a lane through it one segment at a time. It
+// keeps its place in the chunks and the delta state across calls, and
+// fills the struct-of-arrays its caller gives it: addresses, sizes and
+// write bits (bit i%64 of write[i/64] for access i).
 type decoder struct {
 	chunks   [][]byte
 	ci       int // next chunk index
 	buf      []byte
 	pos      int
 	lastAddr uint32
-	lastPeak uint64
+	peak     uint64 // footprint high-water mark decoded so far
+
+	addr, size []uint32
+	write      []uint64
+	// n is the access index the next decode starts at; a decode leaves
+	// it past the last access it stored.
+	n int
+	// The platform-invariant aggregates of the events the last decode
+	// consumed, and the footprint deltas of the segment terminator that
+	// ended it, if seg is set.
+	readW, writeW, ops uint64
+	seg                bool
+	segMax             uint64
+	segEnd             int64
 }
 
-// delta decodes one fixed-width address delta of widthM1+1 bytes at the
-// cursor.
-func (d *decoder) delta(widthM1 int) (uint32, bool) {
-	if d.pos+4 <= len(d.buf) {
-		v := binary.LittleEndian.Uint32(d.buf[d.pos:]) & deltaMasks[widthM1]
-		d.pos += widthM1 + 1
-		return v, true
-	}
-	if d.pos+widthM1 >= len(d.buf) {
-		return 0, false
-	}
-	var v uint32
-	for k := 0; k <= widthM1; k++ {
-		v |= uint32(d.buf[d.pos+k]) << (8 * k)
-	}
-	d.pos += widthM1 + 1
-	return v, true
-}
-
-// uvarint decodes one varint at the cursor with the one-byte case
-// inlined (most payloads fit seven bits).
-func (d *decoder) uvarint() (uint64, bool) {
-	if d.pos < len(d.buf) {
-		if b0 := d.buf[d.pos]; b0 < 0x80 {
-			d.pos++
-			return uint64(b0), true
-		}
-	}
-	u, w := binary.Uvarint(d.buf[d.pos:])
-	if w <= 0 {
-		return 0, false
-	}
-	d.pos += w
-	return u, true
-}
-
-// uvarintAt decodes one varint with the one-byte case inlined; a
-// negative returned position signals a truncated varint.
-func uvarintAt(buf []byte, pos int) (uint64, int) {
-	if pos < len(buf) {
-		if b0 := buf[pos]; b0 < 0x80 {
-			return uint64(b0), pos + 1
-		}
-	}
-	u, w := binary.Uvarint(buf[pos:])
-	if w <= 0 {
-		return 0, -1
-	}
-	return u, pos + w
-}
-
-// next fills b with up to batchEvents decoded accesses plus the
-// invariant aggregates of the same span. It returns false once the
-// stream is exhausted (the final batch may still carry data). The
+// decode decodes events into the arrays from access index d.n on. It
+// stops right after the access that fills addr, right after a segment
+// terminator, or at the end of the chunks. Truncated events, unknown
+// tags, and accesses of zero or more than 2^32-1 bytes are refused. The
 // recorder never splits an event across chunks, so the inner loop
-// decodes one chunk with purely local state. A whole-run stream carries
-// no segment terminators; lanes decode through SubStream.Unpack.
-func (d *decoder) next(b *batch) (bool, error) {
-	n := 0
-	b.readWords, b.writeWords, b.opCycles = 0, 0, 0
-	for n < batchEvents {
+// decodes one chunk with purely local state.
+func (d *decoder) decode() error {
+	addr, n := d.addr, d.n
+	size := d.size[:len(addr)]
+	d.readW, d.writeW, d.ops, d.seg = 0, 0, 0, false
+	// Write bits shift into a register word from the top, so after 64
+	// accesses the word is in place and is stored; a partial word is
+	// shifted down into place at the stop.
+	var wword uint64
+	if r := n & 63; r != 0 {
+		wword = d.write[n>>6] << (64 - r)
+	}
+chunks:
+	for n < len(addr) {
 		if d.pos >= len(d.buf) {
 			if d.ci >= len(d.chunks) {
-				b.nAcc = n
-				b.peak = d.lastPeak
-				return false, nil // stream exhausted
+				break
 			}
-			d.buf = d.chunks[d.ci]
+			d.buf, d.pos = d.chunks[d.ci], 0
 			d.ci++
-			d.pos = 0
 			continue
 		}
-		buf, pos := d.buf, d.pos
-		lastAddr := d.lastAddr
+		buf, pos, lastAddr := d.buf, d.pos, d.lastAddr
 		// Hot path written out inline: the address delta is one masked
-		// 4-byte load, and the one-byte varint case (ops, sizes) avoids
-		// the uvarintAt call, which is beyond the inlining budget.
-		for n < batchEvents && pos < len(buf) {
+		// 4-byte load, the one-byte varint case (ops, sizes) is tested
+		// first, and nothing on the way through an event is a call, so
+		// the loop state stays in registers.
+		for n < len(addr) && pos < len(buf) {
 			tag := buf[pos]
 			pos++
+			var v uint64
 			if tag&flagAccess != 0 {
 				if tag&flagOps != 0 {
-					var ops uint64
 					if pos < len(buf) && buf[pos] < 0x80 {
-						ops = uint64(buf[pos])
+						v = uint64(buf[pos])
 						pos++
-					} else if ops, pos = uvarintAt(buf, pos); pos < 0 {
-						return false, d.corrupt()
+					} else if v, pos = uvarintAt(buf, pos); pos < 0 {
+						return d.truncated()
 					}
-					b.opCycles += ops
+					d.ops += v
 				}
 				widthM1 := int(tag>>widthShift) & 3
 				var du uint32
@@ -542,57 +401,98 @@ func (d *decoder) next(b *batch) (bool, error) {
 					du = binary.LittleEndian.Uint32(buf[pos:]) & deltaMasks[widthM1]
 				} else {
 					if pos+widthM1 >= len(buf) {
-						return false, d.corrupt()
+						return d.truncated()
 					}
 					for k := 0; k <= widthM1; k++ {
 						du |= uint32(buf[pos+k]) << (8 * k)
 					}
 				}
 				pos += widthM1 + 1
-				addr := lastAddr + uint32(unzigzag32(du))
-				lastAddr = addr
-				size := uint64(4)
+				lastAddr += uint32(unzigzag32(du))
+				sz := uint64(4)
 				if tag&flagSized != 0 {
 					if pos < len(buf) && buf[pos] < 0x80 {
-						size = uint64(buf[pos])
+						sz = uint64(buf[pos])
 						pos++
-					} else if size, pos = uvarintAt(buf, pos); pos < 0 {
-						return false, d.corrupt()
+					} else if sz, pos = uvarintAt(buf, pos); pos < 0 {
+						return d.truncated()
+					}
+					if sz == 0 || sz > math.MaxUint32 {
+						return fmt.Errorf("astream: access of %d bytes in chunk %d", sz, d.ci-1)
 					}
 				}
-				words := (size + 3) / 4
-				if tag&flagWrite != 0 {
-					b.writeWords += words
-				} else {
-					b.readWords += words
-				}
-				b.addr[n] = addr
-				b.size[n] = uint32(size)
+				addr[n], size[n] = lastAddr, uint32(sz)
+				wword = wword>>1 | uint64(tag&flagWrite)<<63
 				n++
-			} else if tag == tagOp {
-				var u uint64
-				if u, pos = uvarintAt(buf, pos); pos < 0 {
-					return false, d.corrupt()
+				if n&63 == 0 {
+					d.write[n>>6-1] = wword
 				}
-				b.opCycles += u
-			} else if tag == tagPeak {
-				var u uint64
-				if u, pos = uvarintAt(buf, pos); pos < 0 {
-					return false, d.corrupt()
+				if wd := (sz + 3) / 4; tag&flagWrite != 0 {
+					d.writeW += wd
+				} else {
+					d.readW += wd
 				}
-				d.lastPeak += u
-			} else {
-				return false, fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, d.ci-1)
+				continue
+			}
+			switch tag {
+			case tagOp:
+				if v, pos = uvarintAt(buf, pos); pos < 0 {
+					return d.truncated()
+				}
+				d.ops += v
+			case tagPeak:
+				if v, pos = uvarintAt(buf, pos); pos < 0 {
+					return d.truncated()
+				}
+				d.peak += v
+			case tagSeg:
+				var endU uint64
+				if v, pos = uvarintAt(buf, pos); pos < 0 {
+					return d.truncated()
+				}
+				if endU, pos = uvarintAt(buf, pos); pos < 0 {
+					return d.truncated()
+				}
+				d.seg, d.segMax, d.segEnd = true, v, unzigzag64(endU)
+				d.pos, d.lastAddr = pos, lastAddr
+				break chunks
+			default:
+				return fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, d.ci-1)
 			}
 		}
-		d.pos = pos
-		d.lastAddr = lastAddr
+		d.pos, d.lastAddr = pos, lastAddr
 	}
-	b.nAcc = n
-	b.peak = d.lastPeak
-	return true, nil
+	if r := n & 63; r != 0 {
+		d.write[n>>6] = wword >> (64 - r)
+	}
+	d.n = n
+	return nil
 }
 
-func (d *decoder) corrupt() error {
+// uvarintAt decodes the varint at buf[pos:] and returns the position
+// past it; a negative position signals a truncated or overlong varint.
+// It is small enough to inline, so the decode loop calls nothing on its
+// way through an event.
+func uvarintAt(buf []byte, pos int) (uint64, int) {
+	var x uint64
+	for s := uint(0); pos < len(buf); s += 7 {
+		b := buf[pos]
+		pos++
+		if b < 0x80 {
+			if s == 63 && b > 1 {
+				return 0, -1 // overflows 64 bits
+			}
+			return x | uint64(b)<<s, pos
+		}
+		if s == 63 {
+			return 0, -1 // longer than binary.MaxVarintLen64
+		}
+		x |= uint64(b&0x7f) << s
+	}
+	return 0, -1
+}
+
+// truncated reports an event cut off by the end of the current chunk.
+func (d *decoder) truncated() error {
 	return fmt.Errorf("astream: truncated event in chunk %d", d.ci-1)
 }

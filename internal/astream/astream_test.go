@@ -3,36 +3,55 @@ package astream_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/astream"
 	"repro/internal/memsim"
 )
 
+// evKind is the kind of one scripted simulation event.
+type evKind uint8
+
+const (
+	evRead evKind = iota
+	evWrite
+	evOp
+	evPeak
+)
+
+// event is one step of a test script: an access of size bytes at addr,
+// n op cycles, or a footprint high-water mark of n bytes.
+type event struct {
+	kind       evKind
+	addr, size uint32
+	n          uint64
+}
+
 // randEvents produces a deterministic pseudo-random event script with the
 // mix a DDT simulation produces: mostly one-word accesses with locality,
 // occasional multi-word record accesses, interleaved ops and growing
 // footprint snapshots.
-func randEvents(rng *rand.Rand, n int) []astream.Event {
-	evs := make([]astream.Event, 0, n)
+func randEvents(rng *rand.Rand, n int) []event {
+	evs := make([]event, 0, n)
 	addr := uint32(0x1000_0000)
 	peak := uint64(0)
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(10); {
 		case r < 4: // one-word read nearby
 			addr += uint32(rng.Intn(256)) - 128
-			evs = append(evs, astream.Event{Kind: astream.EvRead, Addr: addr &^ 3, Size: 4})
+			evs = append(evs, event{kind: evRead, addr: addr &^ 3, size: 4})
 		case r < 6: // one-word write
 			addr += uint32(rng.Intn(4096)) - 2048
-			evs = append(evs, astream.Event{Kind: astream.EvWrite, Addr: addr &^ 3, Size: 4})
+			evs = append(evs, event{kind: evWrite, addr: addr &^ 3, size: 4})
 		case r < 8: // multi-word record access, possibly unaligned size
 			size := uint32(1 + rng.Intn(64))
-			evs = append(evs, astream.Event{Kind: astream.EvRead, Addr: addr &^ 7, Size: size})
+			evs = append(evs, event{kind: evRead, addr: addr &^ 7, size: size})
 		case r < 9: // ALU op
-			evs = append(evs, astream.Event{Kind: astream.EvOp, N: uint64(1 + rng.Intn(100))})
+			evs = append(evs, event{kind: evOp, n: uint64(1 + rng.Intn(100))})
 		default: // footprint growth
 			peak += uint64(8 + rng.Intn(512))
-			evs = append(evs, astream.Event{Kind: astream.EvPeak, N: peak})
+			evs = append(evs, event{kind: evPeak, n: peak})
 		}
 	}
 	return evs
@@ -41,120 +60,151 @@ func randEvents(rng *rand.Rand, n int) []astream.Event {
 // record drives the event script through a live Hierarchy with the
 // recorder attached as its event sink — the exact wiring a captured
 // simulation uses (peaks arrive via the heap hook, modeled directly).
-func record(evs []astream.Event) *astream.Stream {
+func record(evs []event) *astream.Stream {
 	rec := astream.NewRecorder()
 	h := memsim.New(memsim.DefaultConfig())
 	h.SetEventSink(rec)
 	for _, ev := range evs {
-		switch ev.Kind {
-		case astream.EvRead:
-			h.Read(ev.Addr, ev.Size)
-		case astream.EvWrite:
-			h.Write(ev.Addr, ev.Size)
-		case astream.EvOp:
-			h.Op(ev.N)
-		case astream.EvPeak:
-			rec.RecordPeak(ev.N)
+		switch ev.kind {
+		case evRead:
+			h.Read(ev.addr, ev.size)
+		case evWrite:
+			h.Write(ev.addr, ev.size)
+		case evOp:
+			h.Op(ev.n)
+		case evPeak:
+			rec.RecordPeak(ev.n)
 		}
 	}
 	h.SetEventSink(nil)
 	return rec.Finish(false)
 }
 
-// coalesce maps an event script to the form capture encodes: op cycles
-// accumulate until the next access (where they surface as one op event
-// before it, passing any intervening peaks) or the end of the stream;
-// zero-size accesses and non-growing peaks are dropped. The reordering
-// of ops across peaks is unobservable in cost space — every snapshot the
-// simulator takes happens on an access.
-func coalesce(evs []astream.Event) []astream.Event {
-	var out []astream.Event
+// recorded is what decoding a recorded script must yield: the accesses
+// in order with their write bits, the words read and written, the op
+// cycles, the final footprint peak, and the logical event count.
+type recorded struct {
+	addr, size                       []uint32
+	write                            []bool
+	readW, writeW, ops, peak, events uint64
+}
+
+// access appends one access of the script to the expectation.
+func (r *recorded) access(write bool, addr, size uint32) {
+	r.addr, r.size, r.write = append(r.addr, addr), append(r.size, size), append(r.write, write)
+	if write {
+		r.writeW += uint64(size+3) / 4
+	} else {
+		r.readW += uint64(size+3) / 4
+	}
+}
+
+// expect maps a script recorded through a Hierarchy to what its stream
+// decodes to. The hierarchy folds op cycles into the next access, so op
+// cycles are one event with the access they precede, or one event at the
+// end of the stream; non-growing peaks are dropped.
+func expect(evs []event) recorded {
+	var r recorded
 	var pending uint64
-	peak := uint64(0)
 	for _, ev := range evs {
-		switch ev.Kind {
-		case astream.EvOp:
-			pending += ev.N
-		case astream.EvPeak:
-			if ev.N <= peak {
-				continue
+		switch ev.kind {
+		case evOp:
+			pending += ev.n
+		case evPeak:
+			if ev.n > r.peak {
+				r.peak = ev.n
+				r.events++
 			}
-			peak = ev.N
-			out = append(out, ev)
-		case astream.EvRead, astream.EvWrite:
-			if ev.Size == 0 {
-				continue
-			}
+		case evRead, evWrite:
+			r.access(ev.kind == evWrite, ev.addr, ev.size)
+			r.events++
 			if pending != 0 {
-				out = append(out, astream.Event{Kind: astream.EvOp, N: pending})
+				r.ops += pending
+				r.events++
 				pending = 0
 			}
-			out = append(out, ev)
 		}
 	}
 	if pending != 0 {
-		out = append(out, astream.Event{Kind: astream.EvOp, N: pending})
+		r.ops += pending
+		r.events++
 	}
-	return out
+	return r
+}
+
+// asLane reads a whole-run stream as a one-segment lane: its chunks
+// followed by a chunk holding one segment terminator. No event spans
+// chunks, so Unpack decodes the stream's events as they are.
+func asLane(s *astream.Stream) *astream.SubStream {
+	r := astream.NewRecorder()
+	astream.RecordSeg(r, 0, 0)
+	chunks := append(slices.Clip(s.Chunks), r.Finish(false).Chunks...)
+	return &astream.SubStream{Stream: astream.Stream{Chunks: chunks, Accesses: s.Accesses}, Segments: 1}
+}
+
+// checkDecoded fails unless the stream decodes to want through both of
+// the decoder's callers: Unpack, read as one lane segment, yields the
+// access arrays, write bits and aggregates, and a replay of a complete
+// stream reports the same words, op cycles and peak.
+func checkDecoded(t *testing.T, s *astream.Stream, want recorded) {
+	t.Helper()
+	if s.NumEvents != want.events || s.Accesses != uint64(len(want.addr)) {
+		t.Fatalf("stream declares %d events, %d accesses; recorded %d, %d", s.NumEvents, s.Accesses, want.events, len(want.addr))
+	}
+	u, err := asLane(s).Unpack()
+	if err != nil {
+		t.Fatalf("decoding the recorded stream: %v", err)
+	}
+	if !slices.Equal(u.Addr, want.addr) || !slices.Equal(u.Size, want.size) {
+		t.Fatalf("decoded accesses differ from the recorded ones")
+	}
+	for i, w := range want.write {
+		if got := u.Write[i>>6]>>(i&63)&1 != 0; got != w {
+			t.Fatalf("access %d: decoded write bit %v, recorded %v", i, got, w)
+		}
+	}
+	if u.SegOps[0] != want.ops || uint64(u.SegReadW[0]) != want.readW || uint64(u.SegWriteW[0]) != want.writeW {
+		t.Fatalf("decoded ops %d, words %d/%d; recorded %d, %d/%d",
+			u.SegOps[0], u.SegReadW[0], u.SegWriteW[0], want.ops, want.readW, want.writeW)
+	}
+	if s.Partial {
+		return // partial streams refuse to replay
+	}
+	costs, _, err := astream.Replay(s, []memsim.Config{memsim.DefaultConfig()}, astream.ReplayOpts{})
+	if err != nil {
+		t.Fatalf("replaying the recorded stream: %v", err)
+	}
+	c := costs[0].Counts
+	if c.ReadWords != want.readW || c.WriteWords != want.writeW || c.OpCycles != want.ops || costs[0].Peak != want.peak {
+		t.Fatalf("replay words %d/%d, ops %d, peak %d; recorded %d/%d, %d, %d",
+			c.ReadWords, c.WriteWords, c.OpCycles, costs[0].Peak, want.readW, want.writeW, want.ops, want.peak)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000, 20000} {
 		rng := rand.New(rand.NewSource(int64(n) + 42))
 		evs := randEvents(rng, n)
-		s := record(evs)
-		want := coalesce(evs)
-		if got := int(s.NumEvents); got != len(want) {
-			t.Fatalf("n=%d: NumEvents = %d, want %d", n, got, len(want))
-		}
-		var got []astream.Event
-		if err := s.ForEach(func(ev astream.Event) bool {
-			got = append(got, ev)
-			return true
-		}); err != nil {
-			t.Fatalf("n=%d: decode: %v", n, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: decoded %d events, want %d", n, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: event %d = %+v, want %+v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestRoundTripStopsEarly(t *testing.T) {
-	s := record(randEvents(rand.New(rand.NewSource(1)), 100))
-	seen := 0
-	if err := s.ForEach(func(astream.Event) bool {
-		seen++
-		return seen < 5
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 5 {
-		t.Fatalf("ForEach visited %d events after stop, want 5", seen)
+		checkDecoded(t, record(evs), expect(evs))
 	}
 }
 
 // liveCost drives the script through a real Hierarchy and returns its
 // totals — the ground truth replay must reproduce exactly.
-func liveCost(evs []astream.Event, cfg memsim.Config) (memsim.Counts, uint64, uint64) {
+func liveCost(evs []event, cfg memsim.Config) (memsim.Counts, uint64, uint64) {
 	h := memsim.New(cfg)
 	var peak uint64
 	for _, ev := range evs {
-		switch ev.Kind {
-		case astream.EvRead:
-			h.Read(ev.Addr, ev.Size)
-		case astream.EvWrite:
-			h.Write(ev.Addr, ev.Size)
-		case astream.EvOp:
-			h.Op(ev.N)
-		case astream.EvPeak:
-			if ev.N > peak {
-				peak = ev.N
+		switch ev.kind {
+		case evRead:
+			h.Read(ev.addr, ev.size)
+		case evWrite:
+			h.Write(ev.addr, ev.size)
+		case evOp:
+			h.Op(ev.n)
+		case evPeak:
+			if ev.n > peak {
+				peak = ev.n
 			}
 		}
 	}
@@ -288,5 +338,38 @@ func TestEncodingIsCompact(t *testing.T) {
 	perEvent := float64(s.SizeBytes()) / float64(s.NumEvents)
 	if perEvent > 4.0 {
 		t.Errorf("encoding averages %.1f bytes/event; want <= 4", perEvent)
+	}
+}
+
+// TestStreamAndLaneRefuseAlike pins that whole-run streams and lanes
+// share one decoder contract: an access of zero bytes or of 2^33 bytes,
+// which no recorder writes, is refused by Replay with the very error
+// Unpack gives for the same event inside a lane, and a well-formed sized
+// access is accepted by both.
+func TestStreamAndLaneRefuseAlike(t *testing.T) {
+	// Each event is one sized load at address 1: tag, a one-byte delta,
+	// the size varint.
+	for _, c := range []struct {
+		name string
+		ev   []byte
+		ok   bool
+	}{
+		{"zero-size", []byte{0x82, 0x02, 0x00}, false},
+		{"2^33-byte", []byte{0x82, 0x02, 0x80, 0x80, 0x80, 0x80, 0x20}, false},
+		{"5-byte", []byte{0x82, 0x02, 0x05}, true},
+	} {
+		st := &astream.Stream{Chunks: [][]byte{c.ev}, NumEvents: 1, Accesses: 1}
+		_, _, replayErr := astream.Replay(st, []memsim.Config{memsim.DefaultConfig()}, astream.ReplayOpts{})
+		_, laneErr := asLane(st).Unpack()
+		switch {
+		case c.ok:
+			if replayErr != nil || laneErr != nil {
+				t.Errorf("%s access: Replay err=%v, Unpack err=%v", c.name, replayErr, laneErr)
+			}
+		case replayErr == nil || laneErr == nil:
+			t.Errorf("%s access accepted: Replay err=%v, Unpack err=%v", c.name, replayErr, laneErr)
+		case replayErr.Error() != laneErr.Error():
+			t.Errorf("%s access refused differently: Replay %q, Unpack %q", c.name, replayErr, laneErr)
+		}
 	}
 }

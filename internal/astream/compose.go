@@ -1,10 +1,8 @@
 package astream
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"sync"
 
@@ -346,18 +344,20 @@ func (u *UnpackedLane) Encode() *SubStream {
 // its declared access or segment count, or that ends inside a segment.
 var errLaneCounts = errors.New("astream: lane events disagree with its declared counts")
 
-// Unpack decodes the sub-stream into its struct-of-arrays form. The
-// declared counts come from a cache file or a worker's delta, so they
-// size the arrays only as far as the encoded bytes can back them (an
-// access takes at least two bytes, a segment terminator three), and a
-// decode that disagrees with them is refused. A recorder never writes a
-// zero-size access, so one is refused as corrupt too.
+// Unpack decodes the sub-stream into its struct-of-arrays form, one
+// segment per decode. The declared counts come from a cache file or a
+// worker's delta, so they size the arrays only as far as the encoded
+// bytes can back them (an access takes at least two bytes, a segment
+// terminator three), and a decode that disagrees with them is refused.
+// The access arrays hold one spare slot: a decode that fills it has
+// found more accesses than declared.
 func (s *SubStream) Unpack() (*UnpackedLane, error) {
 	if s.Partial {
 		return nil, ErrPartial
 	}
 	enc := uint64(s.SizeBytes())
 	nAcc, nSeg := min(s.Accesses, enc/2), min(s.Segments, enc/3)
+	addr, size, write := make([]uint32, nAcc+1), make([]uint32, nAcc+1), make([]uint64, (nAcc+64)/64)
 	u := &UnpackedLane{
 		Role:      s.Role,
 		Lane:      s.Lane,
@@ -368,119 +368,28 @@ func (s *SubStream) Unpack() (*UnpackedLane, error) {
 		SegMax:    make([]uint64, 0, nSeg),
 		SegEnd:    make([]int64, 0, nSeg),
 	}
-	addr, size, wbits := make([]uint32, nAcc), make([]uint32, nAcc), make([]uint64, (nAcc+63)/64)
-	var (
-		n                  int // accesses decoded
-		lastAddr           uint32
-		wword              uint64 // write bits of the accesses since the last multiple of 64
-		ops, words, writeW uint64
-	)
-	// The access path is written out inline, as in decoder.next, with
-	// the one-byte varint cases first; write bits gather in a register
-	// word, without a branch on the bit.
-	for ci, buf := range s.Chunks {
-		for pos := 0; pos < len(buf); {
-			tag := buf[pos]
-			pos++
-			var v uint64
-			if tag&flagAccess != 0 {
-				if tag&flagOps != 0 {
-					if pos < len(buf) && buf[pos] < 0x80 {
-						v = uint64(buf[pos])
-						pos++
-					} else if v, pos = uvarintAt(buf, pos); pos < 0 {
-						return nil, truncated(ci)
-					}
-					ops += v
-				}
-				widthM1 := int(tag>>widthShift) & 3
-				if pos+widthM1 >= len(buf) {
-					return nil, truncated(ci)
-				}
-				var du uint32
-				if pos+4 <= len(buf) {
-					du = binary.LittleEndian.Uint32(buf[pos:]) & deltaMasks[widthM1]
-				} else {
-					for k := 0; k <= widthM1; k++ {
-						du |= uint32(buf[pos+k]) << (8 * k)
-					}
-				}
-				pos += widthM1 + 1
-				lastAddr += uint32(unzigzag32(du))
-				sz := uint64(4)
-				if tag&flagSized != 0 {
-					if pos < len(buf) && buf[pos] < 0x80 {
-						sz = uint64(buf[pos])
-						pos++
-					} else if sz, pos = uvarintAt(buf, pos); pos < 0 {
-						return nil, truncated(ci)
-					}
-					if sz == 0 || sz > math.MaxUint32 {
-						return nil, fmt.Errorf("astream: access of %d bytes in chunk %d", sz, ci)
-					}
-				}
-				if n >= len(addr) || n >= len(size) {
-					return nil, errLaneCounts // more accesses than declared
-				}
-				addr[n], size[n] = lastAddr, uint32(sz)
-				w := uint64(tag & flagWrite)
-				wword |= w << (n & 63)
-				n++
-				if n&63 == 0 {
-					wbits[n>>6-1] = wword
-					wword = 0
-				}
-				wd := (sz + 3) / 4
-				words += wd
-				writeW += wd & -w
-				continue
-			}
-			switch tag {
-			case tagOp:
-				if v, pos = uvarintAt(buf, pos); pos < 0 {
-					return nil, truncated(ci)
-				}
-				ops += v
-			case tagPeak:
-				if _, pos = uvarintAt(buf, pos); pos < 0 {
-					return nil, truncated(ci)
-				}
-			case tagSeg:
-				var endU uint64
-				if v, pos = uvarintAt(buf, pos); pos < 0 {
-					return nil, truncated(ci)
-				}
-				if endU, pos = uvarintAt(buf, pos); pos < 0 {
-					return nil, truncated(ci)
-				}
-				u.SegIdx = append(u.SegIdx, uint32(n))
-				u.SegOps = append(u.SegOps, ops)
-				u.SegReadW = append(u.SegReadW, uint32(words-writeW))
-				u.SegWriteW = append(u.SegWriteW, uint32(writeW))
-				u.SegMax = append(u.SegMax, v)
-				u.SegEnd = append(u.SegEnd, unzigzag64(endU))
-				ops, words, writeW = 0, 0, 0
-			default:
-				return nil, fmt.Errorf("astream: unknown event tag %d in chunk %d", tag, ci)
-			}
+	d := decoder{chunks: s.Chunks, addr: addr, size: size, write: write}
+	for {
+		n := d.n
+		if err := d.decode(); err != nil {
+			return nil, err
 		}
+		if !d.seg {
+			// Every declared access and segment decoded, and nothing
+			// trails the last segment terminator.
+			if d.n != n || d.ops != 0 || uint64(n) != s.Accesses || uint64(len(u.SegOps)) != s.Segments {
+				return nil, errLaneCounts
+			}
+			u.Addr, u.Size, u.Write = addr[:n], size[:n], write[:(n+63)/64]
+			return u, nil
+		}
+		u.SegIdx = append(u.SegIdx, uint32(d.n))
+		u.SegOps = append(u.SegOps, d.ops)
+		u.SegReadW = append(u.SegReadW, uint32(d.readW))
+		u.SegWriteW = append(u.SegWriteW, uint32(d.writeW))
+		u.SegMax = append(u.SegMax, d.segMax)
+		u.SegEnd = append(u.SegEnd, d.segEnd)
 	}
-	if n&63 != 0 {
-		wbits[n>>6] = wword
-	}
-	// Every declared access and segment decoded, and nothing trails the
-	// last segment terminator.
-	if uint64(n) != s.Accesses || uint64(len(u.SegOps)) != s.Segments ||
-		int(u.SegIdx[len(u.SegIdx)-1]) != n || ops != 0 {
-		return nil, errLaneCounts
-	}
-	u.Addr, u.Size, u.Write = addr, size, wbits
-	return u, nil
-}
-
-// truncated reports an event cut off by the end of chunk ci.
-func truncated(ci int) error {
-	return fmt.Errorf("astream: truncated event in chunk %d", ci)
 }
 
 // Composition is one DDT combination's access sequence given by its

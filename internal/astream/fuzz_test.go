@@ -2,6 +2,7 @@ package astream_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"repro/internal/astream"
@@ -10,11 +11,11 @@ import (
 
 // FuzzRecorderRoundTrip drives the stream encoder with an arbitrary
 // event script and checks the decode side reproduces it exactly: the
-// decoded access/op/peak sequence must match what was recorded, and a
-// replay's invariant counters must agree with the decoded totals. The
-// script bytes steer address deltas across all four width tags, event
-// counts across chunk boundaries, sizes on and off the compact 4-byte
-// form, and op coalescing.
+// decoded access arrays and write bits must match what was recorded, and
+// so must the decoded and replayed words, op cycles and peak. The script
+// bytes steer address deltas across all four width tags, event counts
+// across chunk boundaries, sizes on and off the compact 4-byte form, and
+// op coalescing.
 func FuzzRecorderRoundTrip(f *testing.F) {
 	f.Add([]byte{}, false)
 	f.Add([]byte{0x01, 0xff, 0x00, 0x80, 0x7f, 0x03, 0x20}, false)
@@ -27,19 +28,20 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 	}, true)
 	f.Add(bytesRepeat([]byte{0x40, 0x10, 0x20, 0x00, 0x00, 0x08, 0x05}, 64), false)
 	f.Fuzz(func(t *testing.T, script []byte, partial bool) {
-		type ev struct {
-			kind astream.EventKind
-			addr uint32
-			size uint32
-			n    uint64
-		}
-		var want []ev
-		var wantReads, wantWrites, wantOps uint64
-
+		var want recorded
 		rec := astream.NewRecorder()
 		var addr uint32 = 0x1000_0000
-		var peak uint64
 		var pendingOps uint64
+		// flush counts pending op cycles as one event: the recorder folds
+		// them into the next access, or writes them out before a peak and
+		// at the end.
+		flush := func() {
+			if pendingOps != 0 {
+				want.ops += pendingOps
+				want.events++
+				pendingOps = 0
+			}
+		}
 		// Each 7-byte record is one scripted event; the first byte picks
 		// the action, the rest parameterize it.
 		for i := 0; i+7 <= len(script); i += 7 {
@@ -56,110 +58,67 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 				if size == 0 {
 					continue // no-op access; its ops carry over
 				}
-				if pendingOps != 0 {
-					want = append(want, ev{kind: astream.EvOp, n: pendingOps})
-					wantOps += pendingOps
-					pendingOps = 0
-				}
-				kind := astream.EvRead
-				words := uint64((size + 3) / 4)
-				if op%4 == 1 {
-					kind = astream.EvWrite
-					wantWrites += words
-				} else {
-					wantReads += words
-				}
-				want = append(want, ev{kind: kind, addr: addr, size: size})
+				flush()
+				want.access(op%4 == 1, addr, size)
+				want.events++
 			case 2: // standalone ops
 				rec.RecordOps(ops)
 				pendingOps += ops
 			case 3: // footprint peak growth
-				peak += uint64(delta)%4096 + 1
-				rec.RecordPeak(peak)
-				if pendingOps != 0 {
-					want = append(want, ev{kind: astream.EvOp, n: pendingOps})
-					wantOps += pendingOps
-					pendingOps = 0
-				}
-				want = append(want, ev{kind: astream.EvPeak, n: peak})
+				want.peak += uint64(delta)%4096 + 1
+				rec.RecordPeak(want.peak)
+				flush()
+				want.events++
 			}
 		}
-		if pendingOps != 0 {
-			want = append(want, ev{kind: astream.EvOp, n: pendingOps})
-			wantOps += pendingOps
-		}
+		flush()
 		st := rec.Finish(partial)
 		if st.Partial != partial {
 			t.Fatalf("partial flag lost")
 		}
-
-		var got []ev
-		if err := st.ForEach(func(e astream.Event) bool {
-			got = append(got, ev{kind: e.Kind, addr: e.Addr, size: e.Size, n: e.N})
-			return true
-		}); err != nil {
-			t.Fatalf("decode of recorded stream failed: %v", err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("decoded %d events, recorded %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("event %d: decoded %+v, recorded %+v", i, got[i], want[i])
-			}
-		}
-
-		if partial {
-			return // partial streams must refuse to replay
-		}
-		costs, _, err := astream.Replay(st, []memsim.Config{memsim.DefaultConfig()}, astream.ReplayOpts{})
-		if err != nil {
-			t.Fatalf("replay of recorded stream failed: %v", err)
-		}
-		cost := costs[0]
-		if cost.Counts.ReadWords != wantReads || cost.Counts.WriteWords != wantWrites {
-			t.Fatalf("replay words %d/%d, recorded %d/%d",
-				cost.Counts.ReadWords, cost.Counts.WriteWords, wantReads, wantWrites)
-		}
-		if cost.Counts.OpCycles != wantOps {
-			t.Fatalf("replay op cycles %d, recorded %d", cost.Counts.OpCycles, wantOps)
-		}
-		if cost.Peak != peak {
-			t.Fatalf("replay peak %d, recorded %d", cost.Peak, peak)
-		}
+		checkDecoded(t, st, want)
 	})
 }
 
-// FuzzStreamDecodeArbitrary feeds arbitrary bytes to the decoders as an
-// encoded chunk: they must either decode it or reject it with an error —
-// never panic, and the batched replay decoder must agree with ForEach on
-// acceptance.
+// FuzzStreamDecodeArbitrary feeds arbitrary bytes as one encoded chunk
+// to both callers of the decoder: Replay reads it as a whole-run stream,
+// Unpack reads it, followed by one segment terminator, as a lane that
+// declares the counts its events hold. Neither may panic, and both must
+// accept or refuse the same access events — with the same error — up to
+// the first segment terminator in the chunk, which the stream refuses.
 func FuzzStreamDecodeArbitrary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x80, 0x01, 0x02})
 	f.Add([]byte{0x01, 0xff}) // truncated op varint
 	f.Add([]byte{0x03, 0x05, 0x06})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x82, 0x02, 0x00})                         // zero-size access
+	f.Add([]byte{0x82, 0x02, 0x80, 0x80, 0x80, 0x80, 0x20}) // 2^33-byte access
 	f.Fuzz(func(t *testing.T, chunk []byte) {
 		st := &astream.Stream{Chunks: [][]byte{chunk}}
-		hasSeg := false
-		var words uint64
-		forEachErr := st.ForEach(func(e astream.Event) bool {
-			hasSeg = hasSeg || e.Kind == astream.EvSeg
-			words += uint64((e.Size + 3) / 4)
-			return true
-		})
-		// Arbitrary bytes can encode a single multi-hundred-MB access
-		// whose line walk is legal but takes minutes; a real recorder
-		// never produces one, so bound the replay side.
+		accesses, segments, words, decErr := astream.DecodeCounts(st.Chunks)
+		lane := asLane(st)
+		lane.Accesses, lane.Segments = accesses, segments+1
+		_, laneErr := lane.Unpack()
+		if (laneErr == nil) != (decErr == nil) {
+			t.Fatalf("lane with its own counts: Unpack err=%v, decode err=%v", laneErr, decErr)
+		}
+		// Arbitrary bytes can encode accesses of up to 4 GiB whose line
+		// walk is legal but slow; a real recorder never produces one, so
+		// bound the replay side.
 		if words > 1<<22 {
 			return
 		}
 		_, _, replayErr := astream.Replay(st, []memsim.Config{memsim.DefaultConfig()}, astream.ReplayOpts{})
-		// A chunk with segment events is valid for ForEach but the flat
-		// replay decoder rejects tagSeg; everything else must agree.
-		if (forEachErr == nil) != (replayErr == nil) && !hasSeg {
-			t.Fatalf("decoders disagree: ForEach err=%v, Replay err=%v", forEachErr, replayErr)
+		switch {
+		case segments > 0:
+			if !errors.Is(replayErr, astream.ErrStreamSeg) {
+				t.Fatalf("stream holding a segment terminator: Replay err=%v", replayErr)
+			}
+		case (replayErr == nil) != (laneErr == nil):
+			t.Fatalf("decoders disagree: Unpack err=%v, Replay err=%v", laneErr, replayErr)
+		case replayErr != nil && replayErr.Error() != laneErr.Error():
+			t.Fatalf("decoders refuse differently: Unpack err=%v, Replay err=%v", laneErr, replayErr)
 		}
 	})
 }

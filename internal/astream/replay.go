@@ -41,10 +41,11 @@ type Cost struct {
 //
 // The poll cadence is one check per batchEvents probed accesses, the
 // same order of magnitude as the live simulation's probe-count cadence.
-// A *Stream polls after every full decoded batch, never after the final
-// partial one; a Composition polls at the end of the first schedule run
-// (consecutive segments of one lane) that brings the accesses since the
-// last poll to batchEvents, the final run included.
+// A *Stream is decoded batchEvents accesses per decode call, across
+// chunk boundaries, and polls after every full batch, never after the
+// final partial one; a Composition polls at the end of the first
+// schedule run (consecutive segments of one lane) that brings the
+// accesses since the last poll to batchEvents, the final run included.
 type GuardFunc func(Cost) bool
 
 // costOf merges the platform-invariant counters with one LineSim's probe
@@ -56,15 +57,15 @@ func costOf(cfg memsim.Config, ls *memsim.LineSim, inv memsim.Counts, peak uint6
 	return Cost{Counts: inv, Cycles: cfg.CyclesFor(inv, ls.Pipelined()), Peak: peak}
 }
 
-// scratch is the reusable per-replay working set: the decode batch (the
-// two 8 KiB struct-of-array halves), the probe simulators — per-config
-// LineSims and all-geometry GeomSims — the plan's index slice and a
-// walker per source kind. Replays run steadily inside the
-// exploration engine's worker pool — thousands per exploration — so
-// this state is pooled rather than reallocated per call; a recycled
-// kernel whose geometry (or geometry family) matches the request is
-// Reset instead of rebuilt. The astream benchmarks assert the resulting
-// steady-state allocation count.
+// scratch is the reusable per-replay working set: the stream decode
+// batch (the two 8 KiB struct-of-array halves and their write bits), the
+// probe simulators — per-config LineSims and all-geometry GeomSims — the
+// plan's index slice and a walker per source kind. Replays run steadily
+// inside the exploration engine's worker pool — thousands per
+// exploration — so this state is pooled rather than reallocated per
+// call; a recycled kernel whose geometry (or geometry family) matches
+// the request is Reset instead of rebuilt. The astream benchmarks assert
+// the resulting steady-state allocation count.
 type scratch struct {
 	b      batch
 	sims   []*memsim.LineSim
@@ -450,7 +451,9 @@ func (sc *scratch) open(src Source) error {
 		if s.Partial {
 			return ErrPartial
 		}
-		sc.sw, sc.composed = streamWalker{d: decoder{chunks: s.Chunks}, b: &sc.b}, false
+		b := &sc.b
+		sc.sw = streamWalker{d: decoder{chunks: s.Chunks, addr: b.addr[:], size: b.size[:], write: b.write[:]}}
+		sc.composed = false
 		return nil
 	case Composition:
 		if err := s.check(); err != nil {
@@ -474,10 +477,24 @@ func (sc *scratch) next(r *run) (bool, error) {
 	return sc.sw.next(r)
 }
 
-// streamWalker decodes a stream's delta chunks one batch at a time.
+// batch is the struct-of-arrays a stream replay decodes into: only the
+// access sequence needs order (cache state depends on it); the
+// platform-invariant quantities — word counts, op cycles, footprint
+// peak — are order-free between accesses and arrive as the decode's
+// aggregates.
+type batch struct {
+	addr, size [batchEvents]uint32
+	write      [batchEvents / 64]uint64
+}
+
+// errStreamSeg reports a segment terminator in a whole-run stream: only
+// a lane's serialized form carries segments.
+var errStreamSeg = errors.New("astream: segment terminator in a whole-run stream")
+
+// streamWalker decodes a stream's delta chunks into the scratch batch
+// batchEvents accesses at a time, across chunk boundaries.
 type streamWalker struct {
 	d    decoder
-	b    *batch
 	done bool
 }
 
@@ -485,13 +502,16 @@ func (w *streamWalker) next(r *run) (bool, error) {
 	if w.done {
 		return false, nil
 	}
-	more, err := w.d.next(w.b)
-	if err != nil {
+	d := &w.d
+	d.n = 0
+	if err := d.decode(); err != nil {
 		return false, err
 	}
-	w.done = !more
-	b := w.b
-	r.addr, r.size = b.addr[:b.nAcc], b.size[:b.nAcc]
-	r.readW, r.writeW, r.ops, r.peak = b.readWords, b.writeWords, b.opCycles, b.peak
+	if d.seg {
+		return false, errStreamSeg
+	}
+	w.done = d.n < batchEvents
+	r.addr, r.size = d.addr[:d.n], d.size[:d.n]
+	r.readW, r.writeW, r.ops, r.peak = d.readW, d.writeW, d.ops, d.peak
 	return true, nil
 }

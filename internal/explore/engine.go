@@ -47,15 +47,10 @@ type Job struct {
 // order, so steps can reassemble deterministic slices however the
 // outcomes land.
 type Outcome struct {
-	Index     int
-	Job       Job
-	Result    Result
-	Err       error
-	FromCache bool // served from the simulation cache, nothing simulated
-	Replayed  bool // served by replaying a captured access stream
-	Composed  bool // served by composing per-role sub-streams
-	Aborted   bool // stopped early by the dominance guard; Result.Vec is partial
-	Pruned    bool // discarded by the bound-guided search; Result.Vec is a lower bound
+	Index  int
+	Job    Job
+	Result Result
+	Err    error
 }
 
 // EngineStats counts what an Engine actually did, as opposed to the
@@ -632,9 +627,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		// proved dominated is dominated again.
 		if r, ok := e.cache.lookup(key, guard != nil, e.exploreCtx); ok {
 			e.cacheHits.Add(1)
-			o.Result, o.FromCache = r, true
-			o.Aborted = r.Aborted
-			o.Pruned = r.Pruned
+			o.Result = r
 			return o
 		}
 		if guard != nil && e.opts.BoundPrune && e.pruneJob(&o, jb, guard) {
@@ -707,7 +700,6 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 	}
 	if abortedRun {
 		e.aborted.Add(1)
-		o.Aborted = true
 	} else {
 		e.simulated.Add(1)
 	}
@@ -839,8 +831,6 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 		Summary: sum,
 		Aborted: cost.Aborted,
 	}
-	o.Composed = true
-	o.Aborted = cost.Aborted
 	if cost.Aborted {
 		e.aborted.Add(1)
 	} else {
@@ -877,7 +867,6 @@ func (e *Engine) pruneJob(o *Outcome, jb Job, guard *frontGuard) bool {
 		Aborted: true,
 		Pruned:  true,
 	}
-	o.Aborted, o.Pruned = true, true
 	e.pruned.Add(1)
 	return true
 }
@@ -1028,8 +1017,6 @@ func (e *Engine) replayJob(o *Outcome, st *astream.Stream, sum apps.Summary, jb 
 		Summary: sum,
 		Aborted: cost.Aborted,
 	}
-	o.Replayed = true
-	o.Aborted = cost.Aborted
 	if cost.Aborted {
 		e.aborted.Add(1)
 	} else {

@@ -77,8 +77,7 @@ func (e *Engine) screenJob(idx int, jb Job, guard *frontGuard) (Outcome, bool) {
 	key := screenKey(e.jobKey(jb.Cfg, jb.Assign), e.sampleShift)
 	if r, ok := e.cache.lookup(key, guard != nil, e.screenCtx); ok {
 		e.cacheHits.Add(1)
-		o.Result, o.FromCache = r, true
-		o.Aborted, o.Pruned = r.Aborted, r.Pruned
+		o.Result = r
 		return o, true
 	}
 	// The bound vector is an exact admissible lower bound, but the front
@@ -113,7 +112,6 @@ func (e *Engine) screenJob(idx int, jb Job, guard *frontGuard) (Outcome, bool) {
 				Summary: sum,
 				Aborted: true,
 			}
-			o.Aborted = true
 			e.cache.store(key, o.Result, e.screenCtx)
 			return o, true
 		}
@@ -173,7 +171,6 @@ func (e *Engine) finishScreen(o *Outcome, jb Job, cost astream.Cost, ci float64,
 		Screened: true,
 		RelCI:    ci,
 	}
-	o.Composed = true
 }
 
 // step1Screened is the two-phase Step1 body: screen everything at the

@@ -94,10 +94,6 @@ type (
 	// EngineStats counts the work an Engine actually did (simulated,
 	// cache hits, early aborts).
 	EngineStats = explore.EngineStats
-	// Job is one simulation request streamed through an Engine.
-	Job = explore.Job
-	// Outcome is one streamed simulation outcome.
-	Outcome = explore.Outcome
 	// SimCache memoizes simulation results across runs and processes.
 	SimCache = explore.Cache
 	// SimCacheStats reports cache traffic.
