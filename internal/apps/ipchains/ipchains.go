@@ -158,7 +158,7 @@ func (a App) Run(tr *trace.Trace, p *platform.Platform, assign apps.Assignment, 
 // first matching rule (the chain always terminates with a default rule).
 func matchChain(rules ddt.List[ruleRec], env *ddt.Env, pk *trace.Packet) uint8 {
 	verdict := verdictDeny
-	rules.Iterate(func(_ int, r ruleRec) bool {
+	ddt.Scan(rules, func(_ int, r ruleRec) bool {
 		env.Op(5) // field compares
 		if !r.MatchAnyProto && r.Proto != pk.Proto {
 			return true

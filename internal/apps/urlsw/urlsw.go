@@ -186,7 +186,7 @@ func (a App) Run(tr *trace.Trace, p *platform.Platform, assign apps.Assignment, 
 // pattern.
 func classify(patterns ddt.List[patRec], env *ddt.Env, path string) int32 {
 	var target int32
-	patterns.Iterate(func(_ int, pr patRec) bool {
+	ddt.Scan(patterns, func(_ int, pr patRec) bool {
 		// Prefix compare cost: one cycle per 4 compared bytes.
 		n := len(pr.Prefix)
 		if len(path) < n {

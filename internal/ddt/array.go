@@ -44,6 +44,7 @@ func newArrayList[V any](k Kind, env *Env, recordBytes uint32) *arrayList[V] {
 
 func (a *arrayList[V]) Kind() Kind { return a.kind }
 func (a *arrayList[V]) Len() int   { return len(a.vals) }
+func (a *arrayList[V]) sealed()    {}
 
 // addrOfSlot returns the simulated address of logical slot i.
 func (a *arrayList[V]) addrOfSlot(i int) uint32 {

@@ -61,6 +61,7 @@ func newChunkedList[V any](k Kind, env *Env, recordBytes uint32, chunkCap int) *
 
 func (c *chunkedList[V]) Kind() Kind { return c.kind }
 func (c *chunkedList[V]) Len() int   { return c.length }
+func (c *chunkedList[V]) sealed()    {}
 
 // chunkBytes is the simulated block size of one chunk.
 func (c *chunkedList[V]) chunkBytes() uint32 {

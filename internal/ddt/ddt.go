@@ -107,7 +107,9 @@ func AllKinds() []Kind {
 
 // List is the sequence abstraction shared by all ten DDTs. Indices are
 // logical positions in [0, Len()). All implementations keep the Go values
-// they store consistent with the simulated layout.
+// they store consistent with the simulated layout. The interface is
+// sealed: New and NewChunked build its only implementations, which is
+// what lets Scan and Find dispatch on them.
 type List[V any] interface {
 	// Kind reports which of the ten implementations this is.
 	Kind() Kind
@@ -130,6 +132,8 @@ type List[V any] interface {
 	// implementation; the layout decides how many memory accesses a step
 	// issues.
 	Iterate(fn func(i int, v V) bool)
+
+	sealed()
 }
 
 // Env is the execution environment a list charges its costs to: the heap
@@ -280,7 +284,7 @@ func Find[V any](l List[V], env *Env, cmpOps uint64, pred func(V) bool) (int, V,
 		foundIdx = -1
 		foundVal V
 	)
-	l.Iterate(func(i int, v V) bool {
+	Scan(l, func(i int, v V) bool {
 		env.op(cmpOps)
 		if pred(v) {
 			foundIdx, foundVal = i, v
@@ -289,4 +293,21 @@ func Find[V any](l List[V], env *Env, cmpOps uint64, pred func(V) bool) (int, V,
 		return true
 	})
 	return foundIdx, foundVal, foundIdx >= 0
+}
+
+// Scan is l.Iterate(fn) called on l's concrete type. A closure passed
+// through the List interface escapes, and with it every variable it
+// captures, so each scan of a hot lookup would allocate; called
+// directly, fn stays on the caller's stack.
+func Scan[V any](l List[V], fn func(i int, v V) bool) {
+	switch c := l.(type) {
+	case *arrayList[V]:
+		c.Iterate(fn)
+	case *linkedList[V]:
+		c.Iterate(fn)
+	case *chunkedList[V]:
+		c.Iterate(fn)
+	default:
+		panic(fmt.Sprintf("ddt: %T is not a library list", l))
+	}
 }

@@ -199,6 +199,34 @@ func TestFind(t *testing.T) {
 	}
 }
 
+// TestScanAllocatesNothing pins that lookups stay off the Go heap: Find
+// and Scan reach each kind's Iterate directly, so neither their own
+// closures nor the caller's predicate, with the variables it captures,
+// escape. A lookup runs once per packet in every case study.
+func TestScanAllocatesNothing(t *testing.T) {
+	type rec struct{ Key, Val uint64 }
+	for _, k := range ddt.AllKinds() {
+		env := newEnv()
+		l := ddt.New[rec](k, env, 16)
+		for i := range uint64(40) {
+			l.Append(rec{Key: i, Val: i * 3})
+		}
+		key, sum := uint64(29), uint64(0)
+		if n := testing.AllocsPerRun(50, func() {
+			if _, r, ok := ddt.Find(l, env, 2, func(r rec) bool { return r.Key == key }); !ok || r.Val != 87 {
+				t.Fatalf("%v: Find(%d) = %+v, %v", k, key, r, ok)
+			}
+		}); n != 0 {
+			t.Errorf("%v: Find allocates %.1f times per call, want 0", k, n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			ddt.Scan(l, func(_ int, r rec) bool { sum += r.Val; return r.Key < key })
+		}); n != 0 {
+			t.Errorf("%v: Scan allocates %.1f times per call, want 0", k, n)
+		}
+	}
+}
+
 func TestOutOfRangePanics(t *testing.T) {
 	for _, k := range ddt.AllKinds() {
 		l := ddt.New[int](k, newEnv(), 8)

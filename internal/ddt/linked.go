@@ -59,6 +59,7 @@ func newLinkedList[V any](k Kind, env *Env, recordBytes uint32) *linkedList[V] {
 
 func (l *linkedList[V]) Kind() Kind { return l.kind }
 func (l *linkedList[V]) Len() int   { return l.length }
+func (l *linkedList[V]) sealed()    {}
 
 func (l *linkedList[V]) boundsCheck(i, max int) {
 	if i < 0 || i >= max {

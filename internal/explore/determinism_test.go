@@ -135,3 +135,76 @@ func TestGuardedStep1Deterministic(t *testing.T) {
 		}
 	}
 }
+
+// step2Digest is everything a Step2 reports about its own work: the
+// engine counters after it, its disposition counts, and which result
+// slot ran to completion, was cut or was pruned.
+type step2Digest struct {
+	stats        explore.EngineStats
+	counts       [4]int // Simulations, Results, Aborted, Pruned
+	dispositions string
+}
+
+func digestStep2(eng *explore.Engine, s2 *explore.Step2Result) step2Digest {
+	disp := make([]byte, len(s2.Results))
+	for i, r := range s2.Results {
+		switch {
+		case r.Pruned:
+			disp[i] = 'p'
+		case r.Aborted:
+			disp[i] = 'a'
+		default:
+			disp[i] = '.'
+		}
+	}
+	return step2Digest{
+		stats:        eng.Stats(),
+		counts:       [4]int{s2.Simulations, len(s2.Results), s2.Aborted, s2.Pruned},
+		dispositions: string(disp),
+	}
+}
+
+// TestGuardedStep2Deterministic carries the FlowMon cell of
+// TestGuardedStep1Deterministic through Step2: for a given worker count
+// the engine counters, the disposition counts and each result's
+// disposition repeat across runs and GOMAXPROCS settings. Step2 draws
+// capture-first and lands each outcome in its survivor slot, and the
+// per-configuration guards grow in draw order, epoch by epoch.
+func TestGuardedStep2Deterministic(t *testing.T) {
+	const runs = 3
+	ctx := context.Background()
+	flowmon, err := netapps.ByName("FlowMon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := explore.Configs(flowmon)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := make(map[int]step2Digest)
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, w := range []int{1, 2} {
+			for run := 0; run < runs; run++ {
+				eng := explore.NewEngine(flowmon, explore.Options{TracePackets: 300, DominantK: 5, BoundPrune: true, Workers: w})
+				s1, err := eng.Step1(ctx, configs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				s2, err := eng.Step2(ctx, s1, configs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := digestStep2(eng, s2)
+				first, ok := want[w]
+				if !ok {
+					want[w] = got
+					t.Logf("Workers=%d: %+v counts %v", w, got.stats, got.counts)
+					continue
+				}
+				if got != first {
+					t.Fatalf("GOMAXPROCS=%d, Workers=%d, run %d:\n got stats %+v counts %v\nwant stats %+v counts %v\ndispositions equal: %v",
+						procs, w, run, got.stats, got.counts, first.stats, first.counts, got.dispositions == first.dispositions)
+				}
+			}
+		}
+	}
+}

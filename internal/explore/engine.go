@@ -1335,6 +1335,15 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 // compete within their own configuration, exactly as step 3 charts them).
 // Reference-configuration results propagate from step 1 — via the cache
 // when it is warm, and by construction here regardless.
+//
+// A composing engine draws each configuration's survivors capture-first
+// (see captureFirst): the few survivors that together use every
+// (role, kind) lane run first, so their live runs capture every lane
+// the configuration needs and the rest compose. Other engines draw in
+// survivor order. Either way Results holds the configurations in order
+// and each configuration's results in survivor order; only the draw
+// order — which jobs run live, and the order outcomes land and grow the
+// guards — differs.
 func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (*Step2Result, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -1351,12 +1360,21 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 			guards[cfg.String()] = newFrontGuard(e.opts.abortMargin())
 		}
 	}
-	total := len(streamed) * len(s1.Survivors)
+	n := len(s1.Survivors)
+	total := len(streamed) * n
+	order := make([]int, n)
+	if e.composing() {
+		order = captureFirst(s1.Survivors, apps.RoleNames(e.app))
+	} else {
+		for i := range order {
+			order[i] = i
+		}
+	}
 
 	jobs := func(yield func(Job) bool) {
 		for _, cfg := range streamed {
-			for _, sv := range s1.Survivors {
-				if !yield(Job{Cfg: cfg, Assign: sv.Assign}) {
+			for _, i := range order {
+				if !yield(Job{Cfg: cfg, Assign: s1.Survivors[i].Assign}) {
 					return
 				}
 			}
@@ -1373,11 +1391,16 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 	// step-1 survivor front (see fireCheckpoint).
 	sc := ckptScope{step: 2}
 	results := make([]Result, total)
-	err := e.run(ctx, jobs, guardFor, false, sc, e.landAt(results, func(o Outcome) {
+	land := e.landAt(results, func(o Outcome) {
 		if g := guards[o.Job.Cfg.String()]; g != nil {
 			g.add(o.Result.Point(o.Index))
 		}
-	}))
+	})
+	// Outcomes carry their draw index; each lands in its survivor slot.
+	err := e.run(ctx, jobs, guardFor, false, sc, func(o Outcome) {
+		o.Index = o.Index - o.Index%n + order[o.Index%n]
+		land(o)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1403,6 +1426,50 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 		}
 	}
 	return s2, nil
+}
+
+// captureFirst returns the order in which Step2 draws the survivors on
+// each configuration. It opens with a greedy cover of the survivors'
+// (role, kind) lanes: repeatedly the survivor that uses the most lanes
+// no earlier pick uses, ties to the lower index, until every lane is
+// used. The remaining survivors follow in survivor order. Drawn first,
+// the cover's live runs capture every lane a configuration needs, so
+// each later survivor composes instead of running live.
+func captureFirst(survivors []Result, roles []string) []int {
+	order := make([]int, 0, len(survivors))
+	picked := make([]bool, len(survivors))
+	covered := make([][ddt.NumKinds]bool, len(roles))
+	for {
+		best, gain := -1, 0
+		for i, sv := range survivors {
+			if picked[i] {
+				continue
+			}
+			g := 0
+			for r, role := range roles {
+				if !covered[r][apps.KindFor(sv.Assign, role)] {
+					g++
+				}
+			}
+			if g > gain {
+				best, gain = i, g
+			}
+		}
+		if best < 0 {
+			break
+		}
+		picked[best] = true
+		order = append(order, best)
+		for r, role := range roles {
+			covered[r][apps.KindFor(survivors[best].Assign, role)] = true
+		}
+	}
+	for i, p := range picked {
+		if !p {
+			order = append(order, i)
+		}
+	}
+	return order
 }
 
 // Explore runs both exploration steps over the application's full
