@@ -74,7 +74,6 @@ type cliConfig struct {
 	charts          bool
 	workers         int
 	earlyAbort      bool
-	abortMargin     float64
 	cachePath       string  // results-only persistent cache
 	replayCache     string  // results + access streams persistent cache
 	compose         bool    // compositional capture: per-role sub-streams
@@ -116,7 +115,6 @@ func parseFlags(args []string) (cliConfig, error) {
 	fs.BoolVar(&c.charts, "charts", false, "print per-configuration Pareto charts")
 	fs.IntVar(&c.workers, "workers", 0, "simulation worker goroutines (0 = all CPUs)")
 	fs.BoolVar(&c.earlyAbort, "early-abort", false, "stop simulations already dominated by the running front (fronts stay exact; full-space charts thin out)")
-	fs.Float64Var(&c.abortMargin, "abort-margin", 0, "early-abort safety margin (0 = default)")
 	fs.StringVar(&c.cachePath, "cache", "", "simulation cache file: loaded before the run, saved after")
 	fs.StringVar(&c.replayCache, "replay-cache", "", "like -cache, but also persists the captured access streams, role lanes and the reuse profiles of platform evaluations, so later runs evaluate new platform configurations by replay — or by profile arithmetic with zero probe passes — instead of re-execution")
 	fs.BoolVar(&c.compose, "compose", false, "compositional capture: record one access sub-stream per container role (per-role heap arenas) and evaluate DDT combinations by interleaving cached sub-streams instead of re-executing — the 10^K cross-product costs ~10*K executions")
@@ -416,7 +414,6 @@ func newEngine(c cliConfig, a apps.App, cache *explore.Cache, cachePath string) 
 		TracePackets: c.packets,
 		Workers:      c.workers,
 		EarlyAbort:   c.earlyAbort,
-		AbortMargin:  c.abortMargin,
 		SampleRate:   c.sampleRate,
 		Cache:        cache,
 		Arenas:       c.compose,

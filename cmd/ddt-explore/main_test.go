@@ -289,7 +289,6 @@ func TestRunRejectsIgnoredFlags(t *testing.T) {
 		{"noprune without compose", func(c *cliConfig) { c.noprune = true }},
 		{"noprune with sample-rate", func(c *cliConfig) { c.noprune = true; c.compose = true; c.sampleRate = 0.5 }},
 		{"sample-rate 1", func(c *cliConfig) { c.sampleRate = 1 }},
-		{"negative abort margin", func(c *cliConfig) { c.earlyAbort = true; c.abortMargin = -0.5 }},
 	} {
 		c := base("URL")
 		tc.set(&c)

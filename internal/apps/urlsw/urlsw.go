@@ -81,6 +81,11 @@ var patternTable = []patRec{
 	{"/", 0},
 }
 
+// poolNames holds the summary counter name of each server pool the
+// pattern table switches to, so that switching a request allocates
+// nothing.
+var poolNames = [...]string{"pool-0", "pool-1", "pool-2", "pool-3", "pool-4", "pool-5", "pool-6", "pool-7"}
+
 // App is the URL benchmark.
 type App struct{}
 
@@ -133,7 +138,7 @@ func (a App) Run(tr *trace.Trace, p *platform.Platform, assign apps.Assignment, 
 	for _, pr := range patternTable {
 		patterns.Append(pr)
 	}
-	for i := 0; i < 8; i++ {
+	for i := range len(poolNames) {
 		servers.Append(srvRec{Addr: 0x0aff0001 + uint32(i)})
 	}
 
@@ -168,7 +173,7 @@ func (a App) Run(tr *trace.Trace, p *platform.Platform, assign apps.Assignment, 
 			servers.Set(int(target), srv)
 			sessions.Append(sessRec{Src: pk.Src, Port: pk.SrcPort, Server: target, Bytes: uint32(pk.Size)})
 			sum.Count("request", 1)
-			sum.Count(fmt.Sprintf("pool-%d", target), 1)
+			sum.Count(poolNames[target], 1)
 			if sessions.Len() > maxSessions {
 				sessions.RemoveAt(0) // evict the oldest session
 				sum.Count("evicted", 1)

@@ -5,9 +5,9 @@ import (
 	"container/heap"
 	"context"
 	"iter"
+	"maps"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/apps"
 	"repro/internal/astream"
@@ -150,10 +150,10 @@ func (e *Engine) boundVec(total memsim.LaneBound) metrics.Vector {
 // newBBSearcher assembles the bound tables for one reference
 // configuration: the ambient lane, every non-dominant role's fixed lane,
 // and all 10 alternatives of each dominant role, each memoized through
-// laneBoundFor. It reports false when any lane or profile is not
-// available yet (the caller falls back to the flat scan) — after the
-// seeding phase every lane exists, so this is a cold-cache edge, not a
-// steady state.
+// laneBoundFor. It reports false when any lane is not held (the caller
+// falls back to the flat scan) — after the capture phase every lane is
+// held unless the cache's budget could not keep them, so this is an
+// edge, not a steady state.
 func (e *Engine) newBBSearcher(ref Config, dominant []string, guard *frontGuard) (*bbSearcher, bool) {
 	c, ck := e.cache, e.keysFor(ref)
 	se, ok := c.scheds.get(c, ck.sched)
@@ -445,11 +445,11 @@ func (s *bbSearcher) node(depth, base int, acc memsim.LaneBound) *bbNode {
 // whole subtree when the front already dominates the bound (reporting
 // the width of the uncounted leaves to cut), yield a surviving leaf,
 // expand a surviving inner node one level. skip marks combinations
-// already materialized (the seeds): they are excluded from both leaf
-// emission and cut widths, so every combination is accounted exactly
-// once. The search runs on its consumer's goroutine, so each pop reads
-// the front as the consumer last left it; it stops when ctx is
-// cancelled or the consumer stops.
+// already materialized (the capture plan): they are excluded from both
+// leaf emission and cut widths, so every combination is accounted
+// exactly once. The search runs on its consumer's goroutine, so each
+// pop reads the front as the consumer last left it; it stops when ctx
+// is cancelled or the consumer stops.
 func (s *bbSearcher) search(ctx context.Context, skip map[int]bool, cut func(width int)) iter.Seq[int] {
 	return func(yield func(int) bool) {
 		h := bbHeap{s.node(0, 0, s.baseAcc)}
@@ -465,8 +465,8 @@ func (s *bbSearcher) search(ctx context.Context, skip map[int]bool, cut func(wid
 			}
 			if s.cuts(n) {
 				width := s.widths[n.depth]
-				for seed := range skip {
-					if seed >= n.base && seed < n.base+s.widths[n.depth] {
+				for p := range skip {
+					if p >= n.base && p < n.base+s.widths[n.depth] {
 						width--
 					}
 				}
@@ -490,19 +490,23 @@ func (s *bbSearcher) search(ctx context.Context, skip map[int]bool, cut func(wid
 	}
 }
 
-// step1BranchBound is the bound-guided Step1 body: seed, search, cut.
+// step1BranchBound is the bound-guided Step1 body: capture, search,
+// cut.
 //
-// Phase 1 (seed) runs the ddt.NumKinds uniform-kind combinations as
-// ordinary jobs: together they capture the schedule, the ambient lane
-// and every (role, kind) lane the bound tables need — the same ~10·K
-// captures the flat scan pays, just scheduled up front — while their
-// exact results open the Pareto front. Phase 2 assembles the per-role
-// bound tables (memoized lane bounds; on a warm cache this costs map
-// lookups). Phase 3 is the best-first search, run as the job iterator
-// of the engine's driver: every surviving leaf goes to the worker pool,
-// every subtree cut settles its width on the spot, and because a guarded
+// The capture phase runs the space's capture plan (spacePlan): its live
+// runs capture the schedule, the ambient lane and every (role, kind)
+// lane the cache lacks — on a cold cache the ddt.NumKinds uniform-kind
+// combinations — while their exact results open the Pareto front. Then
+// the per-role bound tables are assembled (memoized lane bounds; on a
+// warm cache this costs map lookups), and the best-first search runs as
+// the job iterator of the engine's driver, skipping the plan's
+// combinations: every surviving leaf goes to the worker pool, every
+// subtree cut settles its width on the spot, and because a guarded
 // driver lands each epoch before it draws again, every pop tests its
-// bound against a front that holds every result drawn before it.
+// bound against a front that holds every result drawn before it. When
+// the tables cannot be built — the cache's budget could not keep the
+// plan's lanes — the rest of the space is scanned flat instead; per-leaf
+// pruneJob still applies there, only subtree cutting is lost.
 //
 // Results holds only materialized combinations (sorted by combination
 // index); cut subtrees appear solely in the Pruned width count. The
@@ -512,14 +516,10 @@ func (s *bbSearcher) search(ctx context.Context, skip map[int]bool, cut func(wid
 // never enter any later front.
 func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Step1Result) error {
 	dominant, total := s1.DominantRoles, s1.Simulations
-	guard := newFrontGuard(e.opts.abortMargin())
+	guard := newFrontGuard()
 	guardFor := func(Job) *frontGuard { return guard }
 
-	type materialized struct {
-		combo int
-		res   Result
-	}
-	var mat []materialized
+	mat := make(map[int]Result) // by combination index
 	done := 0
 	progress := func(n int) {
 		done += n
@@ -529,10 +529,9 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 	}
 	sc := ckptScope{step: 1, front: guard.points}
 	land := func(o Outcome) {
-		combo := comboIndex(o.Job.Assign, dominant)
-		mat = append(mat, materialized{combo: combo, res: o.Result})
+		mat[o.Index] = o.Result
 		if !o.Result.Aborted {
-			guard.add(o.Result.Point(combo))
+			guard.add(o.Result.Point(o.Index))
 		}
 		progress(1)
 	}
@@ -547,57 +546,27 @@ func (e *Engine) step1BranchBound(ctx context.Context, reference Config, s1 *Ste
 		progress(width)
 	}
 
-	// Phase 1: seeds. combination index of all-kind-j is j * repunit.
-	repunit := (total - 1) / (ddt.NumKinds - 1)
-	seeds := make([]int, ddt.NumKinds)
-	skip := make(map[int]bool, ddt.NumKinds)
-	for j := range seeds {
-		seeds[j] = j * repunit
-		skip[seeds[j]] = true
+	rest := func(skip map[int]bool) iter.Seq[int] {
+		if searcher, ok := e.newBBSearcher(reference, dominant, guard); ok {
+			return searcher.search(ctx, skip, cut)
+		}
+		return positions(total)(skip)
 	}
-	if err := e.run(ctx, comboJobs(reference, dominant, slices.Values(seeds)), guardFor, false, sc, land); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		e.fireCheckpoint(sc, false) // cancelled mid-seed: snapshot for resume
+	if err := e.runPlan(ctx, e.spacePlan(reference, dominant), rest, comboJob(reference, dominant), guardFor, exactMode, sc, land); err != nil {
 		return err
 	}
 
-	// Phase 2: bound tables. Phase 3: search the rest of the tree — or,
-	// if any lane is still unavailable (a seed aborted before capture,
-	// cache eviction), scan the unseeded combinations flat; per-leaf
-	// pruneJob still applies there, only subtree cutting is lost.
-	rest := combos(total, skip)
-	if searcher, ok := e.newBBSearcher(reference, dominant, guard); ok {
-		rest = searcher.search(ctx, skip, cut)
-	}
-	if err := e.run(ctx, comboJobs(reference, dominant, rest), guardFor, false, sc, land); err != nil {
-		return err
-	}
-	if err := ctx.Err(); err != nil {
-		e.fireCheckpoint(sc, false) // cancelled mid-search: snapshot for resume
-		return err
-	}
-
-	sort.Slice(mat, func(i, j int) bool { return mat[i].combo < mat[j].combo })
-	s1.Results = make([]Result, len(mat))
-	pos := make(map[int]int, len(mat))
-	for i, m := range mat {
-		s1.Results[i] = m.res
-		pos[m.combo] = i
+	s1.Results = make([]Result, 0, len(mat))
+	for _, c := range slices.Sorted(maps.Keys(mat)) {
+		s1.Results = append(s1.Results, mat[c])
 	}
 	front := guard.points()
 	s1.Survivors = make([]Result, len(front))
 	for i, p := range front {
-		s1.Survivors[i] = s1.Results[pos[p.Tag]]
+		s1.Survivors[i] = mat[p.Tag]
 	}
-	for _, r := range s1.Results {
-		switch {
-		case r.Pruned:
-			s1.Pruned++
-		case r.Aborted:
-			s1.Aborted++
-		}
-	}
+	pruned, aborted := discards(s1.Results)
+	s1.Pruned += pruned
+	s1.Aborted = aborted
 	return nil
 }

@@ -27,7 +27,7 @@ func bbFixture(t *testing.T, packets int) (*Engine, *bbSearcher, *frontGuard, *S
 	if err != nil {
 		t.Fatal(err)
 	}
-	guard := newFrontGuard(eng.opts.abortMargin())
+	guard := newFrontGuard()
 	searcher, ok := eng.newBBSearcher(ref, s1.DominantRoles, guard)
 	if !ok {
 		t.Fatal("bound tables unavailable after a bound-pruned Step1")
@@ -108,19 +108,23 @@ func TestBranchBoundMonotoneExpansion(t *testing.T) {
 }
 
 // TestBranchBoundSeedsExcludedFromCuts pins the accounting rule that
-// makes materialized + cut == space exact: seed combinations inside a
-// cut subtree are subtracted from the tombstone width because they
-// already carry a Result of their own.
+// makes materialized + cut == space exact: the capture plan's
+// combinations (a cold run's seeds) inside a cut subtree are subtracted
+// from the tombstone width because they already carry a Result of
+// their own.
 func TestBranchBoundSeedsExcludedFromCuts(t *testing.T) {
-	_, searcher, guard, _ := bbFixture(t, 120)
+	eng, searcher, guard, s1 := bbFixture(t, 120)
 	space := 1
 	for range searcher.roles {
 		space *= ddt.NumKinds
 	}
+	cold := NewEngine(eng.app, eng.opts)
 	skip := make(map[int]bool)
-	repunit := (space - 1) / (ddt.NumKinds - 1)
-	for j := 0; j < ddt.NumKinds; j++ {
-		skip[j*repunit] = true
+	for _, c := range cold.spacePlan(s1.Reference, s1.DominantRoles) {
+		skip[c] = true
+	}
+	if len(skip) != ddt.NumKinds {
+		t.Fatalf("cold capture plan %v, want %d combinations", skip, ddt.NumKinds)
 	}
 	guard.add(pareto.Point{Label: "zero", Vec: metrics.Vector{}})
 	leaves, cuts := 0, 0
@@ -212,7 +216,7 @@ func TestFootFloorMatchesFullScan(t *testing.T) {
 		t.Fatalf("root floor %v does not tighten its folded peak %v", hi, lo)
 	}
 	for k := 1; k < 8; k++ {
-		g := newFrontGuard(0)
+		g := newFrontGuard()
 		foot := lo + (hi-lo)*float64(k)/8
 		g.add(pareto.Point{Label: "footprint-blocked", Vec: metrics.Vector{Footprint: foot}})
 		searcher.guard = g

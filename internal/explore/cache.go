@@ -105,7 +105,7 @@ type Cache struct {
 }
 
 // cacheEntry is one memoized simulation. Ctx tags tombstones with the
-// exploration semantics (dominant-k, abort margin, bound
+// exploration semantics (dominant-k, early abort, bound
 // pruning) that proved the point dominated: a tombstone is only a valid
 // answer for an engine exploring the same job space under the same
 // discard rules, while finished results are valid for everyone.
@@ -678,7 +678,7 @@ func peakKey(buf []byte, roles []string, assign apps.Assignment) []byte {
 // missingLanes reports which lanes of a capture the cache would admit
 // and does not hold: index 0 the ambient lane of the schedule under sk
 // (a held schedule keeps its first capture), index i+1 the lane under
-// keys[i].
+// keys[i]. It touches no hit/miss counter.
 func (c *Cache) missingLanes(sk string, keys []string) []bool {
 	c.sm.RLock()
 	defer c.sm.RUnlock()
@@ -693,24 +693,6 @@ func (c *Cache) missingLanes(sk string, keys []string) []bool {
 		missing[i+1] = !held
 	}
 	return missing
-}
-
-// hasLanes reports whether the schedule under ck and every lane
-// assign composes from are held, without touching the hit/miss
-// counters.
-func (c *Cache) hasLanes(ck *cfgKeys, assign apps.Assignment) bool {
-	c.sm.RLock()
-	defer c.sm.RUnlock()
-	e, ok := c.scheds.m[ck.sched]
-	if !ok {
-		return false
-	}
-	for _, role := range e.Sched.Roles {
-		if _, ok := c.lanes.m[ck.lane(role, apps.KindFor(assign, role))]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // lookupProfile returns the memoized dominance profile for the platform-

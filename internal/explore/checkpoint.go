@@ -23,8 +23,8 @@ import (
 // rules is a cold run by design, exactly as tombstone reuse is gated.
 type Checkpoint struct {
 	// App and Ctx identify the campaign: the application name and the
-	// engine's exploration context (dominant-k, abort
-	// margin, bound pruning). A checkpoint only describes resumption
+	// engine's exploration context (dominant-k, early
+	// abort, bound pruning). A checkpoint only describes resumption
 	// for an engine with the identical context.
 	App string
 	Ctx string

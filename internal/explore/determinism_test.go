@@ -56,6 +56,10 @@ func TestGuardedStep1Deterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	drr, err := netapps.ByName("DRR")
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The warm cells load the lane store a cold screened run leaves.
 	var store bytes.Buffer
 	screened := func(workers int, cache *explore.Cache) explore.Options {
@@ -89,6 +93,12 @@ func TestGuardedStep1Deterministic(t *testing.T) {
 		}},
 		{"ipchains-k3-screened-cold", []int{1, 2}, func(w int) (*explore.Engine, error) {
 			return explore.NewEngine(ipchains, screened(w, nil)), nil
+		}},
+		// Flat composed Step1 under early abort: the capture plan's live
+		// runs share an epoch at two workers, and every later job
+		// composes.
+		{"drr-k3-composed-abort-cold", []int{1, 2}, func(w int) (*explore.Engine, error) {
+			return explore.NewEngine(drr, explore.Options{TracePackets: 200, DominantK: 3, Arenas: true, EarlyAbort: true, Workers: w}), nil
 		}},
 		{"ipchains-k3-screened-warm", []int{2}, func(w int) (*explore.Engine, error) {
 			return warm(w, nil)
@@ -167,9 +177,9 @@ func digestStep2(eng *explore.Engine, s2 *explore.Step2Result) step2Digest {
 // TestGuardedStep2Deterministic carries the FlowMon cell of
 // TestGuardedStep1Deterministic through Step2: for a given worker count
 // the engine counters, the disposition counts and each result's
-// disposition repeat across runs and GOMAXPROCS settings. Step2 draws
-// capture-first and lands each outcome in its survivor slot, and the
-// per-configuration guards grow in draw order, epoch by epoch.
+// disposition repeat across runs and GOMAXPROCS settings. Step2 runs
+// its capture plan first and lands each outcome in its survivor slot,
+// and the per-configuration guards grow in draw order, epoch by epoch.
 func TestGuardedStep2Deterministic(t *testing.T) {
 	const runs = 3
 	ctx := context.Background()

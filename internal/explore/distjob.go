@@ -98,7 +98,7 @@ func (e *Engine) NewRemoteGuard(front []pareto.Point) *RemoteGuard {
 	if !e.guarded() {
 		return nil
 	}
-	g := newFrontGuard(e.opts.abortMargin())
+	g := newFrontGuard()
 	for _, p := range front {
 		g.add(p)
 	}

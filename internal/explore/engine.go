@@ -30,12 +30,6 @@ import (
 // before its trace ends.
 const abortCheckProbes = 2048
 
-// DefaultAbortMargin is the safety margin of the early-abort dominance
-// test when Options.AbortMargin is zero: a running simulation is only
-// stopped once its partial cost vector is at least 10% worse than a
-// finished front member on every metric.
-const DefaultAbortMargin = 0.10
-
 // Job is one simulation request: a network configuration plus a DDT
 // assignment for the application's container roles.
 type Job struct {
@@ -172,14 +166,15 @@ func NewEngine(a apps.App, opts Options) *Engine {
 	}
 	// The exploration context tags dominance tombstones with everything
 	// that decides which points a run may discard: dominant-k (the job
-	// space) and the guard semantics as requested (abort margin, bound
+	// space) and the guard semantics as requested (early abort, bound
 	// pruning). A tombstone is only reused by an engine whose
 	// exploration would have discarded the point the same way. The
-	// "prune=0" head keeps persisted tombstones, checkpoints and
-	// campaign IDs of earlier releases matching.
+	// "prune=0" head and the "abort=0" field (early abort has no
+	// margin) keep the key format persisted tombstones, checkpoints and
+	// campaign IDs are matched on.
 	ctx := fmt.Sprintf("prune=0 k=%d", plan.dominantK())
 	if plan.EarlyAbort {
-		ctx += fmt.Sprintf(" abort=%g", plan.abortMargin())
+		ctx += " abort=0"
 	}
 	if plan.BoundPrune {
 		ctx += " bound"
@@ -211,9 +206,6 @@ func NewEngine(a apps.App, opts Options) *Engine {
 func resolve(opts Options) (Options, error) {
 	if r := opts.SampleRate; math.IsNaN(r) || r < 0 || r >= 1 {
 		return opts, fmt.Errorf("explore: SampleRate %v outside [0, 1)", r)
-	}
-	if m := opts.AbortMargin; math.IsNaN(m) || m < 0 {
-		return opts, fmt.Errorf("explore: AbortMargin %v is negative or NaN", m)
 	}
 	if opts.SampleRate > 0 {
 		opts.BoundPrune = true // the verification phase cuts on exact bounds
@@ -313,7 +305,7 @@ func CombinationSeq(k int) iter.Seq[[]ddt.Kind] {
 
 // assignFor decodes combination index combo into the assignment of the
 // dominant slate: combo's base-10 digits, most significant on the first
-// role — CombinationSeq order. comboIndex is its inverse.
+// role — CombinationSeq order.
 func assignFor(dominant []string, combo int) apps.Assignment {
 	assign := make(apps.Assignment, len(dominant))
 	for i := len(dominant) - 1; i >= 0; i-- {
@@ -321,39 +313,6 @@ func assignFor(dominant []string, combo int) apps.Assignment {
 		combo /= ddt.NumKinds
 	}
 	return assign
-}
-
-// comboIndex recovers a job's combination index from its assignment.
-func comboIndex(assign apps.Assignment, dominant []string) int {
-	idx := 0
-	for _, role := range dominant {
-		idx = idx*ddt.NumKinds + int(apps.KindFor(assign, role))
-	}
-	return idx
-}
-
-// combos yields the combination indexes 0..total-1 that skip does not
-// mark, in order.
-func combos(total int, skip map[int]bool) iter.Seq[int] {
-	return func(yield func(int) bool) {
-		for c := range total {
-			if !skip[c] && !yield(c) {
-				return
-			}
-		}
-	}
-}
-
-// comboJobs yields the step-1 job on ref of every combination index
-// seq yields.
-func comboJobs(ref Config, dominant []string, seq iter.Seq[int]) iter.Seq[Job] {
-	return func(yield func(Job) bool) {
-		for c := range seq {
-			if !yield(Job{Cfg: ref, Assign: assignFor(dominant, c)}) {
-				return
-			}
-		}
-	}
 }
 
 // ConfigSeq yields the application's network configurations in Configs
@@ -376,9 +335,8 @@ func ConfigSeq(a apps.App) iter.Seq[Config] {
 // results, worker goroutines ask it whether a running simulation is
 // already hopeless.
 type frontGuard struct {
-	mu     sync.Mutex
-	front  *pareto.OnlineFront
-	margin float64
+	mu    sync.Mutex
+	front *pareto.OnlineFront
 	// memberSlack, when non-nil, reports the relative uncertainty of the
 	// front's member vectors — the widest confidence half-width any
 	// screening estimate has claimed so far. dominates() then requires a
@@ -388,8 +346,8 @@ type frontGuard struct {
 	memberSlack func() float64
 }
 
-func newFrontGuard(margin float64) *frontGuard {
-	return &frontGuard{front: pareto.NewOnlineFront(), margin: margin}
+func newFrontGuard() *frontGuard {
+	return &frontGuard{front: pareto.NewOnlineFront()}
 }
 
 func (g *frontGuard) add(p pareto.Point) {
@@ -398,17 +356,12 @@ func (g *frontGuard) add(p pareto.Point) {
 	g.mu.Unlock()
 }
 
-func (g *frontGuard) dominatedBeyond(v metrics.Vector) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.front.DominatedBeyond(v, g.margin)
-}
-
-// dominates is the margin-free dominance test the bound-guided search
-// uses: v here is an admissible LOWER bound, so a member strictly
-// dominating it proves the exact vector dominated too — no safety
-// margin is needed for soundness (strictness alone keeps equal-vector
-// ties unpruned, matching OnlineFront.Add).
+// dominates is the dominance test of every discard — bound prunes,
+// subtree cuts and early aborts alike: v is a LOWER bound of the exact
+// vector (an admissible lane bound, a completion bound, or the partial
+// cost of a run whose cost only grows), so a member strictly
+// dominating it proves the exact vector dominated too. Strictness
+// alone keeps equal-vector ties, matching OnlineFront.Add.
 func (g *frontGuard) dominates(v metrics.Vector) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -451,8 +404,8 @@ func (g *frontGuard) points() []pareto.Point {
 // large the job space is. The job iterator, guardFor and land all run
 // on the calling goroutine only, so land — guard adds, the settled
 // watermark under sc, Progress — never races the iterator or itself.
-// Outcome.Index is the job's draw position. screen offers every job to
-// the sampled phase-one path first (see runJobMode).
+// Outcome.Index is the job's draw position. mode selects each job's
+// resolution chain (see jobMode).
 //
 // With guardFor set, jobs read fronts that landing grows, so the pool
 // advances in epochs: it draws at most Workers jobs, waits for all of
@@ -462,9 +415,13 @@ func (g *frontGuard) points() []pareto.Point {
 // guard nothing reads the landing order: a job is drawn as soon as
 // another lands, and the pool stays full.
 //
+// Lanes need no such care: steps draw through runPlan, whose capture
+// phase runs every job that captures, each live, before any job that
+// composes, so no job's path depends on what its epoch-mates store.
+//
 // The lowest-index error is returned. An error or a cancelled ctx stops
 // the draws; the jobs in flight still finish and land.
-func (e *Engine) run(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job) *frontGuard, screen bool, sc ckptScope, land func(Outcome)) error {
+func (e *Engine) run(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job) *frontGuard, mode jobMode, sc ckptScope, land func(Outcome)) error {
 	type task struct {
 		idx   int
 		job   Job
@@ -479,7 +436,7 @@ func (e *Engine) run(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job)
 	for range workers {
 		go func() {
 			for t := range feed {
-				done <- e.runJobMode(t.idx, t.job, t.guard, screen)
+				done <- e.runJobMode(t.idx, t.job, t.guard, mode)
 			}
 		}()
 	}
@@ -518,18 +475,8 @@ func (e *Engine) run(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job)
 			epoch = epoch[:0]
 		}
 	}
-	// A guarded composing job whose lanes are missing captures them live;
-	// two such jobs in one epoch would race to capture a lane they share,
-	// and which of them composes would vary. Such a job runs as an epoch
-	// of its own, so every job draws against the lanes its predecessors
-	// left. One worker never races, so it skips the check.
-	isolate := guardFor != nil && workers > 1 && e.composing()
 	idx := 0
 	for jb := range jobs {
-		alone := isolate && !e.cache.hasLanes(e.keysFor(jb.Cfg), jb.Assign)
-		if alone && inFlight > 0 {
-			wait(0)
-		}
 		if ctx.Err() != nil || firstErr != nil {
 			break
 		}
@@ -539,7 +486,7 @@ func (e *Engine) run(ctx context.Context, jobs iter.Seq[Job], guardFor func(Job)
 		}
 		feed <- t
 		idx++
-		if inFlight++; inFlight == workers || alone {
+		if inFlight++; inFlight == workers {
 			if guardFor != nil {
 				wait(0)
 			} else {
@@ -581,24 +528,39 @@ func (e *Engine) runJob(idx int, jb Job, guard *frontGuard) Outcome {
 	if e.err != nil {
 		return Outcome{Index: idx, Job: jb, Err: e.err}
 	}
-	return e.runJobMode(idx, jb, guard, false)
+	return e.runJobMode(idx, jb, guard, exactMode)
 }
 
-// runJobMode is runJob with the screening switch: when screen is set
-// the job is first offered to the sampled phase-one path, and only
-// falls through to the exact body when screening cannot answer it
-// (lanes not yet captured — such a job is one of the ~10·K seed
-// executions, and its exact result seeds the screening front with zero
-// slack). Fallen-through results are mirrored under the rate-tagged
-// key so a warm screening run never falls through again.
-func (e *Engine) runJobMode(idx int, jb Job, guard *frontGuard, screen bool) Outcome {
-	if !screen {
-		return e.runJobExact(idx, jb, guard)
+// jobMode selects the resolution chain the driver runs a job through.
+// The modes are ordered so that max(mode, captureMode) is the mode of a
+// step's capture phase.
+type jobMode uint8
+
+const (
+	// exactMode runs runJobExact's full chain.
+	exactMode jobMode = iota
+	// captureMode runs a capture-plan job: a cache lookup, then a live
+	// run — never a prune or a composition, whatever lanes its
+	// epoch-mates store meanwhile.
+	captureMode
+	// screenMode offers the job to the sampled phase-one path first and
+	// falls through to the exact chain only when screening cannot
+	// answer it: its lanes are missing, so it is one of the plan's live
+	// runs, and its exact result seeds the screening front with zero
+	// slack. Fallen-through results are mirrored under the rate-tagged
+	// key, so a warm screening run never falls through again.
+	screenMode
+)
+
+// runJobMode is runJob under a driver mode.
+func (e *Engine) runJobMode(idx int, jb Job, guard *frontGuard, mode jobMode) Outcome {
+	if mode != screenMode {
+		return e.runJobExact(idx, jb, guard, mode == captureMode)
 	}
 	if o, ok := e.screenJob(idx, jb, guard); ok {
 		return o
 	}
-	o := e.runJobExact(idx, jb, guard)
+	o := e.runJobExact(idx, jb, guard, false)
 	if e.cache != nil && o.Err == nil && !o.Result.Aborted {
 		e.cache.store(screenKey(e.jobKey(jb.Cfg, jb.Assign), e.sampleShift), o.Result, e.screenCtx)
 	}
@@ -606,8 +568,9 @@ func (e *Engine) runJobMode(idx int, jb Job, guard *frontGuard, screen bool) Out
 }
 
 // runJobExact is the exact resolution chain every non-screening job —
-// and every screening seed — goes through.
-func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
+// and every screening job the sampled path cannot answer — goes
+// through. live skips the prune and composition paths (captureMode).
+func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard, live bool) Outcome {
 	o := Outcome{Index: idx, Job: jb}
 	var key, skey string
 	compose := e.composing()
@@ -630,11 +593,11 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 			o.Result = r
 			return o
 		}
-		if guard != nil && e.opts.BoundPrune && e.pruneJob(&o, jb, guard) {
+		if guard != nil && e.opts.BoundPrune && !live && e.pruneJob(&o, jb, guard) {
 			e.cache.store(key, o.Result, e.exploreCtx) // a tombstone, like aborted results
 			return o
 		}
-		if compose && e.composeJob(&o, jb, guard) {
+		if compose && !live && e.composeJob(&o, jb, guard) {
 			e.cache.store(key, o.Result, e.exploreCtx)
 			return o
 		}
@@ -667,7 +630,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 		cr = p.CaptureComposed(e.lanesToCapture(jb))
 	default:
 		if aguard != nil {
-			p.AbortWhen(abortCheckProbes, aguard.dominatedBeyond)
+			p.AbortWhen(abortCheckProbes, aguard.dominates)
 		}
 		if skey != "" {
 			rec = astream.NewRecorder()
@@ -713,13 +676,8 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard) Outcome {
 // cache would admit and does not hold: index 0 the ambient lane, i+1
 // the lane of the app's i-th role under jb's kind for it.
 func (e *Engine) lanesToCapture(jb Job) []bool {
-	ck := e.keysFor(jb.Cfg)
-	roles := apps.RoleNames(e.app)
-	keys := make([]string, len(roles))
-	for i, role := range roles {
-		keys[i] = ck.lane(role, apps.KindFor(jb.Assign, role))
-	}
-	return e.cache.missingLanes(ck.sched, keys)
+	keys := e.jobLanes(jb)
+	return e.cache.missingLanes(keys[0], keys[1:])
 }
 
 // storeComposed files one complete compositional capture: the
@@ -769,11 +727,10 @@ func (e *Engine) composition(cfg Config, assign apps.Assignment) (astream.Compos
 // to the live path.
 //
 // A guarded job's replay is polled with its completion bound (see
-// astream.GuardFunc) and cut as soon as the front dominates it: under
-// EarlyAbort by the margin test every early abort uses, under exact
-// branch-and-bound by the margin-free test pruneJob uses — the snapshot
-// is an admissible lower bound, so a strictly dominating member proves
-// the exact vector dominated. A cut replay becomes a tombstone.
+// astream.GuardFunc) and cut as soon as the front dominates it, by the
+// test pruneJob uses: the snapshot is an admissible lower bound, so a
+// strictly dominating member proves the exact vector dominated. A cut
+// replay becomes a tombstone.
 func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 	comp, sum, ok := e.composition(jb.Cfg, jb.Assign)
 	if !ok {
@@ -787,10 +744,6 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 		peakKnown bool
 	)
 	if guard != nil {
-		dom := guard.dominates
-		if e.opts.EarlyAbort {
-			dom = guard.dominatedBeyond
-		}
 		// Staged like jobBound: the snapshot's footprint is only the
 		// running peak, so test with footprint ignored first, and walk
 		// the schedule for the exact final peak — once per replay — only
@@ -801,7 +754,7 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 		g = func(c astream.Cost) bool {
 			v := replayVector(cfg, model, c)
 			v.Footprint = math.Inf(1)
-			if !dom(v) {
+			if !guard.dominates(v) {
 				return false
 			}
 			if !peakKnown {
@@ -812,7 +765,7 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 				exactPeak, peakKnown = p, true
 			}
 			v.Footprint = float64(exactPeak)
-			return dom(v)
+			return guard.dominates(v)
 		}
 	}
 	costs, _, err := astream.Replay(comp, []memsim.Config{cfg}, astream.ReplayOpts{Guard: g})
@@ -1001,7 +954,7 @@ func (e *Engine) replayJob(o *Outcome, st *astream.Stream, sum apps.Summary, jb 
 	var g astream.GuardFunc
 	if guard != nil {
 		g = func(c astream.Cost) bool {
-			return guard.dominatedBeyond(replayVector(cfg, model, c))
+			return guard.dominates(replayVector(cfg, model, c))
 		}
 	}
 	costs, _, err := astream.Replay(st, []memsim.Config{cfg}, astream.ReplayOpts{Guard: g})
@@ -1252,11 +1205,15 @@ func (e *Engine) captureStream(cfg Config, assign apps.Assignment) (*astream.Str
 // profile for dominance, then push all 10^k combinations of the dominant
 // roles through the worker pool, maintaining the 4-metric survivor front
 // incrementally as results land. With Options.EarlyAbort, combinations
-// the running front has already dominated (beyond Options.AbortMargin)
-// are stopped mid-simulation; their entries in Results carry partial
-// vectors and Aborted set, and they are — provably — never survivors.
-// Guarded jobs run in epochs (see run), so the discard counts repeat
-// from run to run.
+// the running front has already dominated are stopped mid-simulation;
+// their entries in Results carry partial vectors and Aborted set, and
+// they are — provably — never survivors. Guarded jobs run in epochs
+// (see run), so the discard counts repeat from run to run.
+//
+// A composing engine runs the space's capture plan first (see
+// spacePlan and runPlan): on a cold cache the ddt.NumKinds
+// uniform-kind combinations, whose live runs capture every lane the
+// space needs, so every other combination composes.
 //
 // With bound pruning active, the flat scan is replaced by the
 // best-first branch-and-bound search over lane prefixes (see
@@ -1294,21 +1251,17 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 		return s1, nil
 	}
 
-	guard := newFrontGuard(e.opts.abortMargin())
+	guard := newFrontGuard()
 	var guardFor func(Job) *frontGuard
 	if e.guarded() {
 		guardFor = func(Job) *frontGuard { return guard }
 	}
 	sc := ckptScope{step: 1, front: guard.points}
 	results := make([]Result, total)
-	err = e.run(ctx, comboJobs(reference, dominant, combos(total, nil)), guardFor, false, sc, e.landAt(results, func(o Outcome) {
+	err = e.runPlan(ctx, e.spacePlan(reference, dominant), positions(total), comboJob(reference, dominant), guardFor, exactMode, sc, e.landAt(results, func(o Outcome) {
 		guard.add(o.Result.Point(o.Index))
 	}))
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		e.fireCheckpoint(sc, false) // cancelled mid-step: snapshot for resume
 		return nil, err
 	}
 
@@ -1318,14 +1271,7 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 	for i, p := range front {
 		s1.Survivors[i] = results[p.Tag]
 	}
-	for _, r := range results {
-		switch {
-		case r.Pruned:
-			s1.Pruned++
-		case r.Aborted:
-			s1.Aborted++
-		}
-	}
+	s1.Pruned, s1.Aborted = discards(results)
 	return s1, nil
 }
 
@@ -1336,50 +1282,32 @@ func (e *Engine) Step1(ctx context.Context, reference Config) (*Step1Result, err
 // Reference-configuration results propagate from step 1 — via the cache
 // when it is warm, and by construction here regardless.
 //
-// A composing engine draws each configuration's survivors capture-first
-// (see captureFirst): the few survivors that together use every
-// (role, kind) lane run first, so their live runs capture every lane
-// the configuration needs and the rest compose. Other engines draw in
-// survivor order. Either way Results holds the configurations in order
-// and each configuration's results in survivor order; only the draw
-// order — which jobs run live, and the order outcomes land and grow the
-// guards — differs.
+// A composing engine runs the jobs' capture plan first (see
+// capturePlan and runPlan): per configuration, the few survivors that
+// together use every (role, kind) lane the cache lacks, so their live
+// runs capture those lanes and every other job composes. Either way
+// Results holds the configurations in order and each configuration's
+// results in survivor order; only the draw order — which jobs run live,
+// and the order outcomes land and grow the guards — differs.
 func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (*Step2Result, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
 	ref := s1.Reference.String()
-	var streamed []Config
+	var jobs []Job
 	guards := make(map[string]*frontGuard)
 	for _, cfg := range configs {
 		if cfg.String() == ref {
 			continue
 		}
-		streamed = append(streamed, cfg)
 		if e.guarded() {
-			guards[cfg.String()] = newFrontGuard(e.opts.abortMargin())
+			guards[cfg.String()] = newFrontGuard()
+		}
+		for _, sv := range s1.Survivors {
+			jobs = append(jobs, Job{Cfg: cfg, Assign: sv.Assign})
 		}
 	}
-	n := len(s1.Survivors)
-	total := len(streamed) * n
-	order := make([]int, n)
-	if e.composing() {
-		order = captureFirst(s1.Survivors, apps.RoleNames(e.app))
-	} else {
-		for i := range order {
-			order[i] = i
-		}
-	}
-
-	jobs := func(yield func(Job) bool) {
-		for _, cfg := range streamed {
-			for _, i := range order {
-				if !yield(Job{Cfg: cfg, Assign: s1.Survivors[i].Assign}) {
-					return
-				}
-			}
-		}
-	}
+	total := len(jobs)
 
 	var guardFor func(Job) *frontGuard
 	if e.guarded() {
@@ -1391,21 +1319,12 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 	// step-1 survivor front (see fireCheckpoint).
 	sc := ckptScope{step: 2}
 	results := make([]Result, total)
-	land := e.landAt(results, func(o Outcome) {
+	err := e.runPlan(ctx, e.capturePlan(jobs), positions(total), func(p int) Job { return jobs[p] }, guardFor, exactMode, sc, e.landAt(results, func(o Outcome) {
 		if g := guards[o.Job.Cfg.String()]; g != nil {
 			g.add(o.Result.Point(o.Index))
 		}
-	})
-	// Outcomes carry their draw index; each lands in its survivor slot.
-	err := e.run(ctx, jobs, guardFor, false, sc, func(o Outcome) {
-		o.Index = o.Index - o.Index%n + order[o.Index%n]
-		land(o)
-	})
+	}))
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		e.fireCheckpoint(sc, false) // cancelled mid-step: snapshot for resume
 		return nil, err
 	}
 
@@ -1417,59 +1336,21 @@ func (e *Engine) Step2(ctx context.Context, s1 *Step1Result, configs []Config) (
 		Results:     all,
 		Simulations: total,
 	}
-	for _, r := range results {
-		switch {
-		case r.Pruned:
-			s2.Pruned++
-		case r.Aborted:
-			s2.Aborted++
-		}
-	}
+	s2.Pruned, s2.Aborted = discards(results)
 	return s2, nil
 }
 
-// captureFirst returns the order in which Step2 draws the survivors on
-// each configuration. It opens with a greedy cover of the survivors'
-// (role, kind) lanes: repeatedly the survivor that uses the most lanes
-// no earlier pick uses, ties to the lower index, until every lane is
-// used. The remaining survivors follow in survivor order. Drawn first,
-// the cover's live runs capture every lane a configuration needs, so
-// each later survivor composes instead of running live.
-func captureFirst(survivors []Result, roles []string) []int {
-	order := make([]int, 0, len(survivors))
-	picked := make([]bool, len(survivors))
-	covered := make([][ddt.NumKinds]bool, len(roles))
-	for {
-		best, gain := -1, 0
-		for i, sv := range survivors {
-			if picked[i] {
-				continue
-			}
-			g := 0
-			for r, role := range roles {
-				if !covered[r][apps.KindFor(sv.Assign, role)] {
-					g++
-				}
-			}
-			if g > gain {
-				best, gain = i, g
-			}
-		}
-		if best < 0 {
-			break
-		}
-		picked[best] = true
-		order = append(order, best)
-		for r, role := range roles {
-			covered[r][apps.KindFor(survivors[best].Assign, role)] = true
+// discards counts the bound-pruned results and the other aborted ones.
+func discards(results []Result) (pruned, aborted int) {
+	for _, r := range results {
+		switch {
+		case r.Pruned:
+			pruned++
+		case r.Aborted:
+			aborted++
 		}
 	}
-	for i, p := range picked {
-		if !p {
-			order = append(order, i)
-		}
-	}
-	return order
+	return pruned, aborted
 }
 
 // Explore runs both exploration steps over the application's full

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/apps/route"
+	"repro/internal/apps/drr"
 	"repro/internal/ddt"
 	"repro/internal/explore"
 	"repro/internal/platform"
@@ -306,11 +306,13 @@ func TestEngineStep2SharedEngineReusesStep1Cache(t *testing.T) {
 }
 
 func TestTombstoneNotReusedAcrossExplorations(t *testing.T) {
-	app := route.App{}
+	app := drr.App{}
 	cache := explore.NewCache()
 	ref := explore.Configs(app)[0]
 
-	first := explore.NewEngine(app, explore.Options{TracePackets: 300, Cache: cache, EarlyAbort: true})
+	// DRR has three roles, so dominant k=3 and k=4 explore the identical
+	// space: the same 1000 jobs under the same keys.
+	first := explore.NewEngine(app, explore.Options{TracePackets: 200, DominantK: 3, Cache: cache, EarlyAbort: true})
 	s1, err := first.Step1(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
@@ -319,21 +321,26 @@ func TestTombstoneNotReusedAcrossExplorations(t *testing.T) {
 		t.Fatal("no aborts at this scale; tombstone path not exercised")
 	}
 
-	// An abort margin no partial vector reaches discards nothing, so the
-	// second engine must not trust the first engine's tombstones even
-	// though both guard the same job space: every point must come back
-	// with a finished (non-aborted) vector.
-	second := explore.NewEngine(app, explore.Options{
-		TracePackets: 300, Cache: cache, EarlyAbort: true, AbortMargin: 1e9,
-	})
+	// The second engine guards the same space under another exploration
+	// context, so it must not trust the first engine's tombstones: it
+	// reuses every finished result and resolves every tombstoned point
+	// again.
+	second := explore.NewEngine(app, explore.Options{TracePackets: 200, DominantK: 4, Cache: cache, EarlyAbort: true})
+	if first.ExploreContext() == second.ExploreContext() {
+		t.Fatalf("both engines explore under %q", first.ExploreContext())
+	}
 	s1b, err := second.Step1(context.Background(), ref)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1b.Aborted != 0 {
-		t.Fatalf("engine with a different abort margin inherited %d tombstones", s1b.Aborted)
+	if len(s1b.Results) != len(s1.Results) {
+		t.Fatalf("second engine explored %d combinations, first %d", len(s1b.Results), len(s1.Results))
 	}
-	if st := second.Stats(); st.Simulated != s1.Aborted {
-		t.Fatalf("second engine simulated %d, want exactly the %d tombstoned points", st.Simulated, s1.Aborted)
+	st := second.Stats()
+	if st.CacheHits != len(s1.Results)-s1.Aborted {
+		t.Fatalf("second engine served %d points from the cache, want the %d finished ones", st.CacheHits, len(s1.Results)-s1.Aborted)
+	}
+	if st.Simulated+st.Aborted != s1.Aborted {
+		t.Fatalf("second engine ran %d points, want exactly the %d tombstoned ones", st.Simulated+st.Aborted, s1.Aborted)
 	}
 }

@@ -21,7 +21,7 @@
 // (pareto.OnlineFront) while results arrive, instead of being filtered at
 // a barrier afterwards; with Options.EarlyAbort the same running front
 // stops simulations mid-trace once their monotonically-growing cost
-// vector is dominated beyond Options.AbortMargin. Finished results are
+// vector is strictly dominated. Finished results are
 // memoized in a Cache keyed by the complete simulation identity, so the
 // network level, platform sweeps and repeated runs never re-simulate a
 // point.
@@ -37,11 +37,13 @@
 // BoundPrune and SampleRate) every execution records one lane per
 // container role plus the DDT-invariant schedule, and any combination
 // whose lanes are cached is composed by the replay kernel — the 10^k
-// space costs ~10·k executions. BoundPrune adds the branch-and-bound
-// search over admissible lane bounds, SampleRate the sampled screening
-// on top of it. Options the plan cannot run are errors, never another
-// strategy. Cancellation and deadlines propagate through
-// context.Context.
+// space costs ~10·k executions. Each composing step decides once,
+// before any job runs, which of its jobs capture the lanes the cache
+// lacks (its capture plan), runs those live first and composes the
+// rest. BoundPrune adds the branch-and-bound search over admissible
+// lane bounds, SampleRate the sampled screening on top of it. Options
+// the plan cannot run are errors, never another strategy. Cancellation
+// and deadlines propagate through context.Context.
 package explore
 
 import (
@@ -88,7 +90,8 @@ type Options struct {
 	// GOMAXPROCS. The pool size is the number of goroutines that exist,
 	// not merely the number allowed to run. Guarded steps run in epochs
 	// of Workers jobs, so their discard counts depend on Workers;
-	// survivors and fronts do not.
+	// survivors and fronts do not. Which jobs run live does not either:
+	// a composing step's capture plan is fixed before its first draw.
 	Workers int
 	// Cache supplies a shared simulation cache; nil gives each Engine a
 	// private one. Share a Cache to carry results across methodology
@@ -125,7 +128,7 @@ type Options struct {
 	// combination the bound cannot prune is composed with its replay
 	// polled against the same front: the completion bound (a guarded
 	// astream.Replay of its Composition) is tested with the same
-	// margin-free dominance, and a dominated replay stops mid-walk as an
+	// strict dominance, and a dominated replay stops mid-walk as an
 	// Aborted tombstone. Survivor fronts are
 	// bit-identical to the exhaustive path (the bound never exceeds the
 	// exact cost on any objective, and dominance is transitive); pruned
@@ -164,20 +167,17 @@ type Options struct {
 	// sampled evidence keep their estimates in Results with Screened and
 	// Aborted set.
 	SampleRate float64
-	// EarlyAbort stops a running simulation once its cost vector is
-	// dominated by the incremental front beyond AbortMargin. Live runs
-	// and flat replays test their partial cost, composed replays their
-	// completion bound (with EarlyAbort set, also under BoundPrune).
-	// Survivor fronts are provably unchanged (each tested vector is a
-	// lower bound of the final one, so its being dominated proves the
-	// final vector dominated); the aborted
-	// entries keep partial vectors and Result.Aborted set, so full-space
-	// charts thin out — step fronts stay exact.
+	// EarlyAbort stops a running simulation once a member of the
+	// incremental front strictly dominates its cost vector — the test
+	// bound pruning uses. Live runs and flat replays test their partial
+	// cost, composed replays their completion bound (as they do under
+	// BoundPrune). Survivor fronts are provably unchanged (each tested
+	// vector is a lower bound of the final one, so its being dominated
+	// proves the final vector dominated); the aborted entries keep
+	// partial vectors and Result.Aborted set, so full-space charts thin
+	// out — step fronts stay exact. The capture runs of a composing step
+	// are never stopped: their lanes serve every combination.
 	EarlyAbort bool
-	// AbortMargin is the relative safety margin of the early-abort
-	// dominance test. Zero selects DefaultAbortMargin; NaN and negative
-	// margins are an error.
-	AbortMargin float64
 	// Progress, when set, is called after every completed simulation of a
 	// streaming step with the number done and the step's total. It runs
 	// on the collecting goroutine (the one inside Step1/Step2).
@@ -244,13 +244,6 @@ func (o Options) platformConfig() memsim.Config {
 		return *o.Platform
 	}
 	return memsim.DefaultConfig()
-}
-
-func (o Options) abortMargin() float64 {
-	if o.AbortMargin > 0 {
-		return o.AbortMargin
-	}
-	return DefaultAbortMargin
 }
 
 // Result is the outcome of one simulation.

@@ -18,25 +18,24 @@ import (
 // BoundPrune implies Arenas, a screening rate implies BoundPrune and
 // EarlyAbort, and nothing else is overridden.
 func FuzzResolveOptions(f *testing.F) {
-	f.Add(false, false, 0.0, false, 0.0, false, false)
-	f.Add(true, false, 0.0, false, 0.0, false, true)
-	f.Add(false, true, 0.0, false, 0.0, true, false)
-	f.Add(false, false, 1.0/64, false, 0.0, false, true)
-	f.Add(false, false, 1.0/64, false, 0.0, true, true)
-	f.Add(false, false, 1.0, true, 0.5, false, false)
-	f.Add(true, true, -0.25, true, 0.1, false, false)
-	f.Add(false, false, math.NaN(), true, 0.0, false, false)
-	f.Add(false, false, 0.0, true, math.NaN(), false, false)
-	f.Add(false, false, 0.0, true, -1e-9, false, true)
-	f.Fuzz(func(t *testing.T, arenas, bound bool, rate float64, abort bool, margin float64, disable, withCache bool) {
-		opts := Options{Arenas: arenas, BoundPrune: bound, SampleRate: rate, EarlyAbort: abort, AbortMargin: margin, DisableCache: disable}
+	f.Add(false, false, 0.0, false, false, false)
+	f.Add(true, false, 0.0, false, false, true)
+	f.Add(false, true, 0.0, false, true, false)
+	f.Add(false, false, 1.0/64, false, false, true)
+	f.Add(false, false, 1.0/64, false, true, true)
+	f.Add(false, false, 1.0, true, false, false)
+	f.Add(true, true, -0.25, true, false, false)
+	f.Add(false, false, math.NaN(), true, false, false)
+	f.Add(false, false, 0.0, true, false, true)
+	f.Add(false, true, 0.0, true, true, true)
+	f.Fuzz(func(t *testing.T, arenas, bound bool, rate float64, abort bool, disable, withCache bool) {
+		opts := Options{Arenas: arenas, BoundPrune: bound, SampleRate: rate, EarlyAbort: abort, DisableCache: disable}
 		if withCache {
 			opts.Cache = NewCache()
 		}
 		a := drr.App{}
 		e := NewEngine(a, opts)
 		invalid := math.IsNaN(rate) || rate < 0 || rate >= 1 ||
-			math.IsNaN(margin) || margin < 0 ||
 			disable && (bound || rate > 0)
 		if invalid != (e.Err() != nil) {
 			t.Fatalf("%+v: Err() = %v, want an error: %v", opts, e.Err(), invalid)
@@ -60,7 +59,7 @@ func FuzzResolveOptions(f *testing.F) {
 			t.Fatalf("%+v: screening plan %+v lacks BoundPrune or EarlyAbort", opts, p)
 		}
 		if p.Arenas != (arenas || bound || screen) || p.BoundPrune != (bound || screen) || p.EarlyAbort != (abort || screen) ||
-			p.SampleRate != rate || p.AbortMargin != margin || p.DisableCache != disable || p.Cache != opts.Cache {
+			p.SampleRate != rate || p.DisableCache != disable || p.Cache != opts.Cache {
 			t.Fatalf("%+v resolved to %+v: an option was overridden", opts, p)
 		}
 		if (e.cache == nil) != disable || withCache && !disable && e.cache != opts.Cache {

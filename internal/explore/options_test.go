@@ -33,8 +33,6 @@ func TestInvalidOptionsRefused(t *testing.T) {
 		{"negative sample rate", explore.Options{SampleRate: -0.5}},
 		{"sample rate 1", explore.Options{SampleRate: 1}},
 		{"sample rate above 1", explore.Options{SampleRate: 4}},
-		{"NaN abort margin", explore.Options{EarlyAbort: true, AbortMargin: math.NaN()}},
-		{"negative abort margin", explore.Options{AbortMargin: -0.1}},
 	} {
 		tc.opts.TracePackets = 50
 		eng := explore.NewEngine(a, tc.opts)
@@ -96,8 +94,8 @@ func TestOptionsCompatibilityPin(t *testing.T) {
 		{
 			"ipchains-k3-screened-warm", "IPchains",
 			explore.Options{TracePackets: 8000, DominantK: 3, SampleRate: 1.0 / 64, Platform: &tiny, Cache: explore.NewCache(), Workers: 1},
-			"prune=0 k=3 abort=0.1 bound",
-			"IPchains|prune=0 k=3 abort=0.1 bound|packets=8000|" + tinyPlat + "|arenas=true",
+			"prune=0 k=3 abort=0 bound",
+			"IPchains|prune=0 k=3 abort=0 bound|packets=8000|" + tinyPlat + "|arenas=true",
 			"IPchains|FLA rules=32|8000|conntrack=SLL deny-log=SLL rules=SLL|arenas|" + tinyPlat,
 		},
 		{

@@ -24,7 +24,7 @@ func TestEngineRunLandsEachIndexOnce(t *testing.T) {
 		eng := NewEngine(a, Options{TracePackets: 50, Workers: workers})
 		var guardFor func(Job) *frontGuard
 		if guarded {
-			g := newFrontGuard(0)
+			g := newFrontGuard()
 			guardFor = func(Job) *frontGuard { return g }
 		}
 		drawn, landed := 0, 0
@@ -40,7 +40,7 @@ func TestEngineRunLandsEachIndexOnce(t *testing.T) {
 				}
 			}
 		}
-		err := eng.run(context.Background(), jobs, guardFor, false, ckptScope{step: 1}, func(o Outcome) {
+		err := eng.run(context.Background(), jobs, guardFor, exactMode, ckptScope{step: 1}, func(o Outcome) {
 			if seen[o.Index] {
 				t.Errorf("guarded=%v: index %d landed twice", guarded, o.Index)
 			}
@@ -69,7 +69,7 @@ func TestEngineRunLandsEachIndexOnce(t *testing.T) {
 				}
 			}
 		}
-		err = eng.run(context.Background(), failing, guardFor, false, ckptScope{step: 1}, func(Outcome) {})
+		err = eng.run(context.Background(), failing, guardFor, exactMode, ckptScope{step: 1}, func(Outcome) {})
 		if err == nil || !strings.Contains(err.Error(), "missing-four") {
 			t.Fatalf("guarded=%v: error %v, want the index-4 failure", guarded, err)
 		}

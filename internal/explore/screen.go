@@ -176,26 +176,22 @@ func (e *Engine) finishScreen(o *Outcome, jb Job, cost astream.Cost, ci float64,
 // step1Screened is the two-phase Step1 body: screen everything at the
 // sampled rate, interval-filter, verify the rest exactly.
 func (e *Engine) step1Screened(ctx context.Context, reference Config, probes *profiler.Set, dominant []string, total int) (*Step1Result, error) {
-	// Phase 1: the flat scan over the combination space, every job
-	// offered to the sampled path first. The shared guard collects
-	// estimates (and the ~10·K exact seeds) into the screening front;
-	// its memberSlack hook widens the bound-prune cut test as estimates
-	// report their half-widths.
-	guard := newFrontGuard(e.opts.abortMargin())
+	// Phase 1: the space's capture plan (spacePlan), then a flat scan of
+	// the rest, every job offered to the sampled path first. The shared
+	// guard collects the plan's exact results and the estimates into
+	// the screening front; its memberSlack hook widens the bound-prune
+	// cut test as estimates report their half-widths.
+	guard := newFrontGuard()
 	guard.memberSlack = e.screenSlack
 
 	guardFor := func(Job) *frontGuard { return guard }
 	sc := ckptScope{step: 1, front: guard.points}
 	results := make([]Result, total)
-	err := e.run(ctx, comboJobs(reference, dominant, combos(total, nil)), guardFor, true, sc, e.landAt(results, func(o Outcome) {
+	err := e.runPlan(ctx, e.spacePlan(reference, dominant), positions(total), comboJob(reference, dominant), guardFor, screenMode, sc, e.landAt(results, func(o Outcome) {
 		e.noteScreenCI(o.Result.RelCI)
 		guard.add(o.Result.Point(o.Index))
 	}))
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		e.fireCheckpoint(sc, false) // cancelled mid-screening: snapshot for resume
 		return nil, err
 	}
 
@@ -207,7 +203,8 @@ func (e *Engine) step1Screened(ctx context.Context, reference Config, probes *pr
 	// transitive through front eviction (a member that evicted another
 	// dominates whatever the evictee dominated at the same slack), so
 	// testing against the final front alone loses nothing. Everything
-	// not discarded — including the exact seeds — goes to phase two.
+	// not discarded — including the plan's exact results — goes to
+	// phase two.
 	maxCI := e.screenSlack()
 	var cands, deferred []int
 	screened := 0
@@ -260,32 +257,20 @@ func (e *Engine) step1Screened(ctx context.Context, reference Config, probes *pr
 	// nearly all of them die to a zero-replay bound cut — the exact
 	// analogue of the face-value test that deferred them.
 	cands = append(cands, deferred...)
-	verifyJobs := func(yield func(Job) bool) {
-		for _, i := range cands {
-			if !yield(Job{Cfg: reference, Assign: results[i].Assign}) {
-				return
-			}
-		}
-	}
-	// The verification guard is margin-free: every form of evidence it
-	// rules on is an admissible lower bound — the per-lane bound vector
-	// in pruneJob, the completion-bound snapshots the guarded composed
-	// replay polls — so a member STRICTLY dominating the evidence proves
-	// the exact final vector dominated too, with no safety margin needed
-	// (and strictness alone keeps equal-vector ties unpruned, matching
-	// OnlineFront.Add). Margin zero maximizes both cut and abort rates
-	// while keeping the survivor membership bit-identical.
-	vguard := newFrontGuard(0)
+	verifyJob := func(j int) Job { return Job{Cfg: reference, Assign: results[cands[j]].Assign} }
+	// The verification guard has no member slack: every form of
+	// evidence it rules on is an admissible lower bound — the per-lane
+	// bound vector in pruneJob, the completion-bound snapshots the
+	// guarded composed replay polls — tested against exact members, so
+	// a member STRICTLY dominating the evidence proves the exact final
+	// vector dominated too.
+	vguard := newFrontGuard()
 	vsc := ckptScope{step: 1, front: vguard.points}
 	vres := make([]Result, len(cands))
-	err = e.run(ctx, verifyJobs, func(Job) *frontGuard { return vguard }, false, vsc, e.landAt(vres, func(o Outcome) {
+	err = e.runPlan(ctx, nil, positions(len(cands)), verifyJob, func(Job) *frontGuard { return vguard }, exactMode, vsc, e.landAt(vres, func(o Outcome) {
 		vguard.add(o.Result.Point(o.Index))
 	}))
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		e.fireCheckpoint(vsc, false) // cancelled mid-verification: snapshot for resume
 		return nil, err
 	}
 	for j, i := range cands {

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -9,12 +10,12 @@ import (
 	"repro/internal/pareto"
 )
 
-// TestStep2CaptureFirst pins the capture-first draw of a composing
-// Step2 on FlowMon's 5-role space: on every configuration exactly the
-// survivors of the greedy lane cover run live (each captures lanes no
-// earlier survivor did, and after them every survivor composes), the
-// results still come back in survivor order, and every per-configuration
-// front equals an unguarded arena engine's.
+// TestStep2CaptureFirst pins the capture plan of a composing Step2 on
+// FlowMon's 5-role space: on every configuration exactly the survivors
+// of the greedy lane cover run live (each captures lanes no earlier
+// survivor did, and after them every survivor composes), the results
+// still come back in survivor order, and every per-configuration front
+// equals an unguarded arena engine's.
 func TestStep2CaptureFirst(t *testing.T) {
 	a, err := netapps.ByName("FlowMon")
 	if err != nil {
@@ -28,18 +29,28 @@ func TestStep2CaptureFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	roles := apps.RoleNames(a)
-	order := captureFirst(s1.Survivors, roles)
-	cover := coverSize(s1.Survivors, order, roles)
-	if cover <= 0 || cover >= len(s1.Survivors) {
-		t.Fatalf("draw order %v of %d survivors opens with a lane cover of %d", order, len(s1.Survivors), cover)
-	}
-
 	exact, err := NewEngine(a, Options{TracePackets: 300, Arenas: true, Workers: 1}).Step2(ctx, s1, configs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(s1.Survivors)
+	var cover int
 	for _, cfg := range configs[1:] {
+		jobs := make([]Job, n)
+		for i, sv := range s1.Survivors {
+			jobs[i] = Job{Cfg: cfg, Assign: sv.Assign}
+		}
+		plan := eng.capturePlan(jobs)
+		order := slices.Clone(plan)
+		for i := range n {
+			if !slices.Contains(plan, i) {
+				order = append(order, i)
+			}
+		}
+		cover = coverSize(s1.Survivors, order, roles)
+		if cover != len(plan) || cover <= 0 || cover >= n {
+			t.Fatalf("%s: capture plan %v of %d survivors opens a lane cover of %d", cfg, plan, n, cover)
+		}
 		before := eng.Stats().Simulated
 		s2, err := eng.Step2(ctx, s1, []Config{configs[0], cfg})
 		if err != nil {
