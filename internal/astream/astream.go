@@ -38,6 +38,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/memsim"
 )
 
 // Event tags of the encoding. An access event has bit 7 set; the low
@@ -120,11 +122,11 @@ func (s *Stream) String() string {
 // Recorder encodes an access stream as it happens. It implements
 // memsim.EventSink, so attaching it to a Hierarchy (or a whole platform
 // via platform.Capture) tees every simulated access — with the ALU ops
-// charged since the previous one — into the stream; RecordPeak
-// additionally snapshots the heap's footprint high-water mark so replays
-// can reconstruct the fourth metric. A Recorder is single-simulation,
-// single-goroutine state; call Finish exactly once when the run
-// completes (or aborts).
+// charged since the previous one — into the stream, a batch per call;
+// RecordPeak additionally snapshots the heap's footprint high-water
+// mark so replays can reconstruct the fourth metric. A Recorder is
+// single-simulation, single-goroutine state; call Finish exactly once
+// when the run completes (or aborts).
 type Recorder struct {
 	chunks    [][]byte
 	buf       []byte // current chunk, written through w
@@ -186,9 +188,17 @@ func putUvarint(buf []byte, w int, v uint64) int {
 	return w + 1
 }
 
-// RecordAccess encodes one simulated load or store plus the op cycles
-// charged since the previous event (memsim.EventSink).
-func (r *Recorder) RecordAccess(write bool, addr, size uint32, ops uint64) {
+// RecordBatch encodes a batch of simulated loads and stores, each with
+// the op cycles charged since the previous event (memsim.EventSink).
+func (r *Recorder) RecordBatch(b memsim.Batch) {
+	for i, addr := range b.Addr {
+		r.record(b.Write[i], addr, b.Size[i], b.Ops[i])
+	}
+}
+
+// record encodes one load or store plus the op cycles charged since the
+// previous event.
+func (r *Recorder) record(write bool, addr, size uint32, ops uint64) {
 	if r.pendingOp != 0 {
 		ops += r.pendingOp
 		r.pendingOp = 0
@@ -317,9 +327,9 @@ func (r *Recorder) Finish(partial bool) *Stream {
 // batchEvents is the number of accesses a stream replay decodes per
 // call: large enough to amortize decode dispatch, small enough that the
 // batch arrays stay in the host cache while K platform models loop over
-// them — and close to the live early-abort cadence, since guarded
-// replays poll their guard once per full batch.
-const batchEvents = 2048
+// them. It is the live Hierarchy's batch, since guarded replays poll
+// their guard once per full batch as guarded live runs do.
+const batchEvents = memsim.BatchAccesses
 
 // decoder is the one reader of the event encoding. Stream replay decodes
 // a whole-run stream through it batchEvents accesses at a time, and

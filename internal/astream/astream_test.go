@@ -57,9 +57,21 @@ func randEvents(rng *rand.Rand, n int) []event {
 	return evs
 }
 
+// recordAccess hands s one access as a Hierarchy would: a batch of one,
+// or, for a zero-size access, its op cycles alone.
+func recordAccess(s memsim.EventSink, write bool, addr, size uint32, ops uint64) {
+	if size == 0 {
+		s.RecordOps(ops)
+		return
+	}
+	s.RecordBatch(memsim.Batch{Addr: []uint32{addr}, Size: []uint32{size}, Write: []bool{write}, Ops: []uint64{ops}})
+}
+
 // record drives the event script through a live Hierarchy with the
 // recorder attached as its event sink — the exact wiring a captured
-// simulation uses (peaks arrive via the heap hook, modeled directly).
+// simulation uses (peaks arrive via the heap hook, modeled directly,
+// after the hierarchy flushes its queued accesses as platform.Capture's
+// hook does).
 func record(evs []event) *astream.Stream {
 	rec := astream.NewRecorder()
 	h := memsim.New(memsim.DefaultConfig())
@@ -73,6 +85,7 @@ func record(evs []event) *astream.Stream {
 		case evOp:
 			h.Op(ev.n)
 		case evPeak:
+			h.Flush()
 			rec.RecordPeak(ev.n)
 		}
 	}
@@ -312,7 +325,7 @@ func TestGuardedReplayAborts(t *testing.T) {
 
 func TestPartialStreamRefused(t *testing.T) {
 	rec := astream.NewRecorder()
-	rec.RecordAccess(false, 0x1000, 4, 0)
+	recordAccess(rec, false, 0x1000, 4, 0)
 	s := rec.Finish(true)
 	if !s.Partial {
 		t.Fatal("Finish(true) did not mark stream partial")

@@ -152,32 +152,32 @@ func NewComposedRecorder(roles []string, meters []LaneMeter, record []bool) *Com
 	return c
 }
 
-// RecordAccess appends one access to the current lane
-// (memsim.EventSink). A zero-size access is a no-op in the hierarchy
-// and is not kept; its op cycles still count toward the segment.
-func (c *ComposedRecorder) RecordAccess(write bool, addr, size uint32, ops uint64) {
+// RecordBatch appends a batch of accesses to the current lane
+// (memsim.EventSink): the hierarchy hands its queued accesses over
+// before every boundary, so a batch lies in one lane.
+func (c *ComposedRecorder) RecordBatch(b memsim.Batch) {
 	l := c.lanes[c.cur]
 	if l == nil {
 		return // not recorded
 	}
-	l.ops += ops
-	if size == 0 {
-		return
-	}
 	n := len(l.addr)
-	if n&63 == 0 {
-		l.write = append(l.write, 0)
+	for i, size := range b.Size {
+		if n&63 == 0 {
+			l.write = append(l.write, 0)
+		}
+		var w uint64
+		if b.Write[i] {
+			w = 1
+		}
+		l.write[n>>6] |= w << (n & 63)
+		words := (uint64(size) + 3) / 4
+		l.words += words
+		l.writeW += words * w
+		l.ops += b.Ops[i]
+		n++
 	}
-	var w uint64
-	if write {
-		w = 1
-	}
-	l.write[n>>6] |= w << (n & 63)
-	words := (uint64(size) + 3) / 4
-	l.words += words
-	l.writeW += words * w
-	l.addr = append(l.addr, addr)
-	l.size = append(l.size, size)
+	l.addr = append(l.addr, b.Addr...)
+	l.size = append(l.size, b.Size...)
 }
 
 // RecordOps adds op cycles to the current lane's segment
@@ -332,7 +332,7 @@ func (u *UnpackedLane) Encode() *SubStream {
 	r := NewRecorder()
 	for s := range u.SegOps {
 		for i := u.SegIdx[s]; i < u.SegIdx[s+1]; i++ {
-			r.RecordAccess(u.Write[i>>6]>>(i&63)&1 != 0, u.Addr[i], u.Size[i], 0)
+			r.record(u.Write[i>>6]>>(i&63)&1 != 0, u.Addr[i], u.Size[i], 0)
 		}
 		r.RecordOps(u.SegOps[s])
 		r.recordSeg(u.SegMax[s], u.SegEnd[s])

@@ -54,7 +54,7 @@ func FuzzRecorderRoundTrip(f *testing.F) {
 				addr += delta
 				rec.RecordOps(ops)
 				pendingOps += ops
-				rec.RecordAccess(op%4 == 1, addr, size, 0)
+				recordAccess(rec, op%4 == 1, addr, size, 0)
 				if size == 0 {
 					continue // no-op access; its ops carry over
 				}

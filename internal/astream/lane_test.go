@@ -75,9 +75,11 @@ type laneLog struct {
 	evs [][]loggedEvent
 }
 
-func (l *laneLog) RecordAccess(write bool, addr, size uint32, ops uint64) {
-	l.cr.RecordAccess(write, addr, size, ops)
-	l.evs[l.cur] = append(l.evs[l.cur], loggedEvent{access: true, write: write, addr: addr, size: size, ops: ops})
+func (l *laneLog) RecordBatch(b memsim.Batch) {
+	l.cr.RecordBatch(b)
+	for i, addr := range b.Addr {
+		l.evs[l.cur] = append(l.evs[l.cur], loggedEvent{access: true, write: b.Write[i], addr: addr, size: b.Size[i], ops: b.Ops[i]})
+	}
 }
 
 func (l *laneLog) RecordOps(n uint64) {
@@ -99,7 +101,7 @@ func (l *laneLog) recorderEncoding(u *astream.UnpackedLane) *astream.SubStream {
 	for _, ev := range l.evs[u.Lane] {
 		switch {
 		case ev.access:
-			r.RecordAccess(ev.write, ev.addr, ev.size, ev.ops)
+			recordAccess(r, ev.write, ev.addr, ev.size, ev.ops)
 		case ev.segEnd:
 			astream.RecordSeg(r, u.SegMax[seg], u.SegEnd[seg])
 			seg++
@@ -209,7 +211,7 @@ func TestRecorderChunksExact(t *testing.T) {
 	record := func(n int) *astream.Stream {
 		rec := astream.NewRecorder()
 		for i := 0; i < n; i++ {
-			rec.RecordAccess(i%3 == 0, uint32(i*4096+i), 4+uint32(i%5), uint64(i%7))
+			recordAccess(rec, i%3 == 0, uint32(i*4096+i), 4+uint32(i%5), uint64(i%7))
 		}
 		return rec.Finish(false)
 	}
@@ -270,7 +272,7 @@ func FuzzLaneRoundTrip(f *testing.F) {
 			switch op % 5 {
 			case 0, 1:
 				addr += delta
-				cr.RecordAccess(op%5 == 1, addr, uint32(data[i+5])%12, uint64(data[i+6]))
+				recordAccess(cr, op%5 == 1, addr, uint32(data[i+5])%12, uint64(data[i+6]))
 			case 2:
 				cr.RecordOps(uint64(delta))
 			default:

@@ -40,12 +40,13 @@ type Cost struct {
 // with ComposedPeak.
 //
 // The poll cadence is one check per batchEvents probed accesses, the
-// same order of magnitude as the live simulation's probe-count cadence.
-// A *Stream is decoded batchEvents accesses per decode call, across
-// chunk boundaries, and polls after every full batch, never after the
-// final partial one; a Composition polls at the end of the first
-// schedule run (consecutive segments of one lane) that brings the
-// accesses since the last poll to batchEvents, the final run included.
+// live simulation's batch (memsim.BatchAccesses). A *Stream is decoded
+// batchEvents accesses per decode call, across chunk boundaries, and
+// polls after every full batch, never after the final partial one —
+// the accesses a guarded live run of the same job polls after. A
+// Composition polls at the end of the first schedule run (consecutive
+// segments of one lane) that brings the accesses since the last poll to
+// batchEvents, the final run included.
 type GuardFunc func(Cost) bool
 
 // costOf merges the platform-invariant counters with one LineSim's probe

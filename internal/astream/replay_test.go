@@ -30,7 +30,7 @@ func replaySafely(t *testing.T, src astream.Source, cfgs []memsim.Config, opts a
 func TestReplayContract(t *testing.T) {
 	stream := record(randEvents(rand.New(rand.NewSource(13)), 5000))
 	rec := astream.NewRecorder()
-	rec.RecordAccess(false, 0x1000, 4, 0)
+	recordAccess(rec, false, 0x1000, 4, 0)
 	partial := rec.Finish(true)
 	sched, lanes := syntheticComposition(5, 3, 400, 1<<10)
 	comp := astream.Composition{Sched: sched, Lanes: lanes}

@@ -36,10 +36,20 @@ func TestLoadLegacyCacheFormat(t *testing.T) {
 	}
 }
 
+// recordAccess hands s one access as a Hierarchy would: a batch of one,
+// or, for a zero-size access, its op cycles alone.
+func recordAccess(s memsim.EventSink, write bool, addr, size uint32, ops uint64) {
+	if size == 0 {
+		s.RecordOps(ops)
+		return
+	}
+	s.RecordBatch(memsim.Batch{Addr: []uint32{addr}, Size: []uint32{size}, Write: []bool{write}, Ops: []uint64{ops}})
+}
+
 // mkStream records one tiny stream, optionally partial.
 func mkStream(partial bool) *astream.Stream {
 	rec := astream.NewRecorder()
-	rec.RecordAccess(false, 0x1000_0000, 4, 2)
+	recordAccess(rec, false, 0x1000_0000, 4, 2)
 	return rec.Finish(partial)
 }
 
@@ -160,7 +170,7 @@ func TestReuseProfilePersistenceAndBudget(t *testing.T) {
 	c2 := NewCache()
 	rec := astream.NewRecorder()
 	for i := 0; i < 4096; i++ {
-		rec.RecordAccess(false, uint32(i*64), 4, 1)
+		recordAccess(rec, false, uint32(i*64), 4, 1)
 	}
 	c2.streams.put(c2, "K", streamEntry{App: "URL", Packets: 1, Stream: rec.Finish(false)})
 	c2.rprofiles.put(c2, key, p)
@@ -206,12 +216,12 @@ func TestCacheEvictionOrder(t *testing.T) {
 	rp := mkReuseProfile(t)
 	rec := astream.NewRecorder()
 	for i := 0; i < 4096; i++ {
-		rec.RecordAccess(false, uint32(i*64), 4, 1)
+		recordAccess(rec, false, uint32(i*64), 4, 1)
 	}
 	c.streams.put(c, "stream", streamEntry{App: "URL", Packets: 1, Stream: rec.Finish(false)})
 	laneRec := astream.NewRecorder()
 	for i := 0; i < 2048; i++ {
-		laneRec.RecordAccess(true, uint32(i*32), 4, 1)
+		recordAccess(laneRec, true, uint32(i*32), 4, 1)
 	}
 	lane := &astream.SubStream{Stream: *laneRec.Finish(false), Role: "r", Lane: 1}
 	c.lanes.put(c, "lane", laneEntry{enc: lane})

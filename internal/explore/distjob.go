@@ -233,6 +233,7 @@ func (e *Engine) ResolveJobLive(spec JobSpec) JobOutcome {
 		Summary: sum,
 		Aborted: aborted,
 	}
+	e.countLive(p)
 	return jo
 }
 

@@ -24,12 +24,6 @@ import (
 	"repro/internal/trace"
 )
 
-// abortCheckProbes is how many cache-line probes pass between dominance
-// checks of an early-abort simulation: rare enough that the 4-metric
-// snapshot is noise, frequent enough that a hopeless simulation dies long
-// before its trace ends.
-const abortCheckProbes = 2048
-
 // Job is one simulation request: a network configuration plus a DDT
 // assignment for the application's container roles.
 type Job struct {
@@ -78,6 +72,12 @@ type EngineStats struct {
 	// Step1 ran — phase-one estimates, each O(segments + R·lines)
 	// against the lanes' memoized sampled views. Zero on exact runs.
 	Sampled int
+	// LiveAccesses and LiveProbes count the word accesses and cache-line
+	// probes the engine's live simulations performed, aborted runs
+	// included: the work of the live probe kernel, read once per live
+	// job from the run's final counts.
+	LiveAccesses uint64
+	LiveProbes   uint64
 }
 
 // Engine is the streaming exploration driver: it expands combination and
@@ -149,6 +149,8 @@ type Engine struct {
 	bbExpanded   atomic.Int64
 	bbCuts       atomic.Int64
 	sampled      atomic.Int64
+	liveAccesses atomic.Uint64
+	liveProbes   atomic.Uint64
 }
 
 // NewEngine builds an Engine for the application and resolves its
@@ -247,7 +249,17 @@ func (e *Engine) Stats() EngineStats {
 		Expanded:     int(e.bbExpanded.Load()),
 		SubtreeCuts:  int(e.bbCuts.Load()),
 		Sampled:      int(e.sampled.Load()),
+		LiveAccesses: e.liveAccesses.Load(),
+		LiveProbes:   e.liveProbes.Load(),
 	}
+}
+
+// countLive adds a finished (or aborted) live simulation's word
+// accesses and line probes to the work counters.
+func (e *Engine) countLive(p *platform.Platform) {
+	c := p.Mem.Counts()
+	e.liveAccesses.Add(c.Accesses())
+	e.liveProbes.Add(c.LineProbes())
 }
 
 // guarded reports whether the streaming steps should attach front
@@ -630,7 +642,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard, live bool) Outc
 		cr = p.CaptureComposed(e.lanesToCapture(jb))
 	default:
 		if aguard != nil {
-			p.AbortWhen(abortCheckProbes, aguard.dominates)
+			p.AbortWhen(aguard.dominates)
 		}
 		if skey != "" {
 			rec = astream.NewRecorder()
@@ -661,6 +673,7 @@ func (e *Engine) runJobExact(idx int, jb Job, guard *frontGuard, live bool) Outc
 		Summary: sum,
 		Aborted: abortedRun,
 	}
+	e.countLive(p)
 	if abortedRun {
 		e.aborted.Add(1)
 	} else {
@@ -1193,6 +1206,7 @@ func (e *Engine) captureStream(cfg Config, assign apps.Assignment) (*astream.Str
 	st := rec.Finish(false)
 	e.cache.streams.put(e.cache, skey, e.streamEntry(cfg, assign, st, sum))
 	e.simulated.Add(1)
+	e.countLive(p)
 	key := e.jobKey(cfg, assign)
 	e.cache.store(key, Result{
 		App: e.app.Name(), Config: cfg, Assign: assign,

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/apps/drr"
+	"repro/internal/apps/netapps"
 	"repro/internal/ddt"
 	"repro/internal/explore"
 	"repro/internal/platform"
@@ -342,5 +343,44 @@ func TestTombstoneNotReusedAcrossExplorations(t *testing.T) {
 	}
 	if st.Simulated+st.Aborted != s1.Aborted {
 		t.Fatalf("second engine ran %d points, want exactly the %d tombstoned ones", st.Simulated+st.Aborted, s1.Aborted)
+	}
+}
+
+// TestLiveWorkCounters pins the live work counters to the runs they
+// count: a Step1 shaped like the paper's exhaustive one (default
+// options, nothing pruned or aborted) simulates every combination live,
+// so LiveAccesses equals the sum of its results' access counts, and a
+// repeated Step1 served from the cache adds nothing to either counter.
+func TestLiveWorkCounters(t *testing.T) {
+	ctx := context.Background()
+	for _, a := range netapps.All() {
+		eng := explore.NewEngine(a, explore.Options{TracePackets: 200})
+		ref := explore.Configs(a)[0]
+		s1, err := eng.Step1(ctx, ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accesses uint64
+		for _, r := range s1.Results {
+			if r.Aborted {
+				t.Fatalf("%s: unguarded Step1 aborted %s", a.Name(), r.Assign)
+			}
+			accesses += uint64(r.Vec.Accesses)
+		}
+		st := eng.Stats()
+		if st.Simulated != len(s1.Results) || st.LiveAccesses != accesses {
+			t.Fatalf("%s: %d simulated, LiveAccesses %d; want %d simulated, %d accesses over the results",
+				a.Name(), st.Simulated, st.LiveAccesses, len(s1.Results), accesses)
+		}
+		t.Logf("%s: %d live runs, %d accesses, %d probes", a.Name(), st.Simulated, st.LiveAccesses, st.LiveProbes)
+		if st.LiveProbes == 0 {
+			t.Fatalf("%s: LiveProbes 0 after %d live runs", a.Name(), st.Simulated)
+		}
+		if _, err := eng.Step1(ctx, ref); err != nil {
+			t.Fatal(err)
+		}
+		if again := eng.Stats(); again.LiveAccesses != st.LiveAccesses || again.LiveProbes != st.LiveProbes {
+			t.Fatalf("%s: a cached Step1 moved the live counters: %+v, then %+v", a.Name(), st, again)
+		}
 	}
 }

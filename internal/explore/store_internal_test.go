@@ -146,7 +146,7 @@ func mkComposed(rng *rand.Rand, partial bool) (*astream.Schedule, laneEntry, lan
 	cr := astream.NewComposedRecorder([]string{"r"}, []astream.LaneMeter{zeroMeter{}, zeroMeter{}}, nil)
 	for seg := 0; seg < 1+rng.Intn(4); seg++ {
 		for i := rng.Intn(40); i > 0; i-- {
-			cr.RecordAccess(rng.Intn(2) == 0, uint32(rng.Intn(1<<16))&^3, 4, uint64(rng.Intn(3)))
+			recordAccess(cr, rng.Intn(2) == 0, uint32(rng.Intn(1<<16))&^3, 4, uint64(rng.Intn(3)))
 		}
 		cr.RecordBoundary(1 - seg%2)
 	}
@@ -166,7 +166,7 @@ func mkComposed(rng *rand.Rand, partial bool) (*astream.Schedule, laneEntry, lan
 func mkRandStream(rng *rand.Rand, partial bool) *astream.Stream {
 	rec := astream.NewRecorder()
 	for i := 1 + rng.Intn(200); i > 0; i-- {
-		rec.RecordAccess(rng.Intn(2) == 0, uint32(rng.Intn(1<<18))&^3, 4, uint64(rng.Intn(3)))
+		recordAccess(rec, rng.Intn(2) == 0, uint32(rng.Intn(1<<18))&^3, 4, uint64(rng.Intn(3)))
 	}
 	return rec.Finish(partial)
 }

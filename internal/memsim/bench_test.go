@@ -4,7 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/apps"
+	"repro/internal/apps/netapps"
 	"repro/internal/memsim"
+	"repro/internal/platform"
+	"repro/internal/trace"
 )
 
 // chaseStream builds a fixed pointer-chase-plus-record workload shaped
@@ -48,4 +52,48 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accesses), "ns/access")
+}
+
+// accessLog is an EventSink that keeps the addresses and sizes of every
+// access a run issues.
+type accessLog struct{ addr, size []uint32 }
+
+func (l *accessLog) RecordBatch(b memsim.Batch) {
+	l.addr = append(l.addr, b.Addr...)
+	l.size = append(l.size, b.Size...)
+}
+
+func (l *accessLog) RecordOps(uint64) {}
+
+// BenchmarkProbeKernel measures the probe kernel alone on real access
+// streams: each paper application's original-assignment run over a
+// 2000-packet trace, captured once, then probed through a cold default
+// LineSim a live batch (BatchAccesses accesses) per ProbeAccesses call,
+// as a Hierarchy drives it. Reported as ns per access.
+func BenchmarkProbeKernel(b *testing.B) {
+	cfg := memsim.DefaultConfig()
+	for _, a := range netapps.All() {
+		b.Run(a.Name(), func(b *testing.B) {
+			tr, err := trace.Builtin(a.TraceNames()[0], 2000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := platform.New(cfg)
+			log := &accessLog{}
+			p.Mem.SetEventSink(log)
+			if _, err := a.Run(tr, p, apps.Original(a), a.DefaultKnobs(), nil); err != nil {
+				b.Fatal(err)
+			}
+			p.Mem.SetEventSink(nil)
+			ls := memsim.NewLineSim(cfg)
+			for b.Loop() {
+				ls.Reset(cfg)
+				for lo := 0; lo < len(log.addr); lo += memsim.BatchAccesses {
+					hi := min(lo+memsim.BatchAccesses, len(log.addr))
+					ls.ProbeAccesses(log.addr[lo:hi], log.size[lo:hi])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log.addr)), "ns/access")
+		})
+	}
 }

@@ -8,6 +8,10 @@ import (
 	"sort"
 )
 
+// noLine is the skip window's empty sentinel; unreachable as a real
+// line index for the line sizes (>= 2 bytes) the simulator models.
+const noLine = ^uint32(0)
+
 // GeomSim is the single-pass all-geometry probe kernel: one walk over an
 // access stream produces exact hit/miss counts for an entire family of
 // cache configurations sharing an L1 line size. It generalizes the
@@ -33,11 +37,11 @@ import (
 // a dedicated LineSim replay of that configuration (pinned by property
 // tests in memsim and astream).
 //
-// GeomSim shares LineSim's exactness-preserving span skip: an access
-// entirely inside the most recently probed line span is a depth-0 hit in
-// every group with no LRU state change, accounted by a single shared
-// counter. Like LineSim it is single-goroutine state, pooled and Reset
-// by the replay layer.
+// GeomSim keeps an exactness-preserving span skip: an access entirely
+// inside the most recently probed line span is a depth-0 hit in every
+// group with no LRU state change, accounted by a single shared counter.
+// Like LineSim it is single-goroutine state, pooled and Reset by the
+// replay layer.
 type GeomSim struct {
 	family []Config // constructor configs, for Reset identity
 
@@ -47,7 +51,7 @@ type GeomSim struct {
 	// smallest group's set count occupies distinct sets — and is MRU —
 	// in every group at once.
 	minSets             uint32
-	lastFirst, lastLine uint32
+	lastFirst, lastLine uint32 // the skip window, noLine when empty
 
 	probes    uint64 // line probes walked, including window hits
 	winHits   uint64 // window hits not yet folded into the hist[0]s

@@ -5,12 +5,11 @@ import "math/bits"
 // LineSim is the bare two-level hit/miss simulator: the probe kernel
 // both the live Hierarchy and the access-stream replay path drive. It
 // holds only the state that is platform-dependent: which level served
-// each line probe, plus (for replay batches) the pipelined-word count
-// implied by the configuration's line size. Word counting and abort
-// polling stay in Hierarchy. Everything else a cost vector needs (word
-// counts, ALU cycles, peak footprint) is platform-invariant, and
-// CyclesFor turns the counts into cycles for live and replayed runs
-// alike.
+// each line probe, plus the pipelined-word count implied by the
+// configuration's line size. Word counting and abort polling stay in
+// Hierarchy. Everything else a cost vector needs (word counts, ALU
+// cycles, peak footprint) is platform-invariant, and CyclesFor turns
+// the counts into cycles for live and replayed runs alike.
 type LineSim struct {
 	L1Hits    uint64
 	L2Hits    uint64
@@ -20,19 +19,17 @@ type LineSim struct {
 	lineBytes uint32
 	shift     uint32
 	linePow2  bool
-	// [lastFirst, lastLine] is the line span of the most recent probed
-	// access, tracked only while it cannot wrap the L1 set space: every
-	// line in it is resident in L1 and MRU in its own set, so a
-	// subsequent access entirely inside the span is all L1 hits with no
-	// LRU state change — the skip window of ProbeAccesses.
-	lastFirst uint32
-	lastLine  uint32
 	pipelined uint64
+	// queue holds the 2-way kernel's line probes between its passes:
+	// the L1 pass leaves the misses at its front for the L2 pass.
+	queue [queueLen]uint32
 }
 
-// noLine is the lastLine sentinel; unreachable as a real line index for
-// the line sizes (>= 2 bytes) the simulator models.
-const noLine = ^uint32(0)
+// queueLen is how many line probes the 2-way kernel queues before it
+// probes them: a power of two, since the expansion loop masks with it.
+// A 1024-line queue probed no faster, and the queue's bytes are in every
+// LineSim, of which composing campaigns build hundreds.
+const queueLen = 256
 
 // NewLineSim builds the hit/miss simulator for cfg's cache geometries.
 func NewLineSim(cfg Config) *LineSim {
@@ -43,8 +40,6 @@ func NewLineSim(cfg Config) *LineSim {
 		lineBytes: lb,
 		shift:     uint32(bits.TrailingZeros32(lb)),
 		linePow2:  lb&(lb-1) == 0,
-		lastFirst: noLine,
-		lastLine:  noLine,
 	}
 }
 
@@ -61,7 +56,6 @@ func (s *LineSim) Reset(cfg Config) bool {
 	clearTags(s.l1.tags)
 	clearTags(s.l2.tags)
 	s.L1Hits, s.L2Hits, s.DRAMFills = 0, 0, 0
-	s.lastFirst, s.lastLine = noLine, noLine
 	s.pipelined = 0
 	return true
 }
@@ -89,16 +83,14 @@ func (s *LineSim) ProbeLine(line uint32) {
 }
 
 // ProbeAccesses simulates a batch of accesses (addrs[i] with sizes[i])
-// in order: the hot loop of the replayer, kept inside memsim — next to
-// the canonical cache model it specializes — so the probe walk reads the
-// tag arrays directly with no per-line calls. Two exactness-preserving
-// shortcuts carry most probes: an access entirely inside the most
-// recently probed line is a guaranteed L1 hit with no LRU state change
-// (the line is resident and already MRU), and an access whose line is at
-// the MRU position of its set needs no reordering. The specialized walk
-// requires power-of-two geometry (line size and set counts, the
-// practical case); anything else takes the generic probeSpan path. The
-// replay-equivalence property tests pin both paths to the live
+// in order: the one probe kernel of live runs (a Hierarchy's batches)
+// and replays alike, kept inside memsim — next to the canonical cache
+// model it specializes — so the probe walk reads the tag arrays
+// directly with no per-line calls. A zero-size access probes nothing,
+// and so does one whose last byte wraps the 32-bit space. The
+// specialized walks require power-of-two geometry (line size and set
+// counts, the practical case); anything else walks ProbeLine. The
+// replay-equivalence property tests pin the kernel to the live
 // hierarchy bit-for-bit, and the reference-model tests pin the live
 // hierarchy to a textbook LRU model. Pipelined-word counts accumulate
 // per the configuration's line size (Pipelined).
@@ -116,13 +108,11 @@ func (s *LineSim) ProbeAccesses(addrs, sizes []uint32) {
 		return
 	}
 	var (
-		shift               = s.shift
-		lastFirst, lastLine = s.lastFirst, s.lastLine
-		l1Tags              = l1.tags
-		l1Mask, l1Assoc     = l1.mask, l1.assoc
-		l1Sets              = l1.nsets
-		l1Hits              uint64
-		pipelined           uint64
+		shift           = s.shift
+		l1Tags          = l1.tags
+		l1Mask, l1Assoc = l1.mask, l1.assoc
+		l1Hits          uint64
+		pipelined       uint64
 	)
 	for i, addr := range addrs {
 		size := sizes[i]
@@ -136,15 +126,6 @@ func (s *LineSim) ProbeAccesses(addrs, sizes []uint32) {
 		}
 		if last < first {
 			continue // addr+size wraps the 32-bit space: the hierarchy probes no lines
-		}
-		if first >= lastFirst && last <= lastLine {
-			l1Hits += uint64(last - first + 1) // inside the skip window
-			continue
-		}
-		if last-first < l1Sets {
-			lastFirst, lastLine = first, last
-		} else {
-			lastFirst, lastLine = noLine, noLine
 		}
 		for line := first; ; line++ {
 			base := (line & l1Mask) * l1Assoc
@@ -163,7 +144,11 @@ func (s *LineSim) ProbeAccesses(addrs, sizes []uint32) {
 					}
 				}
 				if !hit {
-					s.probeL2Fill(line)
+					if s.l2.touch(line) {
+						s.L2Hits++
+					} else {
+						s.DRAMFills++
+					}
 					copy(t1[1:], t1[:l1Assoc-1])
 					t1[0] = line
 				}
@@ -173,81 +158,116 @@ func (s *LineSim) ProbeAccesses(addrs, sizes []uint32) {
 			}
 		}
 	}
-	s.lastFirst, s.lastLine = lastFirst, lastLine
 	s.L1Hits += l1Hits
 	s.pipelined += pipelined
 }
 
-// probeAccessesL1x2 is ProbeAccesses for the dominant 2-way L1 geometry:
-// the set is two directly indexed tags, no slices, no way loop.
+// probeAccessesL1x2 is ProbeAccesses for the dominant 2-way L1
+// geometry. It expands the accesses into their line probes, a queue at
+// a time, and probes each queue through probeLinesL1x2. An access of
+// one or two lines — nearly all of them — is queued without a branch
+// on its span.
 func (s *LineSim) probeAccessesL1x2(addrs, sizes []uint32) {
 	var (
-		shift               = s.shift
-		lastFirst, lastLine = s.lastFirst, s.lastLine
-		l1Tags              = s.l1.tags
-		l1Mask              = s.l1.mask
-		l1Sets              = s.l1.nsets
-		l1Hits              uint64
-		pipelined           uint64
+		shift     = s.shift & 31
+		queue     = &s.queue
+		n         int
+		probes    uint64
+		pipelined uint64
 	)
 	for i, addr := range addrs {
 		size := sizes[i]
-		if size == 0 {
-			continue
-		}
 		first := addr >> shift
 		last := (addr + size - 1) >> shift
-		if words, lines := uint64((size+3)>>2), uint64(last-first+1); words > lines {
-			pipelined += words - lines
+		lines := last - first + 1
+		pipelined += uint64(max((size+3)>>2, lines) - lines) // 0 for size 0
+		if size == 0 || last < first {
+			continue // a no-op, or addr+size wraps the 32-bit space: the hierarchy probes no lines
 		}
-		if last < first {
-			continue // addr+size wraps the 32-bit space: the hierarchy probes no lines
+		probes += uint64(lines)
+		if n >= queueLen-1 {
+			s.probeLinesL1x2(queue[:n])
+			n = 0
 		}
-		if first >= lastFirst && last <= lastLine {
-			l1Hits += uint64(last - first + 1) // inside the skip window
-			continue
-		}
-		if last-first < l1Sets {
-			lastFirst, lastLine = first, last
+		queue[n] = first
+		queue[(n+1)&(queueLen-1)] = last // n+1 < queueLen; the mask drops the bounds check
+		if lines <= 2 {
+			n += int(lines)
 		} else {
-			lastFirst, lastLine = noLine, noLine
-		}
-		for line := first; ; line++ {
-			base := (line & l1Mask) << 1
-			if l1Tags[base] == line {
-				l1Hits++ // MRU way: no reorder needed
-			} else if l1Tags[base+1] == line {
-				l1Tags[base+1] = l1Tags[base]
-				l1Tags[base] = line
-				l1Hits++
-			} else {
-				s.probeL2Fill(line)
-				l1Tags[base+1] = l1Tags[base]
-				l1Tags[base] = line
-			}
-			if line == last {
-				break
-			}
+			n = s.queueLines(n+1, first+1, last)
 		}
 	}
-	s.lastFirst, s.lastLine = lastFirst, lastLine
-	s.L1Hits += l1Hits
+	s.probeLinesL1x2(queue[:n])
+	s.L1Hits += probes
 	s.pipelined += pipelined
 }
 
-// probeL2Fill resolves an L1 miss against the second level (probe, LRU
-// update, inclusive fill), with exactly the policy of ProbeLine below
-// the first level. The caller performs the L1 fill.
-func (s *LineSim) probeL2Fill(line uint32) {
-	if s.l2.touch(line) {
-		s.L2Hits++
-	} else {
-		s.DRAMFills++
+// queueLines queues lines first..last from queue position n on,
+// probing the queue whenever it fills, and returns the next position.
+func (s *LineSim) queueLines(n int, first, last uint32) int {
+	for line := first; ; line++ {
+		if n == queueLen {
+			s.probeLinesL1x2(s.queue[:])
+			n = 0
+		}
+		s.queue[n] = line
+		n++
+		if line == last {
+			return n
+		}
 	}
 }
 
-// probeAccessesGeneric is the ProbeAccesses fallback for non-power-of-
-// two geometries, one probeSpan per access.
+// probeLinesL1x2 probes lines in order through the 2-way L1 and the L2
+// behind it, in two passes, moving each L1 miss from L1Hits (where the
+// caller counts every probe) to L2Hits or DRAMFills. L1 state never
+// depends on L2 — every miss fills L1 whichever level serves it — so
+// the first pass (missesL1x2) walks every line through L1 alone and
+// queues the misses, and the second walks them through L2 in order.
+func (s *LineSim) probeLinesL1x2(lines []uint32) {
+	k := missesL1x2(s.l1.tags, s.l1.mask, lines)
+	l2 := s.l2
+	var hits uint64
+	for _, line := range lines[:k] {
+		if l2.touch(line) {
+			hits++
+		}
+	}
+	s.L1Hits -= uint64(k)
+	s.L2Hits += hits
+	s.DRAMFills += uint64(k) - hits
+}
+
+// missesL1x2 is the first pass of probeLinesL1x2: it probes lines
+// through the 2-way L1 whose tags and set mask it is given, queues the
+// misses at the front of lines, in order, and returns their number.
+//
+// The pass does not branch on the outcome: MRU hits, way-1 hits and
+// misses are about equally frequent on the paper's applications, so
+// branches on them mispredict. A set is two tags, MRU first, and a
+// probe leaves line MRU with the other way holding the old MRU tag,
+// unless line already was MRU. The product of the two tags' differences
+// from line is zero exactly on a hit; the way-1 tag is picked by a
+// conditional move, and every line is stored to the queue, whose length
+// grows by the miss bit.
+func missesL1x2(tags []uint32, mask uint32, lines []uint32) int {
+	k := 0
+	for _, line := range lines {
+		base := (line & mask) << 1
+		t0, t1 := tags[base], tags[base+1]
+		p := uint64(t0^line) * uint64(t1^line)
+		if t0 == line {
+			t0 = t1
+		}
+		tags[base], tags[base+1] = line, t0
+		lines[k] = line // k never passes the read index
+		k += int((p | -p) >> 63)
+	}
+	return k
+}
+
+// probeAccessesGeneric is the ProbeAccesses walk for non-power-of-two
+// geometries: ProbeLine per line of each access.
 func (s *LineSim) probeAccessesGeneric(addrs, sizes []uint32) {
 	for i, addr := range addrs {
 		size := sizes[i]
@@ -258,53 +278,14 @@ func (s *LineSim) probeAccessesGeneric(addrs, sizes []uint32) {
 		if words, lines := uint64((size+3)/4), uint64(last-first+1); words > lines {
 			s.pipelined += words - lines
 		}
-		s.probeSpan(first, last)
-	}
-}
-
-// probeSpan simulates one access touching lines first..last: the
-// single-access kernel of the live Hierarchy, with the skip window of
-// ProbeAccesses and a directly indexed walk for 2-way L1s. It does not
-// count pipelined words; callers do. A span with last < first (the
-// access wraps the 32-bit space) probes no lines.
-func (s *LineSim) probeSpan(first, last uint32) {
-	if last < first {
-		return
-	}
-	if first >= s.lastFirst && last <= s.lastLine {
-		s.L1Hits += uint64(last - first + 1) // inside the skip window
-		return
-	}
-	l1 := s.l1
-	if last-first < l1.nsets {
-		s.lastFirst, s.lastLine = first, last
-	} else {
-		s.lastFirst, s.lastLine = noLine, noLine
-	}
-	if l1.assoc != 2 {
+		if last < first {
+			continue // addr+size wraps the 32-bit space: the hierarchy probes no lines
+		}
 		for line := first; ; line++ {
 			s.ProbeLine(line)
 			if line == last {
-				return
+				break
 			}
-		}
-	}
-	tags := l1.tags
-	for line := first; ; line++ {
-		base := l1.setIndex(line) << 1
-		if tags[base] == line {
-			s.L1Hits++ // MRU way: no reorder needed
-		} else if tags[base+1] == line {
-			tags[base+1] = tags[base]
-			tags[base] = line
-			s.L1Hits++
-		} else {
-			s.probeL2Fill(line)
-			tags[base+1] = tags[base]
-			tags[base] = line
-		}
-		if line == last {
-			return
 		}
 	}
 }

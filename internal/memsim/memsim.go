@@ -17,9 +17,14 @@
 // single cycle.
 //
 // Live and replayed simulation share one probe kernel (LineSim) and one
-// cycle formula: a Hierarchy counts hits, misses, words and pipelined
-// words, and computes cycles from those counts in closed form
-// (Config.CyclesFor) rather than accumulating them per probe.
+// cycle formula. A Hierarchy counts words and op cycles as they are
+// issued, queues each access in a batch of BatchAccesses, and probes the
+// batch through LineSim.ProbeAccesses — the kernel replay drives — when
+// it is full or its counts are read; cycles come from the counts in
+// closed form (Config.CyclesFor) rather than accumulating per probe. An
+// attached EventSink takes the accesses one call per batch, not one per
+// access, and an abort check (SetAbortCheck) is polled once per full
+// batch, as stream replay polls its guard.
 package memsim
 
 import "fmt"
@@ -84,6 +89,17 @@ func (c Counts) Accesses() uint64 { return c.ReadWords + c.WriteWords }
 // LineProbes returns total cache line probes.
 func (c Counts) LineProbes() uint64 { return c.L1Hits + c.L2Hits + c.DRAMFills }
 
+// Batch is a run of consecutive accesses as a Hierarchy hands them to
+// its sink: access i loads (Write[i] false) or stores Size[i] > 0 bytes
+// at Addr[i], after Ops[i] ALU op cycles charged since the previous
+// access. The slices are the hierarchy's own buffers, valid only for
+// the duration of the call.
+type Batch struct {
+	Addr, Size []uint32
+	Write      []bool
+	Ops        []uint64
+}
+
 // EventSink observes the word-access stream a Hierarchy is driven with.
 // The stream is platform-invariant — addresses come from the virtual
 // heap and operation sequences from the application, neither of which
@@ -91,17 +107,20 @@ func (c Counts) LineProbes() uint64 { return c.L1Hits + c.L2Hits + c.DRAMFills }
 // replaying it against other platform configurations sound (see
 // internal/astream).
 //
-// To keep the live-simulation overhead to one dynamic call per memory
-// access, ALU ops are not reported individually: the hierarchy
-// accumulates them and hands the total charged since the previous event
-// to the next RecordAccess. RecordOps only carries trailing ops forced
-// out by a detach (SetEventSink) or an op boundary (Boundary). The
-// reordering is unobservable: op totals are additive and every cost
-// snapshot the simulator takes happens on an access.
+// A sink takes one call per batch, not one per access: the hierarchy
+// hands over its queued accesses when the batch is full, before an
+// operation boundary (Boundary), when the sink is detached or replaced
+// (SetEventSink) and on Flush. ALU ops are not reported individually:
+// each access carries the op total charged since the previous one, and
+// RecordOps only carries trailing ops forced out by a detach
+// (SetEventSink) or an op boundary (Boundary). The reordering is
+// unobservable: op totals are additive and every cost snapshot the
+// simulator takes happens on an access. A zero-size access is a no-op
+// and never reaches a sink; the ops before it travel with the next
+// access.
 type EventSink interface {
-	// RecordAccess observes one load (write=false) or store, together
-	// with the ALU op cycles charged since the previous recorded event.
-	RecordAccess(write bool, addr, size uint32, ops uint64)
+	// RecordBatch observes a batch of loads and stores in order.
+	RecordBatch(b Batch)
 	// RecordOps observes ALU op cycles with no following access.
 	RecordOps(ops uint64)
 }
@@ -112,8 +131,10 @@ type EventSink interface {
 // the start of every container operation (lane 0 is ambient application
 // work, lanes 1.. are container roles in the application's role order);
 // everything recorded between two markers belongs to the lane of the
-// first. Sinks that do not implement BoundarySink never see markers and
-// observe the flat stream exactly as before.
+// first. The hierarchy hands over its queued accesses before each
+// marker, so every batch a BoundarySink receives lies in one lane. Sinks
+// that do not implement BoundarySink never see markers and observe the
+// flat stream exactly as before.
 type BoundarySink interface {
 	EventSink
 	// RecordBoundary observes the start of an operation owned by lane.
@@ -122,59 +143,99 @@ type BoundarySink interface {
 	RecordBoundary(lane int)
 }
 
+// BatchAccesses is how many accesses a Hierarchy queues before it
+// probes them and polls its abort check: the live run's batch, and the
+// batch the stream replayer decodes (internal/astream), so a guarded
+// live run and a guarded replay of its stream poll after the same
+// accesses.
+const BatchAccesses = 2048
+
 // Hierarchy is the simulated memory subsystem. Create one per simulation
 // with New; it is not safe for concurrent use (one simulation = one
 // goroutine, matching the single-threaded NetBench applications).
 type Hierarchy struct {
 	cfg Config
-	// sim holds the cache state and the hit/miss counters; counts holds
-	// the word and op counters, pipelined the extra words of multi-word
-	// accesses beyond the first of each line.
-	sim       *LineSim
-	counts    Counts
-	pipelined uint64
+	// sim holds the cache state, the hit/miss counters and the
+	// pipelined words; counts holds the word and op counters.
+	sim    *LineSim
+	counts Counts
 
-	// sink, when set, receives every access before it is accounted;
-	// sinkOps accumulates op cycles not yet handed to it. bsink caches
+	// The batch: n accesses queued since the last full one, of which
+	// the first probed have been probed (by a counts read) and the
+	// first sent handed to the sink. ops, allocated on the first sink
+	// attach and written only while a sink is attached, holds at index
+	// i the op cycles charged before access i: Op adds to the entry of
+	// the next access, ops[n] (n < BatchAccesses between calls: a full
+	// batch is emptied before Read or Write returns).
+	n, probed, sent int
+	addr, size      [BatchAccesses]uint32
+	write           [BatchAccesses]bool
+	ops             *[BatchAccesses]uint64
+
+	// sink, when set, receives every access in batches; bsink caches
 	// the sink's BoundarySink side (nil when the sink has none), so
 	// Boundary costs one nil check when markers are not wanted.
-	sink    EventSink
-	bsink   BoundarySink
-	sinkOps uint64
+	sink  EventSink
+	bsink BoundarySink
 
-	// Early-abort hook: abortFn is consulted every abortEvery line probes
-	// and stops the simulation (via an Aborted panic) when it returns
-	// true. Installed by SetAbortCheck; nil when early abort is off.
-	abortFn    func() bool
-	abortEvery uint64
-	sinceCheck uint64
+	// abortFn, when set, is polled after every full batch and stops the
+	// simulation (via an Aborted panic) when it returns true.
+	abortFn func() bool
 }
 
 // SetEventSink tees the hierarchy's event stream into s; nil detaches.
-// Detaching (or replacing) flushes op cycles not yet reported to the
-// outgoing sink via RecordOps, so a capture always accounts the full op
-// total. The cost while detached is one branch per Read/Write/Op.
+// The outgoing sink first receives the queued accesses it has not seen
+// and, via RecordOps, the op cycles charged since the last of them, so
+// a capture always accounts the full op total; the incoming sink sees
+// only accesses issued after the call. The cost while detached is one
+// branch per Op.
 func (h *Hierarchy) SetEventSink(s EventSink) {
-	if h.sink != nil && h.sinkOps != 0 {
-		h.sink.RecordOps(h.sinkOps)
+	h.Flush()
+	if h.sink != nil {
+		if ops := h.takeOps(); ops != 0 {
+			h.sink.RecordOps(ops)
+		}
 	}
-	h.sinkOps = 0
 	h.sink = s
 	h.bsink, _ = s.(BoundarySink)
+	if s != nil && h.ops == nil {
+		h.ops = new([BatchAccesses]uint64)
+	}
+}
+
+// takeOps returns and clears the op cycles charged since the last
+// queued access.
+func (h *Hierarchy) takeOps() uint64 {
+	ops := h.ops[h.n]
+	h.ops[h.n] = 0
+	return ops
+}
+
+// Flush hands the attached sink the queued accesses it has not yet
+// received, so a caller interleaving its own events with the sink's
+// (platform.Capture's footprint snapshots) keeps them in order. The
+// accesses stay queued for probing; without a sink Flush does nothing.
+func (h *Hierarchy) Flush() {
+	if h.sink != nil && h.sent < h.n {
+		lo, hi := h.sent, h.n
+		h.sink.RecordBatch(Batch{Addr: h.addr[lo:hi], Size: h.size[lo:hi], Write: h.write[lo:hi], Ops: h.ops[lo:hi]})
+		clear(h.ops[lo:hi])
+	}
+	h.sent = h.n
 }
 
 // Boundary announces the start of an operation owned by lane to a
-// boundary-aware sink. Pending op cycles are flushed first so they are
-// attributed to the lane that charged them. Without a BoundarySink
-// attached this is a nil check — the DDT layer calls it on every
-// container operation, captured or not.
+// boundary-aware sink. Queued accesses and pending op cycles are
+// handed over first so they are attributed to the lane that issued
+// them. Without a BoundarySink attached this is a nil check — the DDT
+// layer calls it on every container operation, captured or not.
 func (h *Hierarchy) Boundary(lane int) {
 	if h.bsink == nil {
 		return
 	}
-	if h.sinkOps != 0 {
-		h.bsink.RecordOps(h.sinkOps)
-		h.sinkOps = 0
+	h.Flush()
+	if ops := h.takeOps(); ops != 0 {
+		h.bsink.RecordOps(ops)
 	}
 	h.bsink.RecordBoundary(lane)
 }
@@ -195,20 +256,15 @@ func (a *Aborted) Error() string {
 	return fmt.Sprintf("memsim: simulation aborted by cost check after %d cycles", a.Cycles)
 }
 
-// SetAbortCheck installs fn to be polled every `every` cache-line probes;
-// when fn reports true the hierarchy stops the simulation by panicking
-// with *Aborted, which the caller that installed the check must recover.
-// A nil fn (or every == 0) removes the check. The polling cost is one
-// branch per probe while disabled.
-func (h *Hierarchy) SetAbortCheck(every uint64, fn func() bool) {
-	if fn == nil || every == 0 {
-		h.abortFn, h.abortEvery, h.sinceCheck = nil, 0, 0
-		return
-	}
-	h.abortFn = fn
-	h.abortEvery = every
-	h.sinceCheck = 0
-}
+// SetAbortCheck installs fn to be polled once per full batch, after the
+// batch is probed: after every BatchAccesses-th access of the run. When
+// fn reports true the hierarchy stops the simulation by panicking with
+// *Aborted, which the caller that installed the check must recover;
+// Counts and Cycles then hold the exact state after the batch's last
+// access. A nil fn removes the check. Reading the counts (Counts,
+// Cycles, Seconds) probes the queued accesses but never polls, so it
+// cannot panic, and it does not move the poll points.
+func (h *Hierarchy) SetAbortCheck(fn func() bool) { h.abortFn = fn }
 
 // New builds a hierarchy from cfg.
 func New(cfg Config) *Hierarchy {
@@ -217,85 +273,69 @@ func New(cfg Config) *Hierarchy {
 
 // Read simulates loading size bytes starting at virtual address addr.
 func (h *Hierarchy) Read(addr, size uint32) {
-	if h.sink != nil {
-		h.sink.RecordAccess(false, addr, size, h.sinkOps)
-		h.sinkOps = 0
+	if size == 0 {
+		return
 	}
-	h.access(addr, size, false)
+	h.counts.ReadWords += uint64((size + 3) / 4)
+	i := h.n & (BatchAccesses - 1) // h.n < BatchAccesses; the mask drops the bounds checks
+	h.addr[i], h.size[i], h.write[i] = addr, size, false
+	if h.n = i + 1; h.n == BatchAccesses {
+		h.full()
+	}
 }
 
 // Write simulates storing size bytes starting at virtual address addr.
 func (h *Hierarchy) Write(addr, size uint32) {
-	if h.sink != nil {
-		h.sink.RecordAccess(true, addr, size, h.sinkOps)
-		h.sinkOps = 0
+	if size == 0 {
+		return
 	}
-	h.access(addr, size, true)
+	h.counts.WriteWords += uint64((size + 3) / 4)
+	i := h.n & (BatchAccesses - 1)
+	h.addr[i], h.size[i], h.write[i] = addr, size, true
+	if h.n = i + 1; h.n == BatchAccesses {
+		h.full()
+	}
+}
+
+// full hands a full batch to the sink, probes it, empties it and polls
+// the abort check.
+func (h *Hierarchy) full() {
+	h.Flush()
+	h.probe()
+	h.n, h.probed, h.sent = 0, 0, 0
+	if h.abortFn != nil && h.abortFn() {
+		panic(&Aborted{Counts: h.Counts(), Cycles: h.Cycles()})
+	}
+}
+
+// probe probes the queued accesses not yet probed.
+func (h *Hierarchy) probe() {
+	if lo, hi := h.probed, h.n; lo < hi {
+		h.sim.ProbeAccesses(h.addr[lo:hi], h.size[lo:hi])
+		h.probed = hi
+	}
 }
 
 // Op charges n ALU cycles (comparisons, pointer arithmetic, checksum
 // work inside the application) without touching memory.
 func (h *Hierarchy) Op(n uint64) {
 	if h.sink != nil {
-		h.sinkOps += n
+		h.ops[h.n] += n
 	}
 	h.counts.OpCycles += n
 }
 
-func (h *Hierarchy) access(addr, size uint32, write bool) {
-	if size == 0 {
-		return
-	}
-	words := uint64((size + 3) / 4)
-	if write {
-		h.counts.WriteWords += words
-	} else {
-		h.counts.ReadWords += words
-	}
-	first, last := h.sim.LineSpan(addr, size)
-	lines := uint64(last - first + 1)
-	if h.abortFn == nil {
-		h.sim.probeSpan(first, last)
-	} else if h.sinceCheck+lines < h.abortEvery {
-		h.sinceCheck += lines // no poll falls due inside this access
-		h.sim.probeSpan(first, last)
-	} else {
-		h.probePolled(first, last)
-	}
-	// Words beyond the first of each probed line are pipelined; added
-	// after the walk so an abort inside it reports the cycles up to its
-	// probe.
-	if words > lines {
-		h.pipelined += words - lines
-	}
-}
-
-// probePolled walks an access's lines one at a time, polling the abort
-// check before each probe it is due on. It invalidates the skip window
-// first, since the walk bypasses the window bookkeeping.
-func (h *Hierarchy) probePolled(first, last uint32) {
-	h.sim.lastFirst, h.sim.lastLine = noLine, noLine
-	for line := first; line <= last; line++ {
-		h.sinceCheck++
-		if h.sinceCheck >= h.abortEvery {
-			h.sinceCheck = 0
-			if h.abortFn() {
-				panic(&Aborted{Counts: h.Counts(), Cycles: h.Cycles()})
-			}
-		}
-		h.sim.ProbeLine(line)
-	}
-}
-
-// Counts returns the accumulated event counters.
+// Counts returns the accumulated event counters, probing the queued
+// accesses first.
 func (h *Hierarchy) Counts() Counts {
+	h.probe()
 	c := h.counts
 	c.L1Hits, c.L2Hits, c.DRAMFills = h.sim.L1Hits, h.sim.L2Hits, h.sim.DRAMFills
 	return c
 }
 
 // Cycles returns the total simulated cycles so far.
-func (h *Hierarchy) Cycles() uint64 { return h.cfg.CyclesFor(h.Counts(), h.pipelined) }
+func (h *Hierarchy) Cycles() uint64 { return h.cfg.CyclesFor(h.Counts(), h.sim.Pipelined()) }
 
 // Seconds converts the accumulated cycles to seconds at the configured
 // clock.

@@ -247,7 +247,7 @@ func TestInclusiveFill(t *testing.T) {
 func TestAbortCheckFires(t *testing.T) {
 	h := memsim.New(memsim.DefaultConfig())
 	polled := 0
-	h.SetAbortCheck(4, func() bool {
+	h.SetAbortCheck(func() bool {
 		polled++
 		return polled >= 3
 	})
@@ -257,22 +257,26 @@ func TestAbortCheckFires(t *testing.T) {
 		if !ok {
 			t.Fatalf("recovered %v, want *memsim.Aborted", r)
 		}
-		if ab.Counts.Accesses() == 0 || ab.Cycles == 0 {
-			t.Errorf("aborted snapshot empty: %+v", ab)
+		// One poll per full batch: the third fires after the third batch.
+		if ab.Counts.Accesses() != 3*memsim.BatchAccesses || ab.Counts.LineProbes() != 3*memsim.BatchAccesses || ab.Cycles == 0 {
+			t.Errorf("aborted snapshot %+v, want %d accesses and probes", ab, 3*memsim.BatchAccesses)
 		}
 		if polled != 3 {
 			t.Errorf("check polled %d times, want 3", polled)
 		}
 	}()
 	for i := uint32(0); ; i++ {
-		h.Read(i*64, 4) // distinct lines: one probe per read
+		h.Read(i*64, 4) // distinct lines: one word and one probe per read
 	}
 }
 
 func TestAbortCheckDisable(t *testing.T) {
 	h := memsim.New(memsim.DefaultConfig())
-	h.SetAbortCheck(1, func() bool { return true })
-	h.SetAbortCheck(0, nil)
+	h.SetAbortCheck(func() bool { return true })
+	h.SetAbortCheck(nil)
+	for i := uint32(0); i < memsim.BatchAccesses; i++ {
+		h.Read(i*64, 4) // a full batch: no poll may fire
+	}
 	h.Read(0x1000, 64) // must not panic
 	if h.Counts().Accesses() == 0 {
 		t.Error("access not simulated after disabling the check")

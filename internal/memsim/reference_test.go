@@ -60,8 +60,6 @@ type refHierarchy struct {
 	l1, l2 *refLevel
 	counts memsim.Counts
 	cycles uint64
-	// beforeProbe, when set, runs before every line probe.
-	beforeProbe func()
 }
 
 func newRefHierarchy(cfg memsim.Config) *refHierarchy {
@@ -84,9 +82,6 @@ func (r *refHierarchy) access(addr, size uint32, write bool) {
 	lb := r.cfg.L1.LineBytes
 	first, last := addr/lb, (addr+size-1)/lb
 	for line := uint64(first); line <= uint64(last); line++ {
-		if r.beforeProbe != nil {
-			r.beforeProbe()
-		}
 		r.probe(uint32(line))
 	}
 	if lines := uint64(last-first) + 1; words > lines {
@@ -215,20 +210,29 @@ func cfgName(c memsim.Config) string {
 
 // checkAgainstReference drives a Hierarchy and the reference model with
 // the same stream and fails at the first event after which their counts
-// or cycles differ. A nonzero every arms an abort check polled every
-// that many probes which never fires, so the polled walk is interleaved
-// with the unpolled one.
+// or cycles differ. A nonzero every arms an abort check that never
+// fires. A second Hierarchy driven with the same stream and read only
+// at its end — so its accesses are probed in whole batches rather than
+// one Counts read at a time — must end in the same state.
 func checkAgainstReference(t *testing.T, cfg memsim.Config, ops []refOp, every uint64) {
 	t.Helper()
-	h, ref := memsim.New(cfg), newRefHierarchy(cfg)
-	h.SetAbortCheck(every, func() bool { return false })
+	h, batched, ref := memsim.New(cfg), memsim.New(cfg), newRefHierarchy(cfg)
+	if every != 0 {
+		h.SetAbortCheck(func() bool { return false })
+		batched.SetAbortCheck(func() bool { return false })
+	}
 	for i, o := range ops {
 		o.apply(h)
+		o.apply(batched)
 		o.applyRef(ref)
 		if h.Counts() != ref.counts || h.Cycles() != ref.cycles {
 			t.Fatalf("%s: after event %d %+v:\n got  %+v cycles %d\n want %+v cycles %d",
 				cfgName(cfg), i, o, h.Counts(), h.Cycles(), ref.counts, ref.cycles)
 		}
+	}
+	if batched.Counts() != ref.counts || batched.Cycles() != ref.cycles {
+		t.Fatalf("%s: read once at the end: got %+v cycles %d, want %+v cycles %d",
+			cfgName(cfg), batched.Counts(), batched.Cycles(), ref.counts, ref.cycles)
 	}
 }
 
@@ -246,13 +250,25 @@ func TestHierarchyMatchesReference(t *testing.T) {
 }
 
 // FuzzHierarchyMatchesReference feeds fuzzer-chosen geometries and
-// streams to the same comparison. The geometry and the abort-poll
-// interval take the first four bytes; each further 7-byte record is one
-// event: a kind byte (low two bits: read, write, op, read; next two: the
-// address range), a 32-bit address and a 16-bit size or op count.
+// streams to the same comparison. The geometry and whether an abort
+// check is armed take the first four bytes; each further 7-byte record
+// is one event: a kind byte (low two bits: read, write, op, read; next
+// two: the address range), a 32-bit address and a 16-bit size or op
+// count.
 func FuzzHierarchyMatchesReference(f *testing.F) {
 	f.Add([]byte{1, 1, 3, 0x21, 0, 0, 0x10, 0, 0, 8, 0, 1, 0, 0x10, 0, 4, 0, 0x2c, 0xff, 0xff, 0xff, 0xf0, 0x40, 0})
 	f.Add([]byte{0, 3, 0, 0, 0x0c, 0x10, 0, 0, 0, 0, 1, 0x0d, 0x30, 0, 0, 0, 0x20, 0})
+	// The batching edges: spans longer than the 2-way kernel's line
+	// queue (0xffff bytes at 16- and 32-byte lines), zero-size accesses
+	// and accesses wrapping the 32-bit space, on a 4-way L1, a 2-way L1
+	// with a non-power-of-two set count, and 16-byte lines.
+	edges := []fuzzRec{
+		{0x0c, 0x10000, 0xffff}, {0x0d, 0x10040, 0}, {0x0c, 0xfffffff0, 0x40}, {0x02, 0, 9},
+		{0x0c, 0x10000, 4}, {0x0d, 0x2fff0, 0xffff}, {0x00, 0x10, 0}, {0x0c, 0xffffffff, 1},
+	}
+	f.Add(fuzzSeed([]byte{1, 2 + 4*1, 4, 15}, edges...))
+	f.Add(fuzzSeed([]byte{4, 1 + 4*3, 6, 95}, edges...))
+	f.Add(fuzzSeed([]byte{6, 1, 16, 63}, edges...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
@@ -279,40 +295,57 @@ func FuzzHierarchyMatchesReference(f *testing.F) {
 	})
 }
 
-// refAbortState replays ops[arm:] after ops[:arm] through the reference
-// model and returns its counts and cycles just before probe number
-// (counted from arm) stop, or ok=false when the stream has fewer probes.
-func refAbortState(cfg memsim.Config, ops []refOp, arm int, stop uint64) (memsim.Counts, uint64, bool) {
+// fuzzRec is one event record of FuzzHierarchyMatchesReference's
+// input: the kind byte, the address and the size or op count.
+type fuzzRec struct {
+	kind byte
+	addr uint32
+	size uint16
+}
+
+// fuzzSeed encodes a FuzzHierarchyMatchesReference input: the four
+// geometry bytes, then the records.
+func fuzzSeed(head []byte, recs ...fuzzRec) []byte {
+	b := append([]byte(nil), head...)
+	for _, r := range recs {
+		b = append(b, r.kind)
+		b = binary.LittleEndian.AppendUint32(b, r.addr)
+		b = binary.LittleEndian.AppendUint16(b, r.size)
+	}
+	return b
+}
+
+// queued reports whether o enters a Hierarchy's batch: every load or
+// store of at least one byte, including one that wraps the address space
+// and so probes nothing.
+func (o refOp) queued() bool { return !o.isOp && o.size != 0 }
+
+// refAfterAccess runs ops through the reference model until the access
+// that makes `stop` queued accesses, and returns the model's counts and
+// cycles right after it, or ok=false when the stream holds fewer.
+func refAfterAccess(cfg memsim.Config, ops []refOp, stop int) (memsim.Counts, uint64, bool) {
 	ref := newRefHierarchy(cfg)
-	for _, o := range ops[:arm] {
+	n := 0
+	for _, o := range ops {
 		o.applyRef(ref)
-	}
-	var probes uint64
-	type snap struct {
-		counts memsim.Counts
-		cycles uint64
-	}
-	ref.beforeProbe = func() {
-		if probes++; probes == stop {
-			panic(snap{ref.counts, ref.cycles})
-		}
-	}
-	var got *snap
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s := r.(snap)
-				got = &s
+		if o.queued() {
+			if n++; n == stop {
+				return ref.counts, ref.cycles, true
 			}
-		}()
-		for _, o := range ops[arm:] {
-			o.applyRef(ref)
 		}
-	}()
-	if got == nil {
-		return memsim.Counts{}, 0, false
 	}
-	return got.counts, got.cycles, true
+	return memsim.Counts{}, 0, false
+}
+
+// queuedIn counts the queued accesses of ops.
+func queuedIn(ops []refOp) int {
+	n := 0
+	for _, o := range ops {
+		if o.queued() {
+			n++
+		}
+	}
+	return n
 }
 
 // runAborting applies ops to h, disarming the abort check before event
@@ -326,84 +359,80 @@ func runAborting(h *memsim.Hierarchy, ops []refOp, disarm int) (ab *memsim.Abort
 	}()
 	for i, o := range ops {
 		if i == disarm {
-			h.SetAbortCheck(0, nil)
+			h.SetAbortCheck(nil)
 		}
 		o.apply(h)
 	}
 	return nil
 }
 
-// TestAbortExactness pins early abort to the probe: a check polled every
-// `every` probes that fires on its k-th poll stops the simulation with
-// exactly the reference model's counts and cycles just before probe
-// k*every (counted from when the check was armed) — whether the check
-// was armed at the start or mid-stream. A check disarmed before its
-// firing poll stops nothing, and the run matches the reference's.
+// TestAbortExactness pins early abort to the batch: the check is polled
+// after every BatchAccesses-th queued access of the run, and a check
+// that fires on its k-th poll stops the simulation with exactly the
+// reference model's counts and cycles right after the access that ends
+// that batch — whether the check was armed at the start or mid-stream,
+// mid-batch, after a counts read that probed the batch's head. A check
+// disarmed before its firing poll stops nothing: the polls before it
+// still happen, and the run matches the reference's.
 func TestAbortExactness(t *testing.T) {
+	const batch = memsim.BatchAccesses
 	rng := rand.New(rand.NewSource(7))
 	ops := refStream(rng, 20000)
 	odd := memsim.DefaultConfig()
 	odd.L1 = memsim.CacheGeometry{SizeBytes: 32 * 4 * 24, LineBytes: 32, Assoc: 4}
 	odd.L2 = memsim.CacheGeometry{SizeBytes: 32 * 8 * 96, LineBytes: 32, Assoc: 8}
 	for _, cfg := range []memsim.Config{memsim.DefaultConfig(), odd} {
-		for _, every := range []uint64{1, 3, 64, 4096} {
-			for _, k := range []int{1, 2, 5} {
-				for _, arm := range []int{0, 7001} {
-					name := fmt.Sprintf("%s/every=%d/k=%d/arm=%d", cfgName(cfg), every, k, arm)
-					wantCounts, wantCycles, ok := refAbortState(cfg, ops, arm, uint64(k)*every)
-					if !ok {
-						t.Fatalf("%s: stream too short for the firing poll", name)
-					}
-					h := memsim.New(cfg)
-					for _, o := range ops[:arm] {
-						o.apply(h)
-					}
-					polls := 0
-					h.SetAbortCheck(every, func() bool { polls++; return polls == k })
-					ab := runAborting(h, ops[arm:], -1)
-					if ab == nil {
-						t.Fatalf("%s: check never fired", name)
-					}
-					if polls != k || ab.Counts != wantCounts || ab.Cycles != wantCycles {
-						t.Fatalf("%s: aborted after %d polls with %+v cycles %d, want %d polls, %+v cycles %d",
-							name, polls, ab.Counts, ab.Cycles, k, wantCounts, wantCycles)
-					}
+		for _, k := range []int{1, 2, 5} {
+			for _, arm := range []int{0, 7001} {
+				name := fmt.Sprintf("%s/k=%d/arm=%d", cfgName(cfg), k, arm)
+				// Batches full before the check is armed polled nothing.
+				stop := (queuedIn(ops[:arm])/batch + k) * batch
+				wantCounts, wantCycles, ok := refAfterAccess(cfg, ops, stop)
+				if !ok {
+					t.Fatalf("%s: stream too short for the firing poll", name)
 				}
+				h := memsim.New(cfg)
+				for _, o := range ops[:arm] {
+					o.apply(h)
+				}
+				h.Counts() // probes the head of the batch; the poll points stay
+				polls := 0
+				h.SetAbortCheck(func() bool { polls++; return polls == k })
+				ab := runAborting(h, ops[arm:], -1)
+				if ab == nil {
+					t.Fatalf("%s: check never fired", name)
+				}
+				if polls != k || ab.Counts != wantCounts || ab.Cycles != wantCycles {
+					t.Fatalf("%s: aborted after %d polls with %+v cycles %d, want %d polls, %+v cycles %d",
+						name, polls, ab.Counts, ab.Cycles, k, wantCounts, wantCycles)
+				}
+				if h.Counts() != ab.Counts || h.Cycles() != ab.Cycles {
+					t.Fatalf("%s: counts read after the abort %+v differ from its snapshot %+v", name, h.Counts(), ab.Counts)
+				}
+			}
 
-				// Disarmed mid-stream, before the event holding the firing
-				// poll's probe; the polls before it still happen.
-				disarm, before := 0, uint64(0)
-				for ; disarm < len(ops); disarm++ {
-					p := probesOf(cfg, ops[disarm])
-					if before+p >= uint64(k)*every {
+			// Disarmed at the event that would end the k-th batch.
+			disarm, n := 0, 0
+			for ; disarm < len(ops); disarm++ {
+				if ops[disarm].queued() {
+					if n++; n == k*batch {
 						break
 					}
-					before += p
 				}
-				wantPolls := int(before / every)
-				h, ref := memsim.New(cfg), newRefHierarchy(cfg)
-				polls := 0
-				h.SetAbortCheck(every, func() bool { polls++; return polls == k })
-				if ab := runAborting(h, ops, disarm); ab != nil {
-					t.Fatalf("%s every=%d k=%d: disarmed check still fired after %d polls", cfgName(cfg), every, k, polls)
-				}
-				for _, o := range ops {
-					o.applyRef(ref)
-				}
-				if polls != wantPolls || h.Counts() != ref.counts || h.Cycles() != ref.cycles {
-					t.Fatalf("%s every=%d k=%d disarmed: %d polls, %+v cycles %d; want %d polls, %+v cycles %d",
-						cfgName(cfg), every, k, polls, h.Counts(), h.Cycles(), wantPolls, ref.counts, ref.cycles)
-				}
+			}
+			h, ref := memsim.New(cfg), newRefHierarchy(cfg)
+			polls := 0
+			h.SetAbortCheck(func() bool { polls++; return polls == k })
+			if ab := runAborting(h, ops, disarm); ab != nil {
+				t.Fatalf("%s k=%d: disarmed check still fired after %d polls", cfgName(cfg), k, polls)
+			}
+			for _, o := range ops {
+				o.applyRef(ref)
+			}
+			if polls != k-1 || h.Counts() != ref.counts || h.Cycles() != ref.cycles {
+				t.Fatalf("%s k=%d disarmed: %d polls, %+v cycles %d; want %d polls, %+v cycles %d",
+					cfgName(cfg), k, polls, h.Counts(), h.Cycles(), k-1, ref.counts, ref.cycles)
 			}
 		}
 	}
-}
-
-// probesOf returns the number of lines the reference model probes for o.
-func probesOf(cfg memsim.Config, o refOp) uint64 {
-	if o.isOp || o.size == 0 || uint64(o.addr)+uint64(o.size) > 1<<32 {
-		return 0
-	}
-	lb := cfg.L1.LineBytes
-	return uint64((o.addr+o.size-1)/lb-o.addr/lb) + 1
 }

@@ -103,36 +103,42 @@ func (p *Platform) CaptureComposed(record []bool) *astream.ComposedRecorder {
 }
 
 // Capture tees the platform's activity into rec: every memory event goes
-// through the hierarchy's event sink and every footprint high-water-mark
-// growth through the heap's peak hook. The recorded stream is the
-// platform-invariant behavior of the run — replaying it (internal/
-// astream) against any other memory-subsystem configuration reproduces
-// that configuration's live metrics exactly, without re-executing the
-// application. Attach before the application runs; the capture overhead
-// is a few nanoseconds per event on the live simulation.
+// through the hierarchy's event sink, a batch at a time, and every
+// footprint high-water-mark growth through the heap's peak hook, which
+// first flushes the hierarchy's queued accesses to rec so the stream
+// keeps its event order. The recorded stream is the platform-invariant
+// behavior of the run — replaying it (internal/astream) against any
+// other memory-subsystem configuration reproduces that configuration's
+// live metrics exactly, without re-executing the application. Attach
+// before the application runs; the capture overhead is a few
+// nanoseconds per event on the live simulation.
 func (p *Platform) Capture(rec *astream.Recorder) {
 	p.Mem.SetEventSink(rec)
-	p.Heap.SetPeakHook(rec.RecordPeak)
+	p.Heap.SetPeakHook(func(peak uint64) {
+		p.Mem.Flush()
+		rec.RecordPeak(peak)
+	})
 }
 
-// EndCapture detaches a recorder attached by Capture, flushing any ALU
-// ops the hierarchy has not yet reported. Call it after the application
-// run (normal or aborted), before Recorder.Finish.
+// EndCapture detaches a recorder attached by Capture, flushing any
+// accesses and ALU ops the hierarchy has not yet reported. Call it after
+// the application run (normal or aborted), before Recorder.Finish.
 func (p *Platform) EndCapture() {
 	p.Mem.SetEventSink(nil)
 	p.Heap.SetPeakHook(nil)
 }
 
-// AbortWhen arms the platform's early-abort hook: every everyProbes
-// cache-line probes the running 4-metric cost vector is offered to check,
-// and a true result stops the simulation by panicking with
-// *memsim.Aborted (which the exploration Engine recovers and records as
-// an aborted run). All four metrics only grow as a simulation proceeds,
-// so a check that proves the partial vector already hopeless — e.g.
-// dominated by a finished Pareto-front member beyond a safety margin —
-// is sound: the finished run could only have been worse.
-func (p *Platform) AbortWhen(everyProbes uint64, check func(metrics.Vector) bool) {
-	p.Mem.SetAbortCheck(everyProbes, func() bool {
+// AbortWhen arms the platform's early-abort hook: after every full
+// batch of memsim.BatchAccesses accesses the hierarchy probes, the
+// running 4-metric cost vector is offered to check, and a true result
+// stops the simulation by panicking with *memsim.Aborted (which the
+// exploration Engine recovers and records as an aborted run). All four
+// metrics only grow as a simulation proceeds, so a check that proves
+// the partial vector already hopeless — e.g. dominated by a finished
+// Pareto-front member — is sound: the finished run could only have
+// been worse.
+func (p *Platform) AbortWhen(check func(metrics.Vector) bool) {
+	p.Mem.SetAbortCheck(func() bool {
 		return check(p.Metrics())
 	})
 }

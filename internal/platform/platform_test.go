@@ -58,20 +58,18 @@ func TestCustomConfig(t *testing.T) {
 func TestAbortWhenSeesRunningCosts(t *testing.T) {
 	p := platform.Default()
 	var seen []float64
-	p.AbortWhen(2, func(v metrics.Vector) bool {
+	p.AbortWhen(func(v metrics.Vector) bool {
 		seen = append(seen, v.Accesses)
-		return v.Accesses >= 8
+		return len(seen) == 3
 	})
 	defer func() {
 		if _, ok := recover().(*memsim.Aborted); !ok {
 			t.Fatal("AbortWhen did not stop the simulation")
 		}
-		if len(seen) == 0 {
-			t.Fatal("check never saw a cost vector")
-		}
-		for i := 1; i < len(seen); i++ {
-			if seen[i] < seen[i-1] {
-				t.Error("running cost vector decreased between checks")
+		// One poll per full batch, each seeing the batch's accesses.
+		for i, a := range seen {
+			if want := float64((i + 1) * memsim.BatchAccesses); a != want {
+				t.Errorf("poll %d saw %v accesses, want %v", i, a, want)
 			}
 		}
 	}()
