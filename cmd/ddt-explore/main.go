@@ -328,6 +328,8 @@ func run(ctx context.Context, c cliConfig) error {
 	st := eng.Stats()
 	fmt.Printf("\nexploration wall time: %.1fs (budget %d; engine simulated %d, replayed %d, composed %d, profile-served %d, cache hits %d, early aborts %d, bound-pruned %d via %d lane bounds)\n",
 		elapsed.Seconds(), r.Reduced, st.Simulated, st.Replayed, st.Composed, st.Profiled, st.CacheHits, st.Aborted, st.Pruned, st.LaneProfiles)
+	fmt.Printf("work: %d live accesses, %d live probes, %d replayed accesses, %d bound evaluations, %d sampled probes\n",
+		st.LiveAccesses, st.LiveProbes, st.ReplayAccesses, st.BoundEvals, st.SampledProbes)
 	if st.Expanded > 0 {
 		fmt.Printf("branch-and-bound: expanded %d tree nodes, cut %d dominated subtrees in bulk\n",
 			st.Expanded, st.SubtreeCuts)

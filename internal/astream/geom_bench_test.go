@@ -76,7 +76,7 @@ func BenchmarkGeomSweep(b *testing.B) {
 			}
 
 			for k := range cfgs {
-				if got[k] != want[k] || got2[k] != want[k] || got3[k] != want[k] {
+				if got[k] != want[k] || got2[k] != want[k] || got3[k] != unwalked(want[k]) {
 					b.Fatalf("cfg %d: arms disagree (geom %+v, profiled %+v, profile-only %+v, per-config %+v)",
 						k, got[k], got2[k], got3[k], want[k])
 				}

@@ -66,7 +66,7 @@ func TestGeomReplayMultiEquivalence(t *testing.T) {
 	for k, cfg := range cfgs {
 		for _, p := range profs {
 			if got, ok := astream.CostFromProfile(p, cfg); ok {
-				if got != multi[k] {
+				if got != unwalked(multi[k]) {
 					t.Errorf("cfg %d: profile cost %+v != replay %+v", k, got, multi[k])
 				}
 				covered++
@@ -87,7 +87,7 @@ func TestGeomReplayMultiEquivalence(t *testing.T) {
 	served := false
 	for _, p := range profs {
 		if got, ok := astream.CostFromProfile(p, novel); ok {
-			if got != want {
+			if got != unwalked(want) {
 				t.Errorf("novel config: profile cost %+v != replay %+v", got, want)
 			}
 			served = true
@@ -127,7 +127,7 @@ func TestGeomComposedMultiEquivalence(t *testing.T) {
 		}
 		for _, p := range profs {
 			if got, ok := astream.CostFromProfile(p, cfg); ok {
-				if got != want {
+				if got != unwalked(want) {
 					t.Errorf("cfg %d: composed profile cost %+v != composed single %+v", k, got, want)
 				}
 				break

@@ -26,6 +26,11 @@ type Cost struct {
 	// (see GuardFunc: never more than the exact full-replay cost on any
 	// objective).
 	Aborted bool
+	// Walked is the number of accesses the replay's walk probed before
+	// it ended: every access of the source for a complete pass, the
+	// accesses up to the stop for an aborted one, and zero for a cost
+	// derived from a profile (CostFromProfile), which walks nothing.
+	Walked uint64
 }
 
 // GuardFunc is polled during a guarded replay with a lower bound on
@@ -364,6 +369,7 @@ func Replay(src Source, cfgs []memsim.Config, opts ReplayOpts) ([]Cost, []*memsi
 	var (
 		inv     memsim.Counts
 		peak    uint64
+		walked  uint64
 		since   int
 		r       run
 		bound   completion
@@ -384,6 +390,7 @@ func Replay(src Source, cfgs []memsim.Config, opts ReplayOpts) ([]Cost, []*memsi
 		inv.WriteWords += r.writeW
 		inv.OpCycles += r.ops
 		peak = r.peak
+		walked += uint64(len(r.addr))
 		plan.probe(&r)
 		if opts.Guard == nil {
 			continue
@@ -410,11 +417,14 @@ func Replay(src Source, cfgs []memsim.Config, opts ReplayOpts) ([]Cost, []*memsi
 			snap = Cost{Counts: cnt, Cycles: cfgs[0].CyclesFor(cnt, bound.pipelined), Peak: peak}
 		}
 		if opts.Guard(snap) {
-			snap.Aborted = true
+			snap.Aborted, snap.Walked = true, walked
 			return []Cost{snap}, nil, nil
 		}
 	}
 	out := plan.costs(inv, peak)
+	for i := range out {
+		out[i].Walked = walked
+	}
 	if !opts.Profile {
 		return out, nil, nil
 	}

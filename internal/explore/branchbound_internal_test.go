@@ -107,6 +107,24 @@ func TestBranchBoundMonotoneExpansion(t *testing.T) {
 	}
 }
 
+// TestPriorityIgnoresFootprint pins the search order's objectives: two
+// bound vectors that differ only in footprint get equal priority, and
+// each of the three ordered axes still raises it.
+func TestPriorityIgnoresFootprint(t *testing.T) {
+	s := &bbSearcher{root: metrics.Vector{Energy: 2e-3, Time: 4e-4, Accesses: 5e5, Footprint: 3e4}}
+	v := metrics.Vector{Energy: 3e-3, Time: 5e-4, Accesses: 6e5, Footprint: 4e4}
+	big := v
+	big.Footprint *= 10
+	if p, q := s.priority(v), s.priority(big); p != q {
+		t.Fatalf("footprint moved the priority: %v → %v", p, q)
+	}
+	for _, m := range []metrics.Metric{metrics.Energy, metrics.Time, metrics.Accesses} {
+		if w := v.Set(m, 2*v.Get(m)); s.priority(w) <= s.priority(v) {
+			t.Fatalf("doubling %s did not raise the priority", m)
+		}
+	}
+}
+
 // TestBranchBoundSeedsExcludedFromCuts pins the accounting rule that
 // makes materialized + cut == space exact: the capture plan's
 // combinations (a cold run's seeds) inside a cut subtree are subtracted

@@ -329,11 +329,13 @@ func (t *traffic) count(hit bool) {
 }
 
 // put files v under key by the tier's policy and restores the budget.
-func (t *tier[V, P]) put(c *Cache, key string, v V) {
+// added reports whether the tier admitted v under a key it did not hold.
+func (t *tier[V, P]) put(c *Cache, key string, v V) (added bool) {
 	c.sm.Lock()
-	t.putLocked(c, key, v)
+	added = t.putLocked(c, key, v)
 	c.evictLocked()
 	c.sm.Unlock()
+	return added
 }
 
 // putAll puts every entry of m under one lock and one eviction pass —
@@ -356,10 +358,10 @@ func (t *tier[V, P]) putAll(c *Cache, m map[string]V, firstWins bool) (added int
 }
 
 // putLocked is put without the eviction pass. Called with sm held.
-func (t *tier[V, P]) putLocked(c *Cache, key string, v V) {
+func (t *tier[V, P]) putLocked(c *Cache, key string, v V) (added bool) {
 	var p P
 	if c.streamBudget <= 0 || !p.admit(v) {
-		return
+		return false
 	}
 	old, had := t.m[key]
 	if had {
@@ -373,6 +375,7 @@ func (t *tier[V, P]) putLocked(c *Cache, key string, v V) {
 	v = p.keep(old, v, had)
 	t.m[key] = v
 	c.streamBytes += p.size(v)
+	return !had
 }
 
 // evict drops the tier's oldest entries while the cache is over its
@@ -578,10 +581,11 @@ func (c *Cache) has(key string) bool {
 // key, or with ambient a schedule key naming its ambient lane. A lane
 // still in its serialized form is decoded on this first use, once,
 // under sm: the entry then holds the decoded form alone and the budget
-// is charged for it instead of the chunks. Lane lookups count as lane
-// traffic, as a get does; ok is false when the entry is not held or
-// does not decode.
-func (c *Cache) decodedLane(key string, ambient bool) (*astream.UnpackedLane, bool) {
+// is charged for it instead of the chunks, and decoded reports the
+// chunks' size (zero when the lane was already decoded). Lane lookups
+// count as lane traffic, as a get does; ok is false when the entry is
+// not held or does not decode.
+func (c *Cache) decodedLane(key string, ambient bool) (u *astream.UnpackedLane, decoded int64, ok bool) {
 	c.sm.RLock()
 	l, ok := c.laneLocked(key, ambient)
 	c.sm.RUnlock()
@@ -589,12 +593,12 @@ func (c *Cache) decodedLane(key string, ambient bool) (*astream.UnpackedLane, bo
 		c.laneTraffic.count(ok)
 	}
 	if !ok || l.dec != nil {
-		return l.dec, ok
+		return l.dec, 0, ok
 	}
 	c.sm.Lock()
 	defer c.sm.Unlock()
 	if l, ok = c.laneLocked(key, ambient); !ok || l.dec != nil {
-		return l.dec, ok // evicted, or another goroutine decoded it
+		return l.dec, 0, ok // evicted, or another goroutine decoded it
 	}
 	u, err := l.enc.Unpack()
 	if err != nil {
@@ -606,7 +610,7 @@ func (c *Cache) decodedLane(key string, ambient bool) (*astream.UnpackedLane, bo
 		} else {
 			c.lanes.dropLocked(c, key)
 		}
-		return nil, false
+		return nil, 0, false
 	}
 	dec := laneEntry{dec: u}
 	c.streamBytes += dec.size() - l.size()
@@ -618,7 +622,7 @@ func (c *Cache) decodedLane(key string, ambient bool) (*astream.UnpackedLane, bo
 		c.lanes.m[key] = dec
 	}
 	c.evictLocked()
-	return u, true
+	return u, l.size(), true
 }
 
 // laneLocked returns the lane entry decodedLane resolves. Called with

@@ -141,6 +141,14 @@ func replayOne(t *testing.T, src astream.Source, cfg memsim.Config) astream.Cost
 	return costs[0]
 }
 
+// unwalked returns c without its walk count: a cost served from a
+// profile walks nothing, so it equals the replayed cost in every field
+// but Walked.
+func unwalked(c astream.Cost) astream.Cost {
+	c.Walked = 0
+	return c
+}
+
 // TestEngineComposeMatchesArenaLive pins the engine fast path: a full
 // step-1 exploration with composition produces exactly the results of
 // the same exploration running every combination as an arena-mode live

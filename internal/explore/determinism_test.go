@@ -3,9 +3,11 @@ package explore_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/netapps"
@@ -143,6 +145,51 @@ func TestGuardedStep1Deterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFlowMonK5Step1WorkPinned pins the work of the one tree search the
+// benchmark runs, at a scale the test suite affords: FlowMon K=5 Step1
+// at 300 packets on one worker repeats every EngineStats field and the
+// survivor set exactly (TestGuardedStep1Deterministic), so they are
+// pinned here as recorded values. A change to the search order, the
+// bounds or the guard shows as a changed count even when the front
+// stays the same.
+func TestFlowMonK5Step1WorkPinned(t *testing.T) {
+	flowmon, err := netapps.ByName("FlowMon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := explore.NewEngine(flowmon, explore.Options{TracePackets: 300, DominantK: 5, BoundPrune: true, Workers: 1})
+	s1, err := eng.Step1(context.Background(), explore.Configs(flowmon)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := explore.EngineStats{
+		Simulated:         10,
+		Composed:          102,
+		Aborted:           97,
+		Pruned:            99791,
+		LaneProfiles:      51,
+		Expanded:          5291,
+		SubtreeCuts:       4561,
+		LiveAccesses:      570095,
+		LiveProbes:        214359,
+		ReplayAccesses:    1767719,
+		BoundEvals:        199,
+		LaneBytesCaptured: 2113152,
+	}
+	if got := eng.Stats(); got != want {
+		t.Errorf("stats\n got %+v\nwant %+v", got, want)
+	}
+	labels := make([]string, len(s1.Survivors))
+	for i, sv := range s1.Survivors {
+		labels[i] = sv.Label()
+	}
+	slices.Sort(labels)
+	const wantSurvivors, wantDigest = 84, "020c06caf70ba8e66c3b400eefa8e5c53bdb70e90b0ebd7a9f0b057d67063981"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(labels, "\n")))); len(labels) != wantSurvivors || got != wantDigest {
+		t.Errorf("%d survivors with label digest %s, want %d with %s:\n%s", len(labels), got, wantSurvivors, wantDigest, strings.Join(labels, "\n"))
 	}
 }
 

@@ -78,6 +78,26 @@ type EngineStats struct {
 	// job from the run's final counts.
 	LiveAccesses uint64
 	LiveProbes   uint64
+	// ReplayAccesses counts the accesses the engine's composed and
+	// stream replays walked, aborted replays up to their stop: the work
+	// of the replay probe kernel, added once per replay job from the
+	// replay's astream.Cost.Walked.
+	ReplayAccesses uint64
+	// BoundEvals counts jobBound calls: the per-leaf admissible-bound
+	// checks of pruneJob and of the screening deferral. The tree
+	// search's node bounds are counted by Expanded.
+	BoundEvals uint64
+	// LaneBytesCaptured sums the resident size of every lane (ambient
+	// lanes included) a compositional capture added to the lane store
+	// under a key it did not hold;
+	// LaneBytesDecoded sums the encoded size of every loaded or merged
+	// lane the engine decoded on its first use.
+	LaneBytesCaptured uint64
+	LaneBytesDecoded  uint64
+	// SampledProbes counts the line probes the sampled screening
+	// replays walked, before sampling kept a subset of them. Zero on
+	// exact runs.
+	SampledProbes uint64
 }
 
 // Engine is the streaming exploration driver: it expands combination and
@@ -151,6 +171,10 @@ type Engine struct {
 	sampled      atomic.Int64
 	liveAccesses atomic.Uint64
 	liveProbes   atomic.Uint64
+	replayWalked atomic.Uint64
+	boundEvals   atomic.Uint64
+	laneCaptured atomic.Uint64
+	laneDecoded  atomic.Uint64
 }
 
 // NewEngine builds an Engine for the application and resolves its
@@ -251,6 +275,12 @@ func (e *Engine) Stats() EngineStats {
 		Sampled:      int(e.sampled.Load()),
 		LiveAccesses: e.liveAccesses.Load(),
 		LiveProbes:   e.liveProbes.Load(),
+
+		ReplayAccesses:    e.replayWalked.Load(),
+		BoundEvals:        e.boundEvals.Load(),
+		LaneBytesCaptured: e.laneCaptured.Load(),
+		LaneBytesDecoded:  e.laneDecoded.Load(),
+		SampledProbes:     e.screenProbes.Load(),
 	}
 }
 
@@ -701,14 +731,22 @@ func (e *Engine) lanesToCapture(jb Job) []bool {
 func (e *Engine) storeComposed(jb Job, cr *astream.ComposedRecorder, sum apps.Summary) {
 	sched, lanes := cr.Finish()
 	c, ck := e.cache, e.keysFor(jb.Cfg)
-	if lanes[0] != nil {
-		c.scheds.put(c, ck.sched, schedEntry{Sched: sched, Ambient: laneEntry{dec: lanes[0]}, Summary: cloneSummary(sum)})
+	if lanes[0] != nil && c.scheds.put(c, ck.sched, schedEntry{Sched: sched, Ambient: laneEntry{dec: lanes[0]}, Summary: cloneSummary(sum)}) {
+		e.laneCaptured.Add(uint64(lanes[0].SizeBytes()))
 	}
 	for i, role := range sched.Roles {
-		if lanes[i+1] != nil {
-			c.lanes.put(c, ck.lane(role, apps.KindFor(jb.Assign, role)), laneEntry{dec: lanes[i+1]})
+		if lanes[i+1] != nil && c.lanes.put(c, ck.lane(role, apps.KindFor(jb.Assign, role)), laneEntry{dec: lanes[i+1]}) {
+			e.laneCaptured.Add(uint64(lanes[i+1].SizeBytes()))
 		}
 	}
+}
+
+// decodedLane is Cache.decodedLane on the engine's cache, counting the
+// encoded bytes a first use decodes.
+func (e *Engine) decodedLane(key string, ambient bool) (*astream.UnpackedLane, bool) {
+	u, decoded, ok := e.cache.decodedLane(key, ambient)
+	e.laneDecoded.Add(uint64(decoded))
+	return u, ok
 }
 
 // composition gathers the schedule and the point's decoded lanes from
@@ -722,11 +760,11 @@ func (e *Engine) composition(cfg Config, assign apps.Assignment) (astream.Compos
 		return astream.Composition{}, apps.Summary{}, false
 	}
 	lanes := make([]*astream.UnpackedLane, len(se.Sched.Roles)+1)
-	if lanes[0], ok = c.decodedLane(ck.sched, true); !ok {
+	if lanes[0], ok = e.decodedLane(ck.sched, true); !ok {
 		return astream.Composition{}, apps.Summary{}, false
 	}
 	for i, role := range se.Sched.Roles {
-		if lanes[i+1], ok = c.decodedLane(ck.lane(role, apps.KindFor(assign, role)), false); !ok {
+		if lanes[i+1], ok = e.decodedLane(ck.lane(role, apps.KindFor(assign, role)), false); !ok {
 			return astream.Composition{}, apps.Summary{}, false
 		}
 	}
@@ -786,6 +824,7 @@ func (e *Engine) composeJob(o *Outcome, jb Job, guard *frontGuard) bool {
 		return false
 	}
 	cost := costs[0]
+	e.replayWalked.Add(cost.Walked)
 	if cost.Aborted {
 		cost.Peak = exactPeak // a cut implies the staged test computed it
 	}
@@ -845,6 +884,7 @@ func (e *Engine) pruneJob(o *Outcome, jb Job, guard *frontGuard) bool {
 // against a front; pruneJob passes the guard's (slack-widened under
 // screening), the screening deferral passes the face-value one.
 func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.Vector, sum apps.Summary, ok, dominated bool) {
+	e.boundEvals.Add(1)
 	c, ck := e.cache, e.keysFor(jb.Cfg)
 	se, schedOK := c.scheds.get(c, ck.sched)
 	if !schedOK {
@@ -852,7 +892,7 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 	}
 	sched := se.Sched
 	total, boundOK := e.laneBoundFor(ck.sched, func() (*astream.UnpackedLane, bool) {
-		return c.decodedLane(ck.sched, true)
+		return e.decodedLane(ck.sched, true)
 	})
 	if !boundOK {
 		return metrics.Vector{}, apps.Summary{}, false, false
@@ -860,7 +900,7 @@ func (e *Engine) jobBound(jb Job, dom func(metrics.Vector) bool) (bound metrics.
 	for _, role := range sched.Roles {
 		lk := ck.lane(role, apps.KindFor(jb.Assign, role))
 		b, ok := e.laneBoundFor(lk, func() (*astream.UnpackedLane, bool) {
-			return c.decodedLane(lk, false)
+			return e.decodedLane(lk, false)
 		})
 		if !ok {
 			return metrics.Vector{}, apps.Summary{}, false, false
@@ -975,6 +1015,7 @@ func (e *Engine) replayJob(o *Outcome, st *astream.Stream, sum apps.Summary, jb 
 		return false
 	}
 	cost := costs[0]
+	e.replayWalked.Add(cost.Walked)
 	o.Result = Result{
 		App:     e.app.Name(),
 		Config:  jb.Cfg,

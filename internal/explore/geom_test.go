@@ -125,7 +125,7 @@ func TestGeomReplayMatchesLiveAllApps(t *testing.T) {
 					t.Errorf("%s: geom pass diverged from live simulation", pts[i].Name)
 				}
 				for _, p := range profs {
-					if got, ok := astream.CostFromProfile(p, mc); ok && got != want {
+					if got, ok := astream.CostFromProfile(p, mc); ok && got != unwalked(want) {
 						t.Errorf("%s: profile cost %+v != replay %+v", pts[i].Name, got, want)
 					}
 				}
@@ -152,7 +152,7 @@ func TestGeomReplayMatchesLiveAllApps(t *testing.T) {
 					t.Errorf("%s composed: geom pass diverged from arena live", pts[i].Name)
 				}
 				for _, p := range cprofs {
-					if got, ok := astream.CostFromProfile(p, mc); ok && got != want {
+					if got, ok := astream.CostFromProfile(p, mc); ok && got != unwalked(want) {
 						t.Errorf("%s composed: profile cost %+v != replay %+v", pts[i].Name, got, want)
 					}
 				}

@@ -184,7 +184,7 @@ func TestUndecodableLaneIsDropped(t *testing.T) {
 		key     string
 		ambient bool
 	}{{"l", false}, {"s", true}} {
-		if _, ok := c.decodedLane(k.key, k.ambient); ok {
+		if _, _, ok := c.decodedLane(k.key, k.ambient); ok {
 			t.Fatalf("%q: corrupt lane decoded", k.key)
 		}
 	}

@@ -345,7 +345,7 @@ func TestCacheBudgetInvariant(t *testing.T) {
 			c.sm.RLock()
 			_, held := c.laneLocked(k, ambient)
 			c.sm.RUnlock()
-			if u, ok := c.decodedLane(k, ambient); ok != held || ok && u == nil {
+			if u, _, ok := c.decodedLane(k, ambient); ok != held || ok && u == nil {
 				t.Fatalf("step %d: decoding %q answered %v, held %v", step, k, ok, held)
 			}
 		case 9, 10:
